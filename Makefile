@@ -66,12 +66,12 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
-## bench-quick: the Send hot-path, figure, and runner cold/warm-disk-cache
-## benchmarks with allocation counts, written to bench-quick.txt (CI
-## uploads it as an artifact so every PR carries a ns/op and allocs/op
-## record)
+## bench-quick: the Send hot-path, figure, runner cold/warm-disk-cache,
+## simulator set-up and simulator throughput benchmarks with allocation
+## counts, written to bench-quick.txt (CI uploads it as an artifact so
+## every PR carries a ns/op and allocs/op record)
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute' -benchtime 100ms -benchmem . | tee bench-quick.txt
+	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|Setup|SimulatorThroughput' -benchtime 100ms -benchmem . | tee bench-quick.txt
 
 ## results-quick: regenerate the quick result set on the parallel runner,
 ## emitting the JSON run report alongside it (tune with JOBS=N; pin the

@@ -19,6 +19,8 @@ import (
 	"sync"
 	"testing"
 
+	"desc/internal/cachemodel"
+	"desc/internal/cachesim"
 	"desc/internal/exp"
 	"desc/internal/metrics"
 	"desc/internal/runcache"
@@ -357,12 +359,30 @@ func BenchmarkCycleAccurateChannel(b *testing.B) {
 // BenchmarkSimulatorThroughput measures end-to-end simulated instructions
 // per second on the design point.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := Simulate(SystemConfig{
 			Scheme: "desc-zero", DataWires: 128, InstrPerContext: 2_000,
 			Seed: int64(i + 1),
 		}, "Radix")
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulatorSetup prices the per-run construction a sweep pays
+// before simulating anything: the workload generator (its spill
+// calibration memo already warm, as in every run of a sweep after the
+// first per benchmark) and the cache hierarchy at the design point.
+func BenchmarkSimulatorSetup(b *testing.B) {
+	prof, _ := workload.ByName("Radix")
+	cfg := cachesim.Config{L2: cachemodel.Config{Scheme: "desc-zero", DataWires: 128}}
+	workload.NewGenerator(prof, 1) // warm the calibration memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cachesim.New(cfg, workload.NewGenerator(prof, 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

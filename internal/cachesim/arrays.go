@@ -2,25 +2,93 @@ package cachesim
 
 import "fmt"
 
-// l1State is the coherence state of an L1 line (MESI collapsed to the
-// three states that matter for this study; Exclusive is folded into
-// Modified on first write and into Shared otherwise).
-type l1State uint8
+// line is one way of a set in either cache. Each cache keeps its lines in
+// one flat table indexed set*ways+way, so building a cache is a single
+// allocation however many sets it has.
+type line struct {
+	tag        uint64 // block number + 1; 0 = invalid
+	sharers    uint32 // L2: bitmask of cores whose L1 holds the line
+	owner      int8   // L2: core holding the line Modified in its L1; -1 none
+	lru        uint8  // lower = more recently used
+	dirty      bool   // L1: Modified; L2: newer than memory
+	prefetched bool   // L2: filled by the prefetcher, not yet demanded
+}
 
-const (
-	l1Shared l1State = iota
-	l1Modified
-)
+// lineTable is the flat line store shared by both caches.
+type lineTable struct {
+	ways  int
+	lines []line
+}
+
+func newLineTable(sets, ways int) lineTable {
+	t := lineTable{ways: ways, lines: make([]line, sets*ways)}
+	for set := 0; set < sets; set++ {
+		row := t.row(set)
+		for w := range row {
+			row[w] = line{owner: -1, lru: uint8(w)}
+		}
+	}
+	return t
+}
+
+// row returns the ways of one set.
+func (t *lineTable) row(set int) []line {
+	return t.lines[set*t.ways : (set+1)*t.ways]
+}
+
+// find returns the ways of set and the way holding tag, or -1.
+//
+//desclint:hotpath
+func (t *lineTable) find(set int, tag uint64) ([]line, int) {
+	row := t.row(set)
+	for w := range row {
+		if row[w].tag == tag {
+			return row, w
+		}
+	}
+	return row, -1
+}
+
+// promote makes way w the most recently used in its set.
+//
+//desclint:hotpath
+func promote(row []line, w int) {
+	old := row[w].lru
+	for i := range row {
+		if row[i].lru < old {
+			row[i].lru++
+		}
+	}
+	row[w].lru = 0
+}
+
+// victim chooses the way to replace: the first invalid way, else the
+// least recently used (highest LRU value; the last on a tie).
+//
+//desclint:hotpath
+func victim(row []line) int {
+	way, best := 0, uint8(0)
+	for w := range row {
+		if row[w].tag == 0 {
+			return w
+		}
+		if row[w].lru >= best {
+			best = row[w].lru
+			way = w
+		}
+	}
+	return way
+}
 
 // l1Cache is one core's set-associative, write-back, write-allocate L1
-// data cache with LRU replacement.
+// data cache with LRU replacement. Coherence is MESI collapsed to the two
+// states that matter for this study: a line is Modified (dirty) or Shared
+// (Exclusive is folded into Modified on first write and into Shared
+// otherwise).
 type l1Cache struct {
 	sets    int
-	ways    int
 	blkBits uint
-	tags    [][]uint64 // tags[set][way]; 0 = invalid
-	state   [][]l1State
-	lru     [][]uint8 // lower = more recently used
+	lineTable
 }
 
 func newL1(capacity, ways, blockBytes int) (*l1Cache, error) {
@@ -35,19 +103,7 @@ func newL1(capacity, ways, blockBytes int) (*l1Cache, error) {
 	for 1<<blkBits < blockBytes {
 		blkBits++
 	}
-	c := &l1Cache{sets: sets, ways: ways, blkBits: blkBits}
-	c.tags = make([][]uint64, sets)
-	c.state = make([][]l1State, sets)
-	c.lru = make([][]uint8, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.state[i] = make([]l1State, ways)
-		c.lru[i] = make([]uint8, ways)
-		for w := range c.lru[i] {
-			c.lru[i][w] = uint8(w)
-		}
-	}
-	return c, nil
+	return &l1Cache{sets: sets, blkBits: blkBits, lineTable: newLineTable(sets, ways)}, nil
 }
 
 func (c *l1Cache) index(addr uint64) (set int, tag uint64) {
@@ -55,103 +111,70 @@ func (c *l1Cache) index(addr uint64) (set int, tag uint64) {
 	return int(blk % uint64(c.sets)), blk + 1 // +1 so tag 0 means invalid
 }
 
-// lookup reports whether addr is present and in what state.
-func (c *l1Cache) lookup(addr uint64) (l1State, bool) {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
-		if t == tag {
-			return c.state[set][w], true
-		}
+// lookup reports whether addr is present and whether it is Modified.
+//
+//desclint:hotpath
+func (c *l1Cache) lookup(addr uint64) (modified, ok bool) {
+	row, w := c.find(c.index(addr))
+	if w < 0 {
+		return false, false
 	}
-	return 0, false
+	return row[w].dirty, true
 }
 
 // touch updates LRU order and, on writes, promotes the line to Modified.
+//
+//desclint:hotpath
 func (c *l1Cache) touch(addr uint64, write bool) {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
-		if t == tag {
-			c.promote(set, w)
-			if write {
-				c.state[set][w] = l1Modified
-			}
-			return
-		}
+	row, w := c.find(c.index(addr))
+	if w < 0 {
+		return
 	}
-}
-
-// promote makes way w the most recently used in its set.
-func (c *l1Cache) promote(set, w int) {
-	old := c.lru[set][w]
-	for i := range c.lru[set] {
-		if c.lru[set][i] < old {
-			c.lru[set][i]++
-		}
+	promote(row, w)
+	if write {
+		row[w].dirty = true
 	}
-	c.lru[set][w] = 0
 }
 
 // allocate installs addr, returning the evicted block address and whether
-// it was dirty. The line state starts Shared (or Modified when allocated
-// by a write).
-func (c *l1Cache) allocate(addr uint64, write bool) (victim uint64, dirty bool) {
+// it was dirty. The line starts Shared (or Modified when allocated by a
+// write).
+//
+//desclint:hotpath
+func (c *l1Cache) allocate(addr uint64, write bool) (victimAddr uint64, dirty bool) {
 	set, tag := c.index(addr)
-	// Choose LRU way (highest LRU value), preferring invalid ways.
-	way := 0
-	best := uint8(0)
-	for w, t := range c.tags[set] {
-		if t == 0 {
-			way = w
-			best = 255
-			break
-		}
-		if c.lru[set][w] >= best {
-			best = c.lru[set][w]
-			way = w
-		}
-	}
-	if c.tags[set][way] != 0 && c.state[set][way] == l1Modified {
-		victim = (c.tags[set][way] - 1) << c.blkBits
+	row := c.row(set)
+	way := victim(row)
+	if row[way].tag != 0 && row[way].dirty {
+		victimAddr = (row[way].tag - 1) << c.blkBits
 		dirty = true
 	}
-	c.tags[set][way] = tag
-	if write {
-		c.state[set][way] = l1Modified
-	} else {
-		c.state[set][way] = l1Shared
-	}
-	c.promote(set, way)
-	return victim, dirty
+	row[way].tag = tag
+	row[way].dirty = write
+	promote(row, way)
+	return victimAddr, dirty
 }
 
 // invalidate drops addr if present, reporting whether it was there.
 // (A dirty line invalidated by coherence has already been written back by
 // the caller.)
 func (c *l1Cache) invalidate(addr uint64) bool {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
-		if t == tag {
-			c.tags[set][w] = 0
-			c.state[set][w] = l1Shared
-			return true
-		}
+	row, w := c.find(c.index(addr))
+	if w < 0 {
+		return false
 	}
-	return false
+	row[w].tag = 0
+	row[w].dirty = false
+	return true
 }
 
 // l2Cache is the shared L2 tag/directory store: banked, set associative,
 // LRU, with a sharer bitmask and dirty-owner tracking per line.
 type l2Cache struct {
 	setsPerBank int
-	ways        int
 	banks       int
 	blkBits     uint
-	tags        [][]uint64
-	dirty       [][]bool
-	sharers     [][]uint32
-	owner       [][]int8 // core holding the line Modified in its L1; -1 none
-	lru         [][]uint8
-	prefetched  [][]bool // filled by the prefetcher, not yet demanded
+	lineTable
 }
 
 func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
@@ -166,27 +189,10 @@ func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
 	for 1<<blkBits < blockBytes {
 		blkBits++
 	}
-	total := sets
-	c := &l2Cache{setsPerBank: sets / banks, ways: ways, banks: banks, blkBits: blkBits}
-	c.tags = make([][]uint64, total)
-	c.dirty = make([][]bool, total)
-	c.sharers = make([][]uint32, total)
-	c.owner = make([][]int8, total)
-	c.lru = make([][]uint8, total)
-	c.prefetched = make([][]bool, total)
-	for i := 0; i < total; i++ {
-		c.tags[i] = make([]uint64, ways)
-		c.dirty[i] = make([]bool, ways)
-		c.sharers[i] = make([]uint32, ways)
-		c.owner[i] = make([]int8, ways)
-		c.lru[i] = make([]uint8, ways)
-		c.prefetched[i] = make([]bool, ways)
-		for w := 0; w < ways; w++ {
-			c.owner[i][w] = -1
-			c.lru[i][w] = uint8(w)
-		}
-	}
-	return c, nil
+	return &l2Cache{
+		setsPerBank: sets / banks, banks: banks, blkBits: blkBits,
+		lineTable: newLineTable(sets, ways),
+	}, nil
 }
 
 func (c *l2Cache) index(addr uint64) (set int, tag uint64) {
@@ -196,121 +202,101 @@ func (c *l2Cache) index(addr uint64) (set int, tag uint64) {
 	return int(bank)*c.setsPerBank + int(row), blk + 1
 }
 
-func (c *l2Cache) find(addr uint64) (set, way int, ok bool) {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
-		if t == tag {
-			return set, w, true
-		}
+// line returns addr's line, or nil when it is not cached.
+//
+//desclint:hotpath
+func (c *l2Cache) line(addr uint64) *line {
+	row, w := c.find(c.index(addr))
+	if w < 0 {
+		return nil
 	}
-	return set, -1, false
+	return &row[w]
 }
 
 // lookup reports presence and refreshes LRU.
+//
+//desclint:hotpath
 func (c *l2Cache) lookup(addr uint64) bool {
-	set, way, ok := c.find(addr)
-	if ok {
-		c.promote(set, way)
+	row, w := c.find(c.index(addr))
+	if w < 0 {
+		return false
 	}
-	return ok
-}
-
-func (c *l2Cache) promote(set, w int) {
-	old := c.lru[set][w]
-	for i := range c.lru[set] {
-		if c.lru[set][i] < old {
-			c.lru[set][i]++
-		}
-	}
-	c.lru[set][w] = 0
+	promote(row, w)
+	return true
 }
 
 // allocate installs addr and returns any dirty victim.
-func (c *l2Cache) allocate(addr uint64) (victim uint64, victimDirty bool) {
+//
+//desclint:hotpath
+func (c *l2Cache) allocate(addr uint64) (victimAddr uint64, victimDirty bool) {
 	set, tag := c.index(addr)
-	way, best := 0, uint8(0)
-	for w, t := range c.tags[set] {
-		if t == 0 {
-			way, best = w, 255
-			break
-		}
-		if c.lru[set][w] >= best {
-			best = c.lru[set][w]
-			way = w
-		}
-	}
-	if c.tags[set][way] != 0 && c.dirty[set][way] {
-		blk := c.tags[set][way] - 1
-		victim = blk << c.blkBits
+	row := c.row(set)
+	way := victim(row)
+	if row[way].tag != 0 && row[way].dirty {
+		victimAddr = (row[way].tag - 1) << c.blkBits
 		victimDirty = true
 	}
-	c.tags[set][way] = tag
-	c.dirty[set][way] = false
-	c.sharers[set][way] = 0
-	c.owner[set][way] = -1
-	c.prefetched[set][way] = false
-	c.promote(set, way)
-	return victim, victimDirty
+	row[way] = line{tag: tag, owner: -1, lru: row[way].lru}
+	promote(row, way)
+	return victimAddr, victimDirty
 }
 
 // markPrefetched flags addr as prefetcher-filled.
 func (c *l2Cache) markPrefetched(addr uint64) {
-	if set, way, ok := c.find(addr); ok {
-		c.prefetched[set][way] = true
+	if l := c.line(addr); l != nil {
+		l.prefetched = true
 	}
 }
 
 // clearPrefetched reports and clears the prefetched flag (a useful
 // prefetch: the line was demanded before eviction).
 func (c *l2Cache) clearPrefetched(addr uint64) bool {
-	set, way, ok := c.find(addr)
-	if !ok || !c.prefetched[set][way] {
+	l := c.line(addr)
+	if l == nil || !l.prefetched {
 		return false
 	}
-	c.prefetched[set][way] = false
+	l.prefetched = false
 	return true
 }
 
 // recordL1 tracks which core holds the line after a fill.
 func (c *l2Cache) recordL1(addr uint64, core int, write bool) {
-	set, way, ok := c.find(addr)
-	if !ok {
+	l := c.line(addr)
+	if l == nil {
 		return
 	}
-	c.sharers[set][way] |= 1 << uint(core)
+	l.sharers |= 1 << uint(core)
 	if write {
-		c.owner[set][way] = int8(core)
-		c.dirty[set][way] = true
+		l.owner = int8(core)
+		l.dirty = true
 	}
 }
 
 // dirtyOwner returns the core holding addr Modified, or -1.
 func (c *l2Cache) dirtyOwner(addr uint64) int {
-	set, way, ok := c.find(addr)
-	if !ok {
+	l := c.line(addr)
+	if l == nil {
 		return -1
 	}
-	return int(c.owner[set][way])
+	return int(l.owner)
 }
 
 // markDirty records an L1 writeback into the line.
 func (c *l2Cache) markDirty(addr uint64) {
-	set, way, ok := c.find(addr)
-	if !ok {
-		return
+	if l := c.line(addr); l != nil {
+		l.dirty = true
+		l.owner = -1
 	}
-	c.dirty[set][way] = true
-	c.owner[set][way] = -1
 }
 
 // clearSharers drops every sharer except `except`.
 func (c *l2Cache) clearSharers(addr uint64, except int) {
-	set, way, ok := c.find(addr)
-	if !ok {
+	l := c.line(addr)
+	if l == nil {
 		return
 	}
-	c.sharers[set][way] &= 1 << uint(except)
-	if int(c.owner[set][way]) != except {
-		c.owner[set][way] = -1
+	l.sharers &= 1 << uint(except)
+	if int(l.owner) != except {
+		l.owner = -1
 	}
 }

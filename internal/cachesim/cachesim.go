@@ -95,7 +95,7 @@ type Hierarchy struct {
 
 	// inflight tracks outstanding fills per block so concurrent
 	// requesters merge into one L2/DRAM access (MSHR behavior).
-	inflight map[uint64]uint64
+	inflight fillTimes
 
 	// cancel, when non-nil, aborts block transfers once closed; see
 	// SetCancel.
@@ -165,7 +165,7 @@ func New(cfg Config, src BlockSource) (*Hierarchy, error) {
 		dram:     mem,
 		src:      src,
 		banks:    make([]bankSched, model.Banks()),
-		inflight: make(map[uint64]uint64),
+		inflight: newFillTimes(),
 		mx:       newHierMetrics(cfg.Metrics),
 		buf:      make([]byte, model.BlockBytes()),
 	}
@@ -224,8 +224,8 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 	addr &^= uint64(h.model.BlockBytes() - 1)
 	l1 := h.l1[core]
 
-	if state, hit := l1.lookup(addr); hit {
-		if !write || state == l1Modified {
+	if modified, hit := l1.lookup(addr); hit {
+		if !write || modified {
 			l1.touch(addr, write)
 			h.stats.L1Hits++
 			h.mx.l1Hits.Inc()
@@ -266,17 +266,14 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 
 	// MSHR merge: a request for a block already in flight piggybacks on
 	// the outstanding access instead of issuing another one.
-	if done, ok := h.inflight[addr]; ok {
-		if done > now {
-			h.stats.MSHRMerges++
-			h.mx.mshrMerges.Inc()
-			h.l2.recordL1(addr, core, write)
-			if write {
-				h.invalidatePeers(addr, core)
-			}
-			return done
+	if done, ok := h.inflight.get(addr); ok && done > now {
+		h.stats.MSHRMerges++
+		h.mx.mshrMerges.Inc()
+		h.l2.recordL1(addr, core, write)
+		if write {
+			h.invalidatePeers(addr, core)
 		}
-		delete(h.inflight, addr)
+		return done
 	}
 
 	// Coherence: if a peer L1 holds the line Modified, it is written
@@ -303,7 +300,7 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 		h.stats.HitLatencySumCycles += done - now
 		h.stats.HitCount++
 		h.l2.recordL1(addr, core, write)
-		h.inflight[addr] = done
+		h.inflight.set(addr, done)
 		return done
 	}
 
@@ -329,7 +326,7 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 	// Install the fill in the arrays through the H-tree.
 	fillDone := h.l2Transfer(memDone, bank, addr, true)
 	h.l2.recordL1(addr, core, write)
-	h.inflight[addr] = fillDone
+	h.inflight.set(addr, fillDone)
 	return fillDone
 }
 
@@ -340,7 +337,7 @@ func (h *Hierarchy) prefetch(now uint64, addr uint64) {
 	if h.l2.lookup(addr) {
 		return
 	}
-	if _, ok := h.inflight[addr]; ok {
+	if _, ok := h.inflight.get(addr); ok {
 		return
 	}
 	memDone := h.dram.Access(now, addr, false)
@@ -354,7 +351,7 @@ func (h *Hierarchy) prefetch(now uint64, addr uint64) {
 	bank := h.bankOf(addr)
 	fillDone := h.l2Transfer(memDone, bank, addr, true)
 	h.l2.markPrefetched(addr)
-	h.inflight[addr] = fillDone
+	h.inflight.set(addr, fillDone)
 	h.stats.PrefetchFills++
 	h.mx.prefetchFills.Inc()
 }

@@ -276,3 +276,36 @@ func TestPrefetcher(t *testing.T) {
 		t.Errorf("prefetching did not reduce L2 misses: %d vs %d", on.L2Misses, off.L2Misses)
 	}
 }
+
+// TestFillTimesMatchesMap drives the MSHR table through several doublings
+// with block addresses that collide in their low bits, and checks every
+// lookup against a Go map holding the same updates.
+func TestFillTimesMatchesMap(t *testing.T) {
+	ft := newFillTimes()
+	want := map[uint64]uint64{}
+	x := uint64(1)
+	for i := 0; i < 20_000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		addr := (x >> 40) << 16 // block aligned, low bits all zero
+		if i%3 == 0 && i > 0 {
+			addr = uint64(i/3-1) << 16 // revisit an earlier block
+		}
+		ft.set(addr, uint64(i))
+		want[addr] = uint64(i)
+		// A neighbouring block, present only if it was set earlier.
+		probe := addr + 64<<16
+		got, ok := ft.get(probe)
+		w, wok := want[probe]
+		if ok != wok || got != w {
+			t.Fatalf("get(%#x) = %d, %v; want %d, %v", probe, got, ok, w, wok)
+		}
+	}
+	if ft.n != len(want) || 2*ft.n > len(ft.slots) {
+		t.Fatalf("%d entries in %d slots; want %d entries, at most half full", ft.n, len(ft.slots), len(want))
+	}
+	for addr, w := range want {
+		if got, ok := ft.get(addr); !ok || got != w {
+			t.Fatalf("get(%#x) = %d, %v; want %d, true", addr, got, ok, w)
+		}
+	}
+}

@@ -141,6 +141,9 @@ type coreState struct {
 	now  uint64
 	ctxs []*hwContext
 	done bool
+	// ready is stepCore's scratch list of the contexts ready this
+	// quantum, sized to hold every context so appends never grow it.
+	ready []*hwContext
 }
 
 // coreHeap orders cores by local time so the globally earliest core steps
@@ -195,7 +198,11 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 
 	cores := make(coreHeap, 0, cfg.Cores)
 	for coreID := 0; coreID < cfg.Cores; coreID++ {
-		cs := &coreState{id: coreID, ctxs: make([]*hwContext, cfg.ContextsPerCore)}
+		cs := &coreState{
+			id:    coreID,
+			ctxs:  make([]*hwContext, cfg.ContextsPerCore),
+			ready: make([]*hwContext, 0, cfg.ContextsPerCore),
+		}
 		for i := range cs.ctxs {
 			id := coreID*cfg.ContextsPerCore + i
 			c := &hwContext{
@@ -246,9 +253,11 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 // stepCore advances one core by a single scheduling quantum: a fluid
 // execution advance to the next context event, followed by issuing any
 // memory operations that became due.
+//
+//desclint:hotpath
 func stepCore(cfg Config, cs *coreState, h *cachesim.Hierarchy, res *Result) {
 	// Partition contexts into ready and blocked.
-	var ready []*hwContext
+	ready := cs.ready[:0]
 	nextUnblock := ^uint64(0)
 	active := false
 	for _, c := range cs.ctxs {

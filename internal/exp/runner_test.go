@@ -173,6 +173,42 @@ func TestRunnerDeterminismAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestRunnerParallelSweepSharesCalibration runs a sweep of several specs
+// over two benchmarks on Jobs(4), at a seed no other test uses, so the
+// workers build generators for the same (profile, seed) concurrently and
+// race on the process-wide spill-calibration memo (run it under -race).
+// Every result must equal the same run on a serial Runner, which then
+// finds the calibrations memoized.
+func TestRunnerParallelSweepSharesCalibration(t *testing.T) {
+	opt := Options{Quick: true, InstrPerContext: 300, Seed: 7331}
+	specs := []SystemSpec{BinaryBase(), DESCZero()}
+	for _, banks := range []int{2, 4} {
+		s := DESCZero()
+		s.Banks = banks
+		specs = append(specs, s)
+	}
+	demands := demandsOver(workload.Parallel()[:2], specs...)
+	parallel := mustRunner(opt, Jobs(4))
+	if err := parallel.Execute(context.Background(), demands); err != nil {
+		t.Fatal(err)
+	}
+	serial := mustRunner(opt, Jobs(1))
+	for _, d := range demands {
+		prof, _ := workload.ByName(d.Bench)
+		got, err := parallel.RunOne(context.Background(), d.Spec, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := serial.RunOne(context.Background(), d.Spec, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s/%s: Jobs(4) result differs from serial:\n got %+v\nwant %+v", d.Spec, d.Bench, got, want)
+		}
+	}
+}
+
 // TestDemandsCoverRun: every experiment that declares a demand set must
 // declare all of it — after Execute, the render phase may not trigger a
 // single new simulation. This pins the plan to the run loops.

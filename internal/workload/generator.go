@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"sync"
 )
 
 // chunkBits is the chunk granularity at which value statistics are
@@ -61,14 +62,73 @@ func NewGenerator(prof Profile, seed int64) *Generator {
 	for i := range g.cacheTags {
 		g.cacheTags[i] = ^uint64(0)
 	}
-	g.calibrateSpill()
+	g.spillCorr = spillCorrs.get(spillKey{prof, seed}, g.calibrateSpill)
 	return g
 }
 
+// spillKey identifies a spill calibration: calibrateSpill is a pure
+// function of the profile and the seed.
+type spillKey struct {
+	prof Profile
+	seed int64
+}
+
+// spillMemoCap bounds the calibration memo. A sweep touches a handful of
+// (profile, seed) pairs; the bound only matters for callers that choose
+// seeds freely (the descserve daemon), whose oldest entries are evicted.
+const spillMemoCap = 64
+
+// spillMemo is a fixed-capacity FIFO table of calibrated spill
+// corrections, shared by every generator in the process.
+type spillMemo struct {
+	mu   sync.Mutex
+	keys [spillMemoCap]spillKey
+	vals [spillMemoCap]float64
+	n    int // filled slots
+	next int // slot the next insertion overwrites
+}
+
+// spillCorrs memoizes calibrateSpill across NewGenerator calls.
+var spillCorrs spillMemo
+
+// get returns the memoized value for k, or computes it with calibrate
+// (outside the lock) and records it. A key that does not equal itself (a
+// NaN profile field) never hits, so it is calibrated every time.
+func (m *spillMemo) get(k spillKey, calibrate func() float64) float64 {
+	m.mu.Lock()
+	v, ok := m.find(k)
+	m.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = calibrate()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.find(k); !ok { // a concurrent miss may have recorded it
+		m.keys[m.next], m.vals[m.next] = k, v
+		m.next = (m.next + 1) % spillMemoCap
+		if m.n < spillMemoCap {
+			m.n++
+		}
+	}
+	return v
+}
+
+// find scans the filled slots for k; the caller holds m.mu.
+func (m *spillMemo) find(k spillKey) (float64, bool) {
+	for i := 0; i < m.n; i++ {
+		if m.keys[i] == k {
+			return m.vals[i], true
+		}
+	}
+	return 0, false
+}
+
 // calibrateSpill bisects the spill correction until the realized zero
-// fraction matches the profile target. Runs once per generator on a small
-// deterministic sample.
-func (g *Generator) calibrateSpill() {
+// fraction matches the profile target on a small deterministic sample,
+// and returns it (leaving g.spillCorr set to it). NewGenerator reaches it
+// through spillCorrs, so it runs once per distinct (profile, seed).
+func (g *Generator) calibrateSpill() float64 {
 	measure := func(corr float64) float64 {
 		g.spillCorr = corr
 		zeros, total := 0, 0
@@ -95,6 +155,7 @@ func (g *Generator) calibrateSpill() {
 		}
 	}
 	g.spillCorr = (lo + hi) / 2
+	return g.spillCorr
 }
 
 // Profile returns the generator's benchmark profile.
@@ -252,9 +313,12 @@ var (
 )
 
 // FillBlockData is BlockData into a caller-provided 64-byte buffer,
-// avoiding allocation on hot simulator paths. Each 64-bit hash yields two
-// chunks (two 16-bit draws each: the zero-chain draw and the value draw),
-// and hot blocks come from a small internal cache.
+// avoiding allocation on hot simulator paths. Each drawn chunk takes one
+// 64-bit hash and uses its low 32 bits (two 16-bit draws: the zero-chain
+// draw and the value draw), and hot blocks come from a small internal
+// cache.
+//
+//desclint:hotpath
 func (g *Generator) FillBlockData(addr uint64, block []byte) {
 	addr &^= 63
 	slot := (addr >> 6) % blockCacheSize
@@ -266,6 +330,8 @@ func (g *Generator) FillBlockData(addr uint64, block []byte) {
 }
 
 // genBlock synthesizes the block at addr into buf.
+//
+//desclint:hotpath
 func (g *Generator) genBlock(addr uint64, buf *[64]byte) {
 	const chunksPerBlock = 512 / chunkBits
 	const chunksPerWord = 64 / chunkBits
