@@ -187,6 +187,30 @@ func goldenExtSpecs() map[string]LinkSpec {
 			}
 		}
 	}
+	// The literature codecs across the segment-width sweep, generated
+	// from the bit-serial per-segment implementation before the
+	// beat-level word path replaced it.
+	for _, scheme := range []string{"fpf", "lwc"} {
+		for _, g := range []struct {
+			tag        string
+			wires, seg int
+		}{
+			{"w64s4", 64, 4},
+			{"w64s16", 64, 16},
+			{"w64s32", 64, 32},
+			{"w64s64", 64, 64}, // one segment spanning the word, spare wire beyond it
+			{"w128s8", 128, 8}, // two words per beat
+			{"w60s10", 60, 10}, // beats not byte aligned, partial final beat
+		} {
+			specs[scheme+"@"+g.tag] = LinkSpec{
+				Scheme: scheme, BlockBits: 512, DataWires: g.wires, SegmentBits: g.seg,
+			}
+		}
+	}
+	// The dense bus-invert mode field on both sides of the one-word
+	// limit (3^40 < 2^64 < 3^41).
+	specs["bic-ezs@w64s4"] = LinkSpec{Scheme: "bic-ezs", BlockBits: 512, DataWires: 64, SegmentBits: 4}
+	specs["bic-ezs@w128s2"] = LinkSpec{Scheme: "bic-ezs", BlockBits: 512, DataWires: 128, SegmentBits: 2}
 	return specs
 }
 
