@@ -60,6 +60,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzBaselineVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/baseline
 	$(GO) test -fuzz=FuzzFPFDecode          -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/fpf
 	$(GO) test -fuzz=FuzzLWCDecode          -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lwc
+	$(GO) test -fuzz=FuzzFPFVsReference     -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/fpf
+	$(GO) test -fuzz=FuzzLWCVsReference     -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lwc
 	$(GO) test -fuzz=FuzzServeEncodeRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 
 ## bench: repository benchmarks (reduced-scale experiment sweeps)

@@ -322,6 +322,15 @@ func BenchmarkSendDESCAdaptiveBytes(b *testing.B) {
 func BenchmarkSendDZCScalar(b *testing.B)       { benchmarkSchemeGeom(b, "dzc", 64, 4, 16) }
 func BenchmarkSendBusInvertScalar(b *testing.B) { benchmarkSchemeGeom(b, "bic", 64, 4, 16) }
 
+// The segment-width sweep's other literature-codec and dense-mode-field
+// shapes: table lookups (fpf at 4 bits, lwc at 16), the wide walk (lwc
+// at 64, one segment plus its spare wire) and the 16-segment base-3
+// mode field.
+func BenchmarkSendFPFSeg4(b *testing.B)          { benchmarkSchemeGeom(b, "fpf", 64, 4, 4) }
+func BenchmarkSendLWCSeg16(b *testing.B)         { benchmarkSchemeGeom(b, "lwc", 64, 4, 16) }
+func BenchmarkSendLWCSeg64(b *testing.B)         { benchmarkSchemeGeom(b, "lwc", 64, 4, 64) }
+func BenchmarkSendBICEncodedZSSeg4(b *testing.B) { benchmarkSchemeGeom(b, "bic-ezs", 64, 4, 4) }
+
 // benchmarkRecv measures the receiver-side block reassembly (PackChunks +
 // StoreWords after a full block of chunks has arrived).
 func benchmarkRecv(b *testing.B, chunkBits int) {

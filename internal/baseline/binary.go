@@ -96,7 +96,7 @@ func (l *Binary) Reset() {
 	for i := range l.state {
 		l.state[i] = 0
 	}
-	l.decoded = nil
+	l.decoded = l.decoded[:0]
 }
 
 // Serial transfers the block one bit per cycle on a single wire
@@ -163,7 +163,7 @@ func (l *Serial) LastDecoded() []byte { return l.decoded }
 func (l *Serial) Reset() {
 	l.wire.Ground()
 	l.wire.ResetCounters()
-	l.decoded = nil
+	l.decoded = l.decoded[:0]
 }
 
 var (

@@ -60,11 +60,14 @@ type BusInvert struct {
 	scratch []uint64 // beat being encoded
 	invert  []bool   // per-segment invert wire levels
 	zero    []bool   // per-segment zero-indicator levels
-	modeBus []bool   // dense mode field levels
+	// Dense mode field levels, wire b at bit b%64 of word b/64, over
+	// modeWires wires.
+	modeBus   []uint64
+	modeWires int
 
 	modes   []int // scratch: per-segment mode of the current beat
 	rxModes []int // scratch: modes re-decoded from the mode field (ezs)
-	digits  []int // scratch: base-3 digit vector during field encoding
+	digits  []int // scratch: base-3 digit vector of wide mode fields
 	decoded []byte
 }
 
@@ -103,7 +106,8 @@ func NewBusInvert(blockBits, dataWires, segBits int, mode InvertMode) (*BusInver
 		l.invert = make([]bool, segs)
 		l.zero = make([]bool, segs)
 	case InvertEncodedZeroSkip:
-		l.modeBus = make([]bool, encodedModeWires(segs))
+		l.modeWires = encodedModeWires(segs)
+		l.modeBus = make([]uint64, (l.modeWires+63)/64)
 		l.rxModes = make([]int, segs)
 		l.digits = make([]int, segs)
 	default:
@@ -111,6 +115,10 @@ func NewBusInvert(blockBits, dataWires, segBits int, mode InvertMode) (*BusInver
 	}
 	return l, nil
 }
+
+// maxWordModeSegs is the widest mode vector whose value fits one machine
+// word: 3^40 < 2^64 < 3^41.
+const maxWordModeSegs = 40
 
 // encodedModeWires returns ceil(log2(3^segs)): the width of the dense
 // base-3 mode field.
@@ -132,7 +140,7 @@ func (l *BusInvert) ExtraWires() int {
 	case InvertZeroSkip:
 		return 2 * l.segs
 	default:
-		return len(l.modeBus)
+		return l.modeWires
 	}
 }
 
@@ -392,23 +400,38 @@ func (l *BusInvert) chooseMode(s int, dataFlips, ctrlFlips *uint64) int {
 
 // driveModeField binary-encodes the base-3 mode vector onto the mode wires
 // and returns the flips.
+//
+//desclint:hotpath runs once per beat on bic-ezs
 func (l *BusInvert) driveModeField(modes []int) uint64 {
+	if len(modes) <= maxWordModeSegs {
+		// The vector's value fits a word: evaluate it by Horner's
+		// rule and drive all wires at once.
+		var v uint64
+		for i := len(modes) - 1; i >= 0; i-- {
+			v = v*3 + uint64(modes[i])
+		}
+		flips := bits.OnesCount64(l.modeBus[0] ^ v)
+		l.modeBus[0] = v
+		return uint64(flips)
+	}
 	// Multi-precision conversion: repeatedly divide the base-3 digit
 	// vector by two, collecting remainders as bits.
 	digits := l.digits
 	copy(digits, modes)
 	flips := uint64(0)
-	for b := range l.modeBus {
+	var word uint64
+	for b := 0; b < l.modeWires; b++ {
 		rem := 0
 		for i := len(digits) - 1; i >= 0; i-- {
 			cur := rem*3 + digits[i]
 			digits[i] = cur / 2
 			rem = cur % 2
 		}
-		v := rem == 1
-		if l.modeBus[b] != v {
-			l.modeBus[b] = v
-			flips++
+		word |= uint64(rem) << uint(b&63)
+		if b&63 == 63 || b == l.modeWires-1 {
+			flips += uint64(bits.OnesCount64(l.modeBus[b>>6] ^ word))
+			l.modeBus[b>>6] = word
+			word = 0
 		}
 	}
 	return flips
@@ -416,16 +439,23 @@ func (l *BusInvert) driveModeField(modes []int) uint64 {
 
 // readModeField decodes the base-3 mode vector from the mode wires into
 // the reused rxModes scratch.
+//
+//desclint:hotpath runs once per beat on bic-ezs
 func (l *BusInvert) readModeField(segs int) []int {
 	modes := l.rxModes[:segs]
+	if segs <= maxWordModeSegs {
+		v := l.modeBus[0]
+		for i := range modes {
+			modes[i] = int(v % 3)
+			v /= 3
+		}
+		return modes
+	}
 	for i := range modes {
 		modes[i] = 0
 	}
-	for b := len(l.modeBus) - 1; b >= 0; b-- {
-		carry := 0
-		if l.modeBus[b] {
-			carry = 1
-		}
+	for b := l.modeWires - 1; b >= 0; b-- {
+		carry := int(l.modeBus[b>>6] >> uint(b&63) & 1)
 		for i := 0; i < segs; i++ {
 			cur := modes[i]*2 + carry
 			modes[i] = cur % 3
@@ -535,9 +565,9 @@ func (l *BusInvert) Reset() {
 		l.zero[i] = false
 	}
 	for i := range l.modeBus {
-		l.modeBus[i] = false
+		l.modeBus[i] = 0
 	}
-	l.decoded = nil
+	l.decoded = l.decoded[:0]
 }
 
 // setLevel drives the control line for segment s to level v and returns

@@ -222,7 +222,7 @@ func (l *DZC) Reset() {
 	for i := range l.zero {
 		l.zero[i] = false
 	}
-	l.decoded = nil
+	l.decoded = l.decoded[:0]
 }
 
 var (

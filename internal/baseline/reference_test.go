@@ -286,8 +286,8 @@ func (r *refBusInvert) send(block []byte) (link.Cost, []byte) {
 }
 
 // driveModeField encodes the base-3 mode vector as one big integer and
-// drives its binary digits, independently of the codec's long-division
-// implementation.
+// drives its binary digits, independently of the codec's machine-word
+// and long-division implementations.
 func (r *refBusInvert) driveModeField(modes []int) uint64 {
 	v := new(big.Int)
 	three := big.NewInt(3)
@@ -317,7 +317,8 @@ func boolFlip(cur, want bool) int {
 // referenceGeometries are the shapes the differential tests sweep: the
 // paper's design points plus ragged widths that exercise the word paths'
 // tail handling (wires not a multiple of 64, segments of a whole word,
-// multi-word segments).
+// multi-word segments) and dense mode fields on both sides of the
+// one-word limit.
 var referenceGeometries = []struct {
 	blockBits, wires, segBits int
 }{
@@ -329,6 +330,8 @@ var referenceGeometries = []struct {
 	{64, 16, 8},
 	{64, 24, 8}, // wires not a multiple of 16
 	{128, 8, 8},
+	{512, 64, 4},  // 16 segments: the bic-ezs mode field in one word
+	{512, 128, 2}, // 64 segments: past the one-word mode field (3^40 < 2^64 < 3^41)
 }
 
 // differentialBlocks builds the shared traffic pattern: adversarial

@@ -3,7 +3,7 @@
 // link.Link and link.Decoder contracts, and VerifyAll runs it over every
 // scheme in the registry. A new codec that registers a descriptor gets
 // the full battery — round-trip correctness on stateful traffic,
-// determinism, Reset semantics, LastDecoded aliasing — without writing a
+// determinism, Reset semantics and allocations, LastDecoded aliasing — without writing a
 // single test of its own.
 package linktest
 
@@ -71,6 +71,7 @@ func Verify(t *testing.T, name string) {
 	t.Run("roundtrip", func(t *testing.T) { verifyRoundTrip(t, name) })
 	t.Run("determinism", func(t *testing.T) { verifyDeterminism(t, name) })
 	t.Run("reset", func(t *testing.T) { verifyReset(t, name) })
+	t.Run("reset-allocs", func(t *testing.T) { verifyResetAllocs(t, name) })
 	t.Run("aliasing", func(t *testing.T) { verifyAliasing(t, name) })
 	t.Run("degenerate", func(t *testing.T) { verifyDegenerateSpecs(t, name) })
 }
@@ -148,6 +149,27 @@ func verifyReset(t *testing.T, name string) {
 		if cu != cf {
 			t.Fatalf("block %d after Reset: cost %+v, fresh instance pays %+v", i, cu, cf)
 		}
+	}
+}
+
+// verifyResetAllocs: Reset clears history but keeps the link's buffers,
+// so after warm traffic a Reset-then-Send cycle allocates nothing. The
+// descserve codec pool Resets a link on every checkout; a Reset that
+// dropped the decode buffer would cost each pooled request a fresh one.
+func verifyResetAllocs(t *testing.T, name string) {
+	l := newAt(t, name)
+	blocks := Traffic(blockBits)
+	for _, b := range blocks {
+		l.Send(b)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(len(blocks), func() {
+		l.Reset()
+		l.Send(blocks[i%len(blocks)])
+		i++
+	})
+	if avg != 0 {
+		t.Errorf("%.2f allocs per Reset+Send after warm traffic, want 0", avg)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"desc/internal/bitutil"
 	"desc/internal/link"
 	"desc/internal/schemes/lowweight"
 )
@@ -70,6 +71,11 @@ type FPF struct {
 	segs      int
 	code      *lowweight.Code
 
+	// The block as words (in) and the receiver's reassembled block
+	// (out), sized to cover every beat including a partial final one;
+	// in's words past the block stay zero, the idle padding wires.
+	in, out []uint64
+
 	// Wire state per segment: the data-wire pattern and the spare wire.
 	wireLo  []uint64
 	wireExt []bool
@@ -91,12 +97,16 @@ func New(blockBits, dataWires, segBits int) (*FPF, error) {
 		return nil, err
 	}
 	segs := dataWires / segBits
+	beats := (blockBits + dataWires - 1) / dataWires
+	words := (beats*dataWires + 63) / 64
 	return &FPF{
 		blockBits: blockBits,
 		wires:     dataWires,
 		segBits:   segBits,
 		segs:      segs,
 		code:      code,
+		in:        make([]uint64, words),
+		out:       make([]uint64, words),
 		wireLo:    make([]uint64, segs),
 		wireExt:   make([]bool, segs),
 	}, nil
@@ -129,21 +139,30 @@ func (l *FPF) Send(block []byte) link.Cost {
 	}
 	l.decoded = l.decoded[:len(block)]
 
+	// Segments tile the beats back to back, so segment s of beat b is
+	// the field at bit b*wires + s*k of the block: every field comes
+	// straight out of the block's words and every decoded field goes
+	// straight into the receiver's words, stored once at the end.
+	bitutil.LoadWords(l.in, block)
+	clear(l.out)
 	beats := (l.blockBits + l.wires - 1) / l.wires
+	k := l.segBits
 	var dataFlips, ctrlFlips uint64
+	off := 0
 	for b := 0; b < beats; b++ {
 		for s := 0; s < l.segs; s++ {
-			off := b*l.wires + s*l.segBits
-			lo, ext := l.code.Encode(lowweight.LoadBits(block, off, l.segBits))
+			lo, ext := l.code.Encode(lowweight.Field(l.in, off, k))
 			dataFlips += uint64(bits.OnesCount64(l.wireLo[s] ^ lo))
 			if l.wireExt[s] != ext {
 				ctrlFlips++
 			}
 			l.wireLo[s], l.wireExt[s] = lo, ext
 			// The receiver ranks the settled wire pattern back to data.
-			lowweight.StoreBits(l.decoded, off, l.segBits, l.code.Decode(lo, ext))
+			lowweight.OrField(l.out, off, k, l.code.Decode(lo, ext))
+			off += k
 		}
 	}
+	bitutil.StoreWords(l.decoded, l.out)
 	return link.Cost{
 		Cycles: int64(beats),
 		Flips:  link.FlipCount{Data: dataFlips, Control: ctrlFlips},
@@ -160,7 +179,7 @@ func (l *FPF) Reset() {
 		l.wireLo[i] = 0
 		l.wireExt[i] = false
 	}
-	l.decoded = nil
+	l.decoded = l.decoded[:0]
 }
 
 var (

@@ -12,31 +12,67 @@
 // perfectly. Valentini & Chiani ("An Implementation of the Optimal Scheme
 // for Energy Efficient Bus Encoding", arXiv:2303.06409) make the mapping
 // practical through enumerative (combinatorial-number-system) coding,
-// which ranks the codebook lexicographically so encode/decode are a walk
-// down a precomputed binomial table instead of a 2^k lookup. This package
-// follows that construction.
+// which ranks the codebook lexicographically with a walk down a
+// precomputed cumulative binomial table. This package follows that
+// construction.
 //
-// Encode and Decode are allocation-free: the only state is the cumulative
-// binomial table built at construction.
+// The codebook is a pure function of k, so New hands out one immutable
+// Code per width, built on first use and shared by every link in the
+// process. Up to 16 data bits (tableBits) the code also carries full encode
+// and decode tables, filled by the walk at construction (about 0.5 MiB
+// for all table widths together), so a segment costs two lookups. Wider
+// codes walk per word, but only as far as they must: once the remaining
+// rank is below 2^budget the rest of the codeword is that rank in binary
+// (so every rank below 2^(k/2) encodes to itself), which ends the encode
+// walk early, and decoding sums the binomials of set bits only.
+//
+// Encode and Decode are allocation-free and safe for concurrent use.
 package lowweight
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // MaxDataBits is the widest supported segment. Every cumulative count the
 // 64-bit walk touches — the largest is S(64,32), about 1.0e19 — fits in a
 // uint64, so wider segments would need multi-word ranks.
 const MaxDataBits = 64
 
+// tableBits is the widest segment whose codebook is fully tabulated:
+// 2^k uint16 codeword entries plus 2^(k+1) uint16 rank entries, 384 KiB
+// at k = 16.
+const tableBits = 16
+
 // Code is a weight-limited enumerative codebook for one segment geometry.
+// It is immutable after construction.
 type Code struct {
 	k int // data bits per segment
 	n int // code bits per segment: k data wires + 1 spare wire
 	w int // maximum codeword weight, k/2
 
-	// s[m][b] counts the length-m binary vectors of weight <= b — the
-	// cumulative binomial ("how many codewords start with a 0 here")
+	// s[m*(w+1)+b] counts the length-m binary vectors of weight <= b —
+	// the cumulative binomial ("how many codewords start with a 0 here")
 	// that enumerative coding walks. m <= n-1, b <= w.
-	s [][]uint64
+	s []uint64
+
+	// extFrom is s[k][w], the first rank whose codeword drives the
+	// spare wire (position k is the walk's most significant position).
+	extFrom uint64
+	extBit  uint64 // 1 << k: the spare wire's bit in a dec index
+
+	// Tables for k <= tableBits, nil above. enc[rank] is the codeword's
+	// data-wire pattern (the spare wire is rank >= extFrom); dec is
+	// indexed by the full codeword, lo | ext<<k.
+	enc []uint16
+	dec []uint16
+}
+
+// shared holds the process-wide codebooks, one per even width.
+var shared [MaxDataBits/2 + 1]struct {
+	once sync.Once
+	code *Code
 }
 
 // ValidateSegment checks the constraints the codebook imposes on a
@@ -54,30 +90,56 @@ func ValidateSegment(scheme string, wires, seg int) error {
 	return nil
 }
 
-// New builds the codebook for k-bit data segments. k must be even (so
+// New returns the codebook for k-bit data segments. k must be even (so
 // the weight bound k/2 is integral and the 2^k codewords fill the
-// weight-limited set exactly) and at most MaxDataBits.
+// weight-limited set exactly) and at most MaxDataBits. Every call with
+// the same k returns the same shared, immutable Code.
 func New(k int) (*Code, error) {
 	if k < 2 || k > MaxDataBits || k%2 != 0 {
 		return nil, fmt.Errorf("lowweight: segment of %d data bits is not an even width in [2,%d]", k, MaxDataBits)
 	}
+	e := &shared[k/2]
+	e.once.Do(func() { e.code = build(k) })
+	return e.code, nil
+}
+
+// build constructs the codebook for a valid width k.
+func build(k int) *Code {
 	c := &Code{k: k, n: k + 1, w: k / 2}
-	c.s = make([][]uint64, c.n)
+	c.s = make([]uint64, c.n*(c.w+1))
 	for m := 0; m < c.n; m++ {
-		c.s[m] = make([]uint64, c.w+1)
 		for b := 0; b <= c.w; b++ {
 			switch {
 			case m == 0:
-				c.s[m][b] = 1 // only the empty vector
+				c.s[c.at(m, b)] = 1 // only the empty vector
 			case b == 0:
-				c.s[m][b] = 1 // only the all-zero vector
+				c.s[c.at(m, b)] = 1 // only the all-zero vector
 			default:
-				c.s[m][b] = c.s[m-1][b] + c.s[m-1][b-1]
+				c.s[c.at(m, b)] = c.s[c.at(m-1, b)] + c.s[c.at(m-1, b-1)]
 			}
 		}
 	}
-	return c, nil
+	c.extFrom = c.s[c.at(k, c.w)]
+	if k < 64 {
+		c.extBit = 1 << uint(k)
+	}
+	if k <= tableBits {
+		c.enc = make([]uint16, 1<<uint(k))
+		c.dec = make([]uint16, 1<<uint(k+1))
+		for rank := range c.enc {
+			lo, ext := c.walkEncode(uint64(rank))
+			c.enc[rank] = uint16(lo)
+			if ext {
+				lo |= c.extBit
+			}
+			c.dec[lo] = uint16(rank)
+		}
+	}
+	return c
 }
+
+// at indexes the cumulative count of length-m vectors of weight <= b.
+func (c *Code) at(m, b int) int { return m*(c.w+1) + b }
 
 // DataBits returns k, the data bits per segment.
 func (c *Code) DataBits() int { return c.k }
@@ -90,86 +152,110 @@ func (c *Code) MaxWeight() int { return c.w }
 
 // Encode maps a data word (rank) to its codeword: bits 0..k-1 in lo are
 // the data-wire pattern, ext is the spare wire. Rank 0 is the all-zero
-// codeword and low ranks stay on low wire positions, so zero-heavy data
-// drives few wires. Values above 2^k-1 must not be passed for k < 64;
-// for k = 64 every uint64 is a valid rank.
+// codeword and every rank below 2^(k/2) encodes to itself, so zero-heavy
+// data drives few wires. Values above 2^k-1 must not be passed for
+// k < 64; for k = 64 every uint64 is a valid rank.
 //
-//desclint:hotpath every fpf/lwc segment crosses this walk
+//desclint:hotpath every fpf/lwc segment crosses this lookup or walk
 func (c *Code) Encode(rank uint64) (lo uint64, ext bool) {
-	budget := c.w
-	for p := c.n - 1; p >= 0; p-- {
-		if budget > 0 {
-			below := c.s[p][budget] // codewords with 0 at position p
-			if rank >= below {
-				rank -= below
-				budget--
-				if p == c.k {
-					ext = true
-				} else {
-					lo |= 1 << uint(p)
-				}
-			}
-		}
+	if c.enc == nil {
+		return c.walkEncode(rank)
 	}
-	return lo, ext
+	return uint64(c.enc[rank]), rank >= c.extFrom
+}
+
+// walkEncode is the enumerative walk from the most significant codeword
+// position (the spare wire) down. At each position it emits a 1 when the
+// rank is at least the count of completions that put a 0 there. Once the
+// rank is below 2^budget every remaining completion count it meets is a
+// power of two (s[p][b] = 2^p for p <= b, and s[p][b] >= 2^b above), so
+// the rest of the codeword is the rank itself in binary and the walk
+// stops. On random data each data position is a coin flip, so the step
+// is branch-free: the borrow of rank - below selects it.
+//
+//desclint:hotpath wide fpf/lwc segments walk per word
+func (c *Code) walkEncode(rank uint64) (lo uint64, ext bool) {
+	budget := c.w
+	if rank >= c.extFrom {
+		rank -= c.extFrom
+		budget--
+		ext = true
+	}
+	for p := c.k - 1; rank >= 1<<uint(budget); p-- {
+		below := c.s[c.at(p, budget)]
+		_, borrow := bits.Sub64(rank, below, 0)
+		take := borrow ^ 1
+		rank -= below & -take
+		budget -= int(take)
+		lo |= take << uint(p)
+	}
+	return lo | rank, ext
 }
 
 // Decode is the inverse of Encode: it ranks the codeword back to the
 // data word. Codewords of weight above MaxWeight are not produced by
 // Encode and must not be passed.
 //
-//desclint:hotpath every fpf/lwc segment crosses this walk
+//desclint:hotpath every fpf/lwc segment crosses this lookup or walk
 func (c *Code) Decode(lo uint64, ext bool) uint64 {
-	var rank uint64
-	budget := c.w
-	for p := c.n - 1; p >= 0; p-- {
-		set := ext
-		if p < c.k {
-			set = lo&(1<<uint(p)) != 0
-		}
-		if set {
-			rank += c.s[p][budget]
-			budget--
-		}
+	if c.dec == nil {
+		return c.walkDecode(lo, ext)
 	}
-	return rank
+	if ext {
+		lo |= c.extBit
+	}
+	return uint64(c.dec[lo])
 }
 
-// LoadBits reads count (<= 64) bits of block starting at bit offset off,
-// LSB-first; bits beyond the block read as zero (idle padding wires).
+// walkDecode sums, for each set codeword bit from the top, the count of
+// codewords that hold a 0 there — set bits only. The same power-of-two
+// argument as walkEncode ends it early: once every remaining set bit
+// lies below the remaining budget, their contribution is lo itself.
+// It stays out of line so that Decode's table path inlines.
 //
-//desclint:hotpath
-func LoadBits(block []byte, off, count int) uint64 {
-	var v uint64
-	for i := 0; i < count; i++ {
-		bit := off + i
-		bi := bit >> 3
-		if bi >= len(block) {
-			break
-		}
-		if block[bi]&(1<<(uint(bit)&7)) != 0 {
-			v |= 1 << uint(i)
-		}
+//desclint:hotpath wide fpf/lwc segments walk per word
+//go:noinline
+func (c *Code) walkDecode(lo uint64, ext bool) uint64 {
+	var rank uint64
+	budget := c.w
+	if ext {
+		rank = c.extFrom
+		budget--
+	}
+	for lo >= 1<<uint(budget) {
+		p := 63 - bits.LeadingZeros64(lo)
+		rank += c.s[c.at(p, budget)]
+		budget--
+		lo &^= 1 << uint(p)
+	}
+	return rank + lo
+}
+
+// Field returns the k-bit field (k <= 64) at bit offset off of words,
+// LSB-first in the repository's bit order; the field may straddle two
+// words. off+k must not exceed 64*len(words).
+//
+//desclint:hotpath once per fpf/lwc segment
+func Field(words []uint64, off, k int) uint64 {
+	w, sh := off>>6, uint(off&63)
+	v := words[w] >> sh
+	if sh != 0 && int(sh)+k > 64 {
+		v |= words[w+1] << (64 - sh)
+	}
+	if k < 64 {
+		v &= 1<<uint(k) - 1
 	}
 	return v
 }
 
-// StoreBits writes count (<= 64) bits of v into block at bit offset off,
-// LSB-first, ignoring bits beyond the block (padding wires).
+// OrField ORs the k-bit value v (k <= 64, no bits above k) into words at
+// bit offset off — the inverse of Field on a zeroed word buffer.
 //
-//desclint:hotpath
-func StoreBits(block []byte, off, count int, v uint64) {
-	for i := 0; i < count; i++ {
-		bit := off + i
-		bi := bit >> 3
-		if bi >= len(block) {
-			break
-		}
-		mask := byte(1) << (uint(bit) & 7)
-		if v&(1<<uint(i)) != 0 {
-			block[bi] |= mask
-		} else {
-			block[bi] &^= mask
-		}
+//desclint:hotpath once per fpf/lwc segment
+func OrField(words []uint64, off, k int, v uint64) {
+	w, sh := off>>6, uint(off&63)
+	words[w] |= v << sh
+	if sh != 0 && int(sh)+k > 64 {
+		words[w+1] |= v >> (64 - sh)
 	}
 }

@@ -3,7 +3,10 @@ package lowweight
 import (
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"desc/internal/schemes/lowweight/reference"
 )
 
 // TestCodebookBijection exhaustively checks small segment widths: every
@@ -114,30 +117,172 @@ func TestValidateSegment(t *testing.T) {
 	}
 }
 
-// TestLoadStoreBits round-trips random words at every bit offset,
-// including offsets whose tail clips past the block.
-func TestLoadStoreBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	block := make([]byte, 9) // 72 bits
-	for _, count := range []int{1, 4, 8, 13, 64} {
-		for off := 0; off < 80; off++ {
-			v := rng.Uint64()
-			if count < 64 {
-				v &= 1<<uint(count) - 1
+// TestTablesMatchWalk checks every tabulated width exhaustively: the
+// lookup tables and the package's own walk both agree with the frozen
+// full-length walk on every rank and every codeword.
+func TestTablesMatchWalk(t *testing.T) {
+	for k := 2; k <= tableBits; k += 2 {
+		c := build(k)
+		if c.enc == nil || c.dec == nil {
+			t.Fatalf("k=%d: no tables at or below tableBits", k)
+		}
+		s := reference.Cumulative(k)
+		for rank := uint64(0); rank < 1<<uint(k); rank++ {
+			wantLo, wantExt := reference.Encode(s, k, rank)
+			if lo, ext := c.Encode(rank); lo != wantLo || ext != wantExt {
+				t.Fatalf("k=%d rank=%d: table %b/%v, reference walk %b/%v", k, rank, lo, ext, wantLo, wantExt)
 			}
-			StoreBits(block, off, count, v)
-			got := LoadBits(block, off, count)
-			want := v
-			if tail := off + count - len(block)*8; tail > 0 {
-				// Bits past the block are dropped on store and read as zero.
-				if kept := count - tail; kept <= 0 {
-					want = 0
-				} else {
-					want &= 1<<uint(kept) - 1
+			if lo, ext := c.walkEncode(rank); lo != wantLo || ext != wantExt {
+				t.Fatalf("k=%d rank=%d: walk %b/%v, reference walk %b/%v", k, rank, lo, ext, wantLo, wantExt)
+			}
+			if got := c.Decode(wantLo, wantExt); got != rank {
+				t.Fatalf("k=%d: table Decode(%b/%v) = %d, want %d", k, wantLo, wantExt, got, rank)
+			}
+			if got := c.walkDecode(wantLo, wantExt); got != rank {
+				t.Fatalf("k=%d: walk Decode(%b/%v) = %d, want %d", k, wantLo, wantExt, got, rank)
+			}
+			if got := reference.Decode(s, k, wantLo, wantExt); got != rank {
+				t.Fatalf("k=%d: reference Decode(%b/%v) = %d, want %d", k, wantLo, wantExt, got, rank)
+			}
+		}
+	}
+	if c := build(tableBits + 2); c.enc != nil || c.dec != nil {
+		t.Errorf("k=%d: tables built above tableBits", tableBits+2)
+	}
+}
+
+// TestLowRanksEncodeToThemselves pins the identity the early exits rely
+// on: every rank below 2^(k/2) is its own codeword, spare wire idle,
+// because every shorter vector already fits the weight budget.
+func TestLowRanksEncodeToThemselves(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for k := 2; k <= MaxDataBits; k += 2 {
+		c, err := New(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := reference.Cumulative(k)
+		half := uint64(1) << uint(k/2)
+		ranks := []uint64{0, 1, half / 2, half - 1}
+		for i := 0; i < 256; i++ {
+			ranks = append(ranks, rng.Uint64()%half)
+		}
+		for _, rank := range ranks {
+			if lo, ext := reference.Encode(s, k, rank); lo != rank || ext {
+				t.Fatalf("k=%d rank=%d: reference codeword %b/%v, want the rank itself", k, rank, lo, ext)
+			}
+			if lo, ext := c.Encode(rank); lo != rank || ext {
+				t.Fatalf("k=%d rank=%d: codeword %b/%v, want the rank itself", k, rank, lo, ext)
+			}
+		}
+		// The first rank past the identity range is not its own codeword
+		// unless it still fits the budget (it has weight 1, so it does
+		// for every k >= 4): the property is about the range, not a cap.
+		if lo, ext := reference.Encode(s, k, half); k >= 4 && (lo != half || ext) {
+			t.Errorf("k=%d: rank 2^(k/2) codeword %b/%v", k, lo, ext)
+		}
+	}
+}
+
+// TestWideWalkMatchesReference holds the early-exit walks of every
+// untabulated width to the frozen full-length walk of package reference on random ranks,
+// spread over the whole rank range and its ends.
+func TestWideWalkMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for k := tableBits + 2; k <= MaxDataBits; k += 2 {
+		c, err := New(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := reference.Cumulative(k)
+		max := ^uint64(0)
+		if k < 64 {
+			max = 1<<uint(k) - 1
+		}
+		ranks := []uint64{0, 1, max, max - 1, c.extFrom - 1, c.extFrom}
+		for i := 0; i < 4000; i++ {
+			r := rng.Uint64()
+			if i%2 == 1 {
+				r >>= uint(rng.Intn(64)) // small and mid ranks too
+			}
+			ranks = append(ranks, r&max)
+		}
+		for _, rank := range ranks {
+			wantLo, wantExt := reference.Encode(s, k, rank)
+			lo, ext := c.Encode(rank)
+			if lo != wantLo || ext != wantExt {
+				t.Fatalf("k=%d rank=%d: walk %b/%v, reference %b/%v", k, rank, lo, ext, wantLo, wantExt)
+			}
+			if got := c.Decode(lo, ext); got != rank {
+				t.Fatalf("k=%d: Decode(Encode(%d)) = %d", k, rank, got)
+			}
+		}
+	}
+}
+
+// TestNewShared: the codebook is a pure function of k, so every New of
+// one width returns the same immutable Code, also when first built
+// concurrently (run under -race).
+func TestNewShared(t *testing.T) {
+	widths := []int{2, 8, 16, 18, 64}
+	got := make([][]*Code, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, k := range widths {
+				c, err := New(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], c)
+				rank := uint64(g+3) & (1<<uint(k) - 1)
+				lo, ext := c.Encode(rank)
+				if c.Decode(lo, ext) != rank {
+					t.Errorf("k=%d: concurrent round trip failed", k)
 				}
 			}
-			if got != want {
-				t.Fatalf("off=%d count=%d: load %x after store %x, want %x", off, count, got, v, want)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i := range widths {
+			if got[g][i] != got[0][i] {
+				t.Errorf("k=%d: goroutines %d and 0 got different codebooks", widths[i], g)
+			}
+		}
+	}
+}
+
+// TestFieldOrField round-trips random fields of every width at every
+// bit offset, including fields that straddle a word boundary.
+func TestFieldOrField(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for k := 1; k <= 64; k++ {
+		for off := 0; off+k <= 192; off++ {
+			v := rng.Uint64()
+			if k < 64 {
+				v &= 1<<uint(k) - 1
+			}
+			words := make([]uint64, 3)
+			OrField(words, off, k, v)
+			if got := Field(words, off, k); got != v {
+				t.Fatalf("k=%d off=%d: Field %x after OrField %x", k, off, got, v)
+			}
+			// Nothing outside the field was touched.
+			for bit := 0; bit < 192; bit++ {
+				if (bit < off || bit >= off+k) && words[bit>>6]&(1<<uint(bit&63)) != 0 {
+					t.Fatalf("k=%d off=%d: OrField set bit %d outside the field", k, off, bit)
+				}
+			}
+			// Field ignores neighbouring bits.
+			for i := range words {
+				words[i] = ^uint64(0)
+			}
+			if got, want := Field(words, off, k), ^uint64(0)>>uint(64-k); got != want {
+				t.Fatalf("k=%d off=%d: Field of all ones = %x, want %x", k, off, got, want)
 			}
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"desc/internal/bitutil"
 	"desc/internal/link"
 	"desc/internal/schemes/fpf"
 	"desc/internal/schemes/lowweight"
@@ -56,6 +57,11 @@ type LWC struct {
 	segs      int
 	code      *lowweight.Code
 
+	// The block as words (in) and the receiver's reassembled block
+	// (out), sized to cover every beat including a partial final one;
+	// in's words past the block stay zero, the idle padding wires.
+	in, out []uint64
+
 	// Wire state per segment; the codeword is XORed onto it each beat.
 	wireLo  []uint64
 	wireExt []bool
@@ -77,12 +83,16 @@ func New(blockBits, dataWires, segBits int) (*LWC, error) {
 		return nil, err
 	}
 	segs := dataWires / segBits
+	beats := (blockBits + dataWires - 1) / dataWires
+	words := (beats*dataWires + 63) / 64
 	return &LWC{
 		blockBits: blockBits,
 		wires:     dataWires,
 		segBits:   segBits,
 		segs:      segs,
 		code:      code,
+		in:        make([]uint64, words),
+		out:       make([]uint64, words),
 		wireLo:    make([]uint64, segs),
 		wireExt:   make([]bool, segs),
 	}, nil
@@ -119,12 +129,18 @@ func (l *LWC) Send(block []byte) link.Cost {
 	}
 	l.decoded = l.decoded[:len(block)]
 
+	// Segment s of beat b is the field at bit b*wires + s*k of the
+	// block, read from the block's words and decoded into the
+	// receiver's words, stored once at the end (as in fpf).
+	bitutil.LoadWords(l.in, block)
+	clear(l.out)
 	beats := (l.blockBits + l.wires - 1) / l.wires
+	k := l.segBits
 	var dataFlips, ctrlFlips uint64
+	off := 0
 	for b := 0; b < beats; b++ {
 		for s := 0; s < l.segs; s++ {
-			off := b*l.wires + s*l.segBits
-			lo, ext := l.code.Encode(lowweight.LoadBits(block, off, l.segBits))
+			lo, ext := l.code.Encode(lowweight.Field(l.in, off, k))
 			// Transition signaling: flips are exactly the codeword
 			// weight, at most k/2 per segment.
 			dataFlips += uint64(bits.OnesCount64(lo))
@@ -134,9 +150,11 @@ func (l *LWC) Send(block []byte) link.Cost {
 				l.wireExt[s] = !l.wireExt[s]
 			}
 			// The receiver ranks the state difference back to data.
-			lowweight.StoreBits(l.decoded, off, l.segBits, l.code.Decode(lo, ext))
+			lowweight.OrField(l.out, off, k, l.code.Decode(lo, ext))
+			off += k
 		}
 	}
+	bitutil.StoreWords(l.decoded, l.out)
 	return link.Cost{
 		Cycles: int64(beats),
 		Flips:  link.FlipCount{Data: dataFlips, Control: ctrlFlips},
@@ -153,7 +171,7 @@ func (l *LWC) Reset() {
 		l.wireLo[i] = 0
 		l.wireExt[i] = false
 	}
-	l.decoded = nil
+	l.decoded = l.decoded[:0]
 }
 
 var (
