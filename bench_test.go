@@ -380,6 +380,35 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorThroughputSameSeed runs a design-space sweep's scheme
+// mix over the sweep's two benchmarks at one seed, the shape of every
+// figure sweep: runs that differ only in the bus scheme share their
+// generated blocks and recycle their L2 line tables.
+// BenchmarkSimulatorThroughput draws a new seed per iteration and so
+// stays the cold-path measure.
+func BenchmarkSimulatorThroughputSameSeed(b *testing.B) {
+	schemes := []SystemConfig{
+		{Scheme: "binary", DataWires: 64},
+		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4},
+		{Scheme: "bic", DataWires: 64, SegmentBits: 8},
+		{Scheme: "fpf", DataWires: 64, SegmentBits: 16},
+		{Scheme: "lwc", DataWires: 64, SegmentBits: 16},
+	}
+	benches := []string{"Art", "CG"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, bench := range benches {
+			for _, cfg := range schemes {
+				cfg.InstrPerContext, cfg.Seed = 2_000, 1
+				if _, err := Simulate(cfg, bench); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(len(schemes)*len(benches)), "sims/op")
+}
+
 // BenchmarkSimulatorSetup prices the per-run construction a sweep pays
 // before simulating anything: the workload generator (its spill
 // calibration memo already warm, as in every run of a sweep after the

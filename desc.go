@@ -230,6 +230,7 @@ func SimulateContext(ctx context.Context, cfg SystemConfig, benchmark string) (S
 	if err != nil {
 		return SimResult{}, err
 	}
+	defer h.Release()
 	simCfg := cpusim.Config{
 		Kind:            cfg.Kind,
 		InstrPerContext: cfg.InstrPerContext,

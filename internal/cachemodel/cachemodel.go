@@ -186,6 +186,12 @@ type Model struct {
 	chipW, chipH float64   // floorplan, mm
 	pathMM       []float64 // controller-to-bank H-tree length per bank
 
+	// Per-bank wire constants and the array latency, fixed at New so
+	// Access does not rebuild the bank's wire model on every transfer.
+	perFlipJ     []float64 // H-tree energy per wire flip
+	flightCycles []int     // one-way wire propagation latency
+	arrayCycles  int       // mat access latency
+
 	eccParityWires int
 	eccScale       float64 // encoded bits / data bits
 
@@ -307,6 +313,14 @@ func New(cfg Config) (*Model, error) {
 		}
 	}
 	m.floorplan()
+	m.perFlipJ = make([]float64, cfg.Banks)
+	m.flightCycles = make([]int, cfg.Banks)
+	for b := range m.pathMM {
+		w := m.wireFor(b)
+		m.perFlipJ[b] = w.EnergyPerFlipJ()
+		m.flightCycles[b] = w.DelayCycles(cfg.ClockGHz)
+	}
+	m.arrayCycles = bank.AccessCycles(cfg.ClockGHz)
 	return m, nil
 }
 
@@ -381,12 +395,10 @@ func (m *Model) wireFor(bankID int) wiremodel.Wire {
 }
 
 // FlightCycles returns the one-way wire propagation latency to a bank.
-func (m *Model) FlightCycles(bankID int) int {
-	return m.wireFor(bankID).DelayCycles(m.cfg.ClockGHz)
-}
+func (m *Model) FlightCycles(bankID int) int { return m.flightCycles[bankID] }
 
 // ArrayCycles returns the mat access latency.
-func (m *Model) ArrayCycles() int { return m.bank.AccessCycles(m.cfg.ClockGHz) }
+func (m *Model) ArrayCycles() int { return m.arrayCycles }
 
 // codecCycles returns the scheme's logic latency contribution, declared
 // by the scheme itself in its registered traits.
@@ -406,8 +418,7 @@ func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 	}
 	cost := l.Send(block)
 
-	wire := m.wireFor(bankID)
-	perFlip := wire.EnergyPerFlipJ()
+	perFlip := m.perFlipJ[bankID]
 
 	// Data/control/sync flips, scaled by the ECC transfer widening.
 	dataJ := float64(cost.Flips.Total()) * perFlip * m.eccScale
@@ -440,7 +451,7 @@ func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 		ArrayJ:         arrayJ,
 		Flips:          cost.Flips,
 	}
-	res.Cycles = int64(controllerCycles+2*m.FlightCycles(bankID)+m.ArrayCycles()+m.codecCycles()) +
+	res.Cycles = int64(controllerCycles+2*m.flightCycles[bankID]+m.arrayCycles+m.codecCycles()) +
 		cost.Cycles
 
 	m.accesses++
@@ -468,7 +479,7 @@ func (m *Model) TagProbeCycles(bankID int) int {
 func (m *Model) TagProbeEnergyJ(bankID int) float64 {
 	// Tag array read (~ways x tag bits) plus address transfer.
 	tagBits := m.cfg.Ways * 32
-	return m.bank.ReadEnergyJ(tagBits)/4 + addrWires*addrActivity*m.wireFor(bankID).EnergyPerFlipJ()
+	return m.bank.ReadEnergyJ(tagBits)/4 + addrWires*addrActivity*m.perFlipJ[bankID]
 }
 
 // LeakageW returns the cache's total standby power: banks plus H-tree

@@ -1,6 +1,10 @@
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // line is one way of a set in either cache. Each cache keeps its lines in
 // one flat table indexed set*ways+way, so building a cache is a single
@@ -23,12 +27,17 @@ type lineTable struct {
 func newLineTable(sets, ways int) lineTable {
 	t := lineTable{ways: ways, lines: make([]line, sets*ways)}
 	for set := 0; set < sets; set++ {
-		row := t.row(set)
-		for w := range row {
-			row[w] = line{owner: -1, lru: uint8(w)}
-		}
+		resetRow(t.row(set))
 	}
 	return t
+}
+
+// resetRow puts one set in its initial state: every way invalid, LRU ranks
+// in way order.
+func resetRow(row []line) {
+	for w := range row {
+		row[w] = line{owner: -1, lru: uint8(w)}
+	}
 }
 
 // row returns the ways of one set.
@@ -175,6 +184,11 @@ type l2Cache struct {
 	banks       int
 	blkBits     uint
 	lineTable
+	// touched has one bit per set that allocate has written. Every other
+	// method changes only lines whose tag matched, and a set allocate never
+	// wrote holds no valid tag, so the unmarked sets are still in
+	// newLineTable's state and reset can skip them.
+	touched []uint64
 }
 
 func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
@@ -189,10 +203,65 @@ func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
 	for 1<<blkBits < blockBytes {
 		blkBits++
 	}
-	return &l2Cache{
-		setsPerBank: sets / banks, banks: banks, blkBits: blkBits,
-		lineTable: newLineTable(sets, ways),
-	}, nil
+	c := l2Tables.take(sets, ways)
+	if c == nil {
+		c = &l2Cache{lineTable: newLineTable(sets, ways), touched: make([]uint64, (sets+63)/64)}
+	}
+	c.setsPerBank, c.banks, c.blkBits = sets/banks, banks, blkBits
+	return c, nil
+}
+
+// reset returns every set allocate marked to newLineTable's state and
+// clears the marks.
+func (c *l2Cache) reset() {
+	for i, word := range c.touched {
+		for ; word != 0; word &= word - 1 {
+			resetRow(c.row(i*64 + bits.TrailingZeros64(word)))
+		}
+		c.touched[i] = 0
+	}
+}
+
+// l2PoolCap bounds the released L2 caches kept for reuse: enough for a few
+// concurrent runner workers, or for a sweep that alternates between a few
+// L2 geometries.
+const l2PoolCap = 4
+
+// l2Pool holds released L2 caches, already reset, for New to reuse. It is
+// shared by every hierarchy in the process.
+type l2Pool struct {
+	mu   sync.Mutex
+	free []*l2Cache // oldest first
+}
+
+// l2Tables recycles the L2 line tables across runs; see Hierarchy.Release.
+var l2Tables l2Pool
+
+// take removes and returns a pooled cache whose table has the given
+// geometry, or nil.
+func (p *l2Pool) take(sets, ways int) *l2Cache {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, c := range p.free {
+		if c.ways == ways && len(c.lines) == sets*ways {
+			copy(p.free[i:], p.free[i+1:])
+			p.free[len(p.free)-1] = nil
+			p.free = p.free[:len(p.free)-1]
+			return c
+		}
+	}
+	return nil
+}
+
+// put adds a reset cache to the pool, dropping the oldest when full.
+func (p *l2Pool) put(c *l2Cache) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) == l2PoolCap {
+		copy(p.free, p.free[1:])
+		p.free = p.free[:len(p.free)-1]
+	}
+	p.free = append(p.free, c)
 }
 
 func (c *l2Cache) index(addr uint64) (set int, tag uint64) {
@@ -230,6 +299,7 @@ func (c *l2Cache) lookup(addr uint64) bool {
 //desclint:hotpath
 func (c *l2Cache) allocate(addr uint64) (victimAddr uint64, victimDirty bool) {
 	set, tag := c.index(addr)
+	c.touched[set/64] |= 1 << (set % 64)
 	row := c.row(set)
 	way := victim(row)
 	if row[way].tag != 0 && row[way].dirty {

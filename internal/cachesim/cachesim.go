@@ -185,6 +185,22 @@ func New(cfg Config, src BlockSource) (*Hierarchy, error) {
 	return h, nil
 }
 
+// Release hands the hierarchy's L2 line table to a process-wide pool,
+// reset to its initial state, so a later New with the same L2 geometry
+// reuses it instead of allocating and clearing a fresh one. Call it once
+// the run's results have been read: afterwards Stats, Model, DRAM and
+// AvgHitLatencyCycles still work, but Access and a second Release panic.
+// A hierarchy that is never released is simply collected.
+func (h *Hierarchy) Release() {
+	if h.l2 == nil {
+		panic("cachesim: Release of a released hierarchy")
+	}
+	l2 := h.l2
+	h.l1, h.l2 = nil, nil
+	l2.reset()
+	l2Tables.put(l2)
+}
+
 // Model exposes the L2 energy model.
 func (h *Hierarchy) Model() *cachemodel.Model { return h.model }
 
@@ -219,6 +235,9 @@ func (h *Hierarchy) cancelled() bool {
 // completion cycle.
 func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64 {
 	if core < 0 || core >= len(h.l1) {
+		if h.l2 == nil {
+			panic("cachesim: Access on a released hierarchy")
+		}
 		panic(fmt.Sprintf("cachesim: core %d of %d", core, len(h.l1)))
 	}
 	addr &^= uint64(h.model.BlockBytes() - 1)

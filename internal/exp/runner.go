@@ -360,10 +360,12 @@ func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) 
 }
 
 // simulate performs one full system simulation. It is a pure function of
-// (spec, prof, opt): all state — generator, hierarchy, processor — is
-// freshly constructed per call, which is what makes parallel execution
-// trivially deterministic. reg (may be nil) receives write-only
-// telemetry from every layer and never influences the result.
+// (spec, prof, opt): the hierarchy and processor state is private to the
+// call, and what calls share — the workload's calibrations and generated
+// blocks, and a released L2 line table reset to its initial state —
+// cannot change a result, which is what makes parallel execution
+// deterministic. reg (may be nil) receives write-only telemetry from
+// every layer and never influences the result.
 func simulate(ctx context.Context, spec SystemSpec, prof workload.Profile, opt Options, reg *metrics.Registry) (RunResult, error) {
 	gen := workload.NewGenerator(prof, opt.Seed)
 	l2 := cachemodel.Config{
@@ -384,6 +386,7 @@ func simulate(ctx context.Context, spec SystemSpec, prof workload.Profile, opt O
 	if err != nil {
 		return RunResult{}, fmt.Errorf("exp: %s/%s: %w", spec.Scheme, prof.Name, err)
 	}
+	defer h.Release()
 	simCfg := cpusim.Config{
 		Kind:            spec.Kind,
 		InstrPerContext: opt.InstrPerContext,

@@ -9,10 +9,6 @@ import (
 // calibrated (the paper's Figures 12/13 use the 4-bit DESC interface).
 const chunkBits = 4
 
-// blockCacheSize is the direct-mapped cache of generated blocks inside the
-// generator; the simulator refetches hot blocks constantly.
-const blockCacheSize = 65536
-
 // Generator produces deterministic block contents and per-context access
 // streams for one benchmark profile.
 type Generator struct {
@@ -32,8 +28,9 @@ type Generator struct {
 	// at construction.
 	spillCorr float64
 
-	cacheTags [blockCacheSize]uint64
-	cacheData [blockCacheSize][64]byte
+	// id names the generator's (profile, seed) pair in the process-wide
+	// block cache; generators of equal pairs share it.
+	id uint64
 }
 
 // NewGenerator builds a generator. The seed isolates runs; block data and
@@ -59,69 +56,81 @@ func NewGenerator(prof Profile, seed int64) *Generator {
 	}
 	g.zeroThresh = uint16(prof.ZeroChunkFrac * 65536)
 	g.sharedThresh = g.zeroThresh + uint16(g.pShared*65536)
-	for i := range g.cacheTags {
-		g.cacheTags[i] = ^uint64(0)
-	}
-	g.spillCorr = spillCorrs.get(spillKey{prof, seed}, g.calibrateSpill)
+	g.spillCorr, g.id = spillCorrs.get(spillKey{prof, seed}, g.calibrateSpill)
 	return g
 }
 
-// spillKey identifies a spill calibration: calibrateSpill is a pure
-// function of the profile and the seed.
+// spillKey identifies a generator's content: calibrateSpill and every
+// generated block are pure functions of the profile and the seed.
 type spillKey struct {
 	prof Profile
 	seed int64
 }
 
-// spillMemoCap bounds the calibration memo. A sweep touches a handful of
+// spillMemoCap bounds the per-key memo. A sweep touches a handful of
 // (profile, seed) pairs; the bound only matters for callers that choose
 // seeds freely (the descserve daemon), whose oldest entries are evicted.
 const spillMemoCap = 64
 
-// spillMemo is a fixed-capacity FIFO table of calibrated spill
-// corrections, shared by every generator in the process.
+// spillMemo is a fixed-capacity FIFO table of per-key state, shared by
+// every generator in the process: the calibrated spill correction and the
+// key's block-cache id.
 type spillMemo struct {
-	mu   sync.Mutex
-	keys [spillMemoCap]spillKey
-	vals [spillMemoCap]float64
-	n    int // filled slots
-	next int // slot the next insertion overwrites
+	mu     sync.Mutex
+	keys   [spillMemoCap]spillKey
+	vals   [spillMemoCap]spillEntry
+	n      int    // filled slots
+	next   int    // slot the next insertion overwrites
+	lastID uint64 // the most recently issued id; ids start at 1
 }
 
-// spillCorrs memoizes calibrateSpill across NewGenerator calls.
+// spillEntry is one key's memoized state. Each insertion takes a fresh id,
+// so a key that is evicted and later re-admitted never sees the blocks
+// cached under its old id, and no two keys ever share one.
+type spillEntry struct {
+	corr float64
+	id   uint64
+}
+
+// spillCorrs memoizes calibrateSpill and the block-cache ids across
+// NewGenerator calls.
 var spillCorrs spillMemo
 
-// get returns the memoized value for k, or computes it with calibrate
-// (outside the lock) and records it. A key that does not equal itself (a
-// NaN profile field) never hits, so it is calibrated every time.
-func (m *spillMemo) get(k spillKey, calibrate func() float64) float64 {
+// get returns the memoized correction and id for k, or computes the
+// correction with calibrate (outside the lock) and records it under a new
+// id. A key that does not equal itself (a NaN profile field) never hits,
+// so it is calibrated, and given an id of its own, every time.
+func (m *spillMemo) get(k spillKey, calibrate func() float64) (corr float64, id uint64) {
 	m.mu.Lock()
-	v, ok := m.find(k)
+	e, ok := m.find(k)
 	m.mu.Unlock()
 	if ok {
-		return v
+		return e.corr, e.id
 	}
-	v = calibrate()
+	corr = calibrate()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.find(k); !ok { // a concurrent miss may have recorded it
-		m.keys[m.next], m.vals[m.next] = k, v
-		m.next = (m.next + 1) % spillMemoCap
-		if m.n < spillMemoCap {
-			m.n++
-		}
+	if e, ok := m.find(k); ok { // a concurrent miss recorded it first
+		return e.corr, e.id
 	}
-	return v
+	m.lastID++
+	e = spillEntry{corr: corr, id: m.lastID}
+	m.keys[m.next], m.vals[m.next] = k, e
+	m.next = (m.next + 1) % spillMemoCap
+	if m.n < spillMemoCap {
+		m.n++
+	}
+	return e.corr, e.id
 }
 
 // find scans the filled slots for k; the caller holds m.mu.
-func (m *spillMemo) find(k spillKey) (float64, bool) {
+func (m *spillMemo) find(k spillKey) (spillEntry, bool) {
 	for i := 0; i < m.n; i++ {
 		if m.keys[i] == k {
 			return m.vals[i], true
 		}
 	}
-	return 0, false
+	return spillEntry{}, false
 }
 
 // calibrateSpill bisects the spill correction until the realized zero
@@ -313,23 +322,25 @@ var (
 )
 
 // FillBlockData is BlockData into a caller-provided 64-byte buffer,
-// avoiding allocation on hot simulator paths. Each drawn chunk takes one
-// 64-bit hash and uses its low 32 bits (two 16-bit draws: the zero-chain
-// draw and the value draw), and hot blocks come from a small internal
-// cache.
+// avoiding allocation on hot simulator paths. Blocks come from the
+// process-wide block cache (see blockcache.go), shared by every generator
+// of the same (profile, seed); a miss generates the block and records it.
 //
 //desclint:hotpath
 func (g *Generator) FillBlockData(addr uint64, block []byte) {
-	addr &^= 63
-	slot := (addr >> 6) % blockCacheSize
-	if g.cacheTags[slot] != addr {
-		g.genBlock(addr, &g.cacheData[slot])
-		g.cacheTags[slot] = addr
+	k := blockKey{id: g.id, addr: addr &^ 63}
+	if blocks.get(k, block) {
+		return
 	}
-	copy(block, g.cacheData[slot][:])
+	var buf [64]byte
+	g.genBlock(k.addr, &buf)
+	blocks.put(k, &buf)
+	copy(block, buf[:])
 }
 
-// genBlock synthesizes the block at addr into buf.
+// genBlock synthesizes the block at addr into buf. Each drawn chunk takes
+// one 64-bit hash and uses its low 32 bits (two 16-bit draws: the
+// zero-chain draw and the value draw).
 //
 //desclint:hotpath
 func (g *Generator) genBlock(addr uint64, buf *[64]byte) {

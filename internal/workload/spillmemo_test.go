@@ -13,7 +13,8 @@ var memoSeeds = []int64{0, 1, 42, -7}
 // TestSpillMemoMatchesFreshCalibration: a generator whose spill correction
 // came from the memo must be bit-identical to one that re-ran the
 // bisection (calibrateSpill, the memo's miss path), in its correction and
-// in the blocks it produces.
+// in the blocks it produces. The fresh generator's blocks are generated
+// directly, since FillBlockData would serve both from the block cache.
 func TestSpillMemoMatchesFreshCalibration(t *testing.T) {
 	const blocks = 4096
 	var memoBuf, freshBuf [64]byte
@@ -35,7 +36,7 @@ func TestSpillMemoMatchesFreshCalibration(t *testing.T) {
 			for i := uint64(0); i < blocks; i++ {
 				addr := mix(uint64(seed)+i*7919) % (1 << 32)
 				memo.FillBlockData(addr, memoBuf[:])
-				fresh.FillBlockData(addr, freshBuf[:])
+				fresh.genBlock(addr&^63, &freshBuf)
 				if memoBuf != freshBuf {
 					t.Fatalf("%s/%d: block %d at %#x differs between memoized and fresh generators", prof.Name, seed, i, addr)
 				}
@@ -64,7 +65,7 @@ func TestSpillMemoBounded(t *testing.T) {
 	// The newest spillMemoCap keys hit; the oldest were evicted.
 	calls = 0
 	for i := keys - spillMemoCap; i < keys; i++ {
-		if v := m.get(spillKey{prof, int64(i)}, calibrate(-1)); v != float64(i) {
+		if v, _ := m.get(spillKey{prof, int64(i)}, calibrate(-1)); v != float64(i) {
 			t.Fatalf("key %d: got %v, want memoized %v", i, v, float64(i))
 		}
 	}
@@ -107,7 +108,7 @@ func TestSpillMemoConcurrent(t *testing.T) {
 			p := profs[i%len(profs)]
 			g := NewGenerator(p, seed)
 			viaNew[i] = g.spillCorr
-			viaMemo[i] = m.get(spillKey{p, seed}, g.calibrateSpill)
+			viaMemo[i], _ = m.get(spillKey{p, seed}, g.calibrateSpill)
 		}(i)
 	}
 	wg.Wait()
