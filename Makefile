@@ -63,17 +63,19 @@ fuzz:
 	$(GO) test -fuzz=FuzzFPFVsReference     -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/fpf
 	$(GO) test -fuzz=FuzzLWCVsReference     -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lwc
 	$(GO) test -fuzz=FuzzServeEncodeRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzBankSchedVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/cachesim
 
 ## bench: repository benchmarks (reduced-scale experiment sweeps)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
-## bench-quick: the Send hot-path, figure, runner cold/warm-disk-cache,
-## simulator set-up and simulator throughput benchmarks with allocation
-## counts, written to bench-quick.txt (CI uploads it as an artifact so
-## every PR carries a ns/op and allocs/op record)
+## bench-quick: the Send hot-path, per-experiment figure (fresh runner,
+## sims/op), runner cold/warm-disk-cache, simulator set-up, simulator
+## throughput and hierarchy per-access (ns/access) benchmarks with
+## allocation counts, written to bench-quick.txt (CI uploads it as an
+## artifact so every PR carries a ns/op and allocs/op record)
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|Setup|SimulatorThroughput' -benchtime 100ms -benchmem . | tee bench-quick.txt
+	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|Setup|SimulatorThroughput|HierarchyAccess' -benchtime 100ms -benchmem . ./internal/cachesim | tee bench-quick.txt
 
 ## results-quick: regenerate the quick result set on the parallel runner,
 ## emitting the JSON run report alongside it (tune with JOBS=N; pin the

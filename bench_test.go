@@ -1,22 +1,15 @@
 package desc
 
-// One benchmark per table/figure of the paper's evaluation, each running
-// the corresponding experiment at reduced (Quick) scale and reporting its
-// headline metric alongside the usual ns/op. Regenerate the full-scale
-// numbers with:
+// One sub-benchmark per table/figure of the paper's evaluation, each
+// running the corresponding experiment at reduced (Quick) scale on a fresh
+// Runner. Regenerate the full-scale numbers with:
 //
 //	go run ./cmd/descbench
 //
-// Experiment results are memoized per process, so b.N iterations beyond
-// the first measure the (cheap) table rendering; the first iteration pays
-// for the simulations. Micro-benchmarks for the codec hot paths follow at
-// the end.
+// Micro-benchmarks for the codec hot paths and the simulator follow.
 
 import (
 	"context"
-	"strconv"
-	"strings"
-	"sync"
 	"testing"
 
 	"desc/internal/cachemodel"
@@ -24,7 +17,6 @@ import (
 	"desc/internal/exp"
 	"desc/internal/metrics"
 	"desc/internal/runcache"
-	"desc/internal/stats"
 	"desc/internal/workload"
 )
 
@@ -33,49 +25,28 @@ func benchOptions() exp.Options {
 	return exp.Options{Quick: true, InstrPerContext: 5_000, Seed: 1}
 }
 
-// benchRunner is shared by every figure benchmark, so iterations beyond
-// the first measure table rendering against a warm run cache.
-var benchRunner = sync.OnceValue(func() *exp.Runner {
-	r, err := exp.NewRunner(benchOptions())
-	if err != nil {
-		panic(err)
-	}
-	return r
-})
-
-// runFigure executes one experiment per iteration and returns the final
-// tables.
-func runFigure(b *testing.B, id string) []*stats.Table {
-	b.Helper()
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	var tables []*stats.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tables, err = benchRunner().Run(context.Background(), e)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return tables
-}
-
-// metric extracts a numeric cell from a labeled row.
-func metric(b *testing.B, t *stats.Table, rowLabel string, col int) float64 {
-	b.Helper()
-	for i := 0; i < t.NumRows(); i++ {
-		if t.Row(i)[0] == rowLabel {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(t.Row(i)[col], "x"), 64)
-			if err != nil {
-				b.Fatalf("row %q col %d: %v", rowLabel, col, err)
+// BenchmarkFigures runs every registered experiment (the paper's tables
+// and figures, and the extensions) at reduced (Quick) scale, one
+// sub-benchmark per experiment id. Each iteration builds a fresh Runner,
+// so ns/op prices the experiment's own simulations and rendering rather
+// than a warm run cache; sims/op counts the simulator runs behind it.
+func BenchmarkFigures(b *testing.B) {
+	for _, e := range exp.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			reg := metrics.NewRegistry()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := exp.NewRunner(benchOptions(), exp.WithMetrics(reg))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.Run(context.Background(), e); err != nil {
+					b.Fatal(err)
+				}
 			}
-			return v
-		}
+			b.ReportMetric(float64(reg.Counter("exp/runs_started").Value())/float64(b.N), "sims/op")
+		})
 	}
-	b.Fatalf("row %q not found", rowLabel)
-	return 0
 }
 
 // BenchmarkRunnerExecute prices the persistent disk cache (DESIGN.md
@@ -130,132 +101,6 @@ func BenchmarkRunnerExecute(b *testing.B) {
 			b.Fatalf("warm-disk Execute hit disk %d times, want %d", hits, len(demands)*b.N)
 		}
 	})
-}
-
-func BenchmarkFig01_L2ShareOfProcessorEnergy(b *testing.B) {
-	t := runFigure(b, "fig01")[0]
-	b.ReportMetric(metric(b, t, "Geomean", 1), "L2/proc")
-}
-
-func BenchmarkFig02_L2EnergyBreakdown(b *testing.B) {
-	t := runFigure(b, "fig02")[0]
-	b.ReportMetric(metric(b, t, "Average", 3), "htree_frac")
-}
-
-func BenchmarkFig03_ByteExample(b *testing.B) {
-	t := runFigure(b, "fig03")[0]
-	b.ReportMetric(metric(b, t, "DESC", 3), "desc_flips")
-}
-
-func BenchmarkFig05_ChunkTiming(b *testing.B) {
-	t := runFigure(b, "fig05")[0]
-	b.ReportMetric(metric(b, t, "total (2 then 1)", 1), "cycles")
-}
-
-func BenchmarkFig10_TimeWindows(b *testing.B) {
-	t := runFigure(b, "fig10")[0]
-	b.ReportMetric(metric(b, t, "zero-skipped", 1), "window_cycles")
-}
-
-func BenchmarkFig12_ChunkValueDistribution(b *testing.B) {
-	t := runFigure(b, "fig12")[0]
-	b.ReportMetric(metric(b, t, "0", 1), "zero_frac")
-}
-
-func BenchmarkFig13_LastValueMatches(b *testing.B) {
-	t := runFigure(b, "fig13")[0]
-	b.ReportMetric(metric(b, t, "Geomean", 1), "match_frac")
-}
-
-func BenchmarkFig14_DeviceClasses(b *testing.B) {
-	t := runFigure(b, "fig14")[0]
-	b.ReportMetric(metric(b, t, "HP-HP", 1), "HPHP_L2_energy")
-}
-
-func BenchmarkFig15_SegmentSweep(b *testing.B) {
-	t := runFigure(b, "fig15")[0]
-	b.ReportMetric(metric(b, t, "Bus Invert Coding", 4), "bic8_L2_energy")
-}
-
-func BenchmarkFig16_L2EnergyBySchemes(b *testing.B) {
-	t := runFigure(b, "fig16")[0]
-	zero := metric(b, t, "Geomean", 7)
-	b.ReportMetric(zero, "desczero_L2")
-	b.ReportMetric(1/zero, "improvement_x")
-}
-
-func BenchmarkFig17_Synthesis(b *testing.B) {
-	t := runFigure(b, "fig17")[0]
-	b.ReportMetric(metric(b, t, "TX+RX", 2), "peak_mW")
-}
-
-func BenchmarkFig18_StaticDynamicSplit(b *testing.B) {
-	t := runFigure(b, "fig18")[0]
-	b.ReportMetric(metric(b, t, "Zero Skipped DESC", 2), "dynamic_frac")
-}
-
-func BenchmarkFig19_ProcessorEnergy(b *testing.B) {
-	t := runFigure(b, "fig19")[0]
-	b.ReportMetric(metric(b, t, "Geomean", 3), "proc_energy")
-}
-
-func BenchmarkFig20_ExecutionTime(b *testing.B) {
-	t := runFigure(b, "fig20")[0]
-	b.ReportMetric(metric(b, t, "Zero Skipped DESC", 1), "desczero_time")
-}
-
-func BenchmarkFig21_HitDelay(b *testing.B) {
-	t := runFigure(b, "fig21")[0]
-	b.ReportMetric(metric(b, t, "Average", 4)-metric(b, t, "Average", 2), "desc128_extra_cycles")
-}
-
-func BenchmarkFig22_DesignSpace(b *testing.B) {
-	t := runFigure(b, "fig22")[0]
-	b.ReportMetric(float64(t.NumRows()), "design_points")
-}
-
-func BenchmarkFig23_NUCATime(b *testing.B) {
-	t := runFigure(b, "fig23")[0]
-	b.ReportMetric(metric(b, t, "Geomean", 1), "nuca_time")
-}
-
-func BenchmarkFig24_NUCAEnergy(b *testing.B) {
-	t := runFigure(b, "fig24")[0]
-	v := metric(b, t, "Geomean", 1)
-	b.ReportMetric(v, "nuca_L2")
-	b.ReportMetric(1/v, "improvement_x")
-}
-
-func BenchmarkFig25_BankSweep(b *testing.B) {
-	t := runFigure(b, "fig25")[0]
-	b.ReportMetric(metric(b, t, "8", 1), "banks8_L2")
-}
-
-func BenchmarkFig26_ChunkSweep(b *testing.B) {
-	t := runFigure(b, "fig26")[0]
-	b.ReportMetric(float64(t.NumRows()), "points")
-}
-
-func BenchmarkFig27_CapacitySweep(b *testing.B) {
-	t := runFigure(b, "fig27")[0]
-	b.ReportMetric(float64(t.NumRows()), "capacities")
-}
-
-func BenchmarkFig28_ECCTime(b *testing.B) {
-	t := runFigure(b, "fig28")[0]
-	b.ReportMetric(metric(b, t, "Geomean", 4), "desc128_time")
-}
-
-func BenchmarkFig29_ECCEnergy(b *testing.B) {
-	t := runFigure(b, "fig29")[0]
-	v := metric(b, t, "Geomean", 4)
-	b.ReportMetric(v, "desc128_L2")
-	b.ReportMetric(1/v, "improvement_x")
-}
-
-func BenchmarkFig30_OoOTime(b *testing.B) {
-	t := runFigure(b, "fig30")[0]
-	b.ReportMetric(metric(b, t, "Geomean", 1), "ooo_time")
 }
 
 // --- Send micro-benchmarks: the per-block hot path of every scheme. ---

@@ -45,30 +45,30 @@ func (t *lineTable) row(set int) []line {
 	return t.lines[set*t.ways : (set+1)*t.ways]
 }
 
-// find returns the ways of set and the way holding tag, or -1.
+// find returns the ways of set and the line holding tag, or nil.
 //
 //desclint:hotpath
-func (t *lineTable) find(set int, tag uint64) ([]line, int) {
+func (t *lineTable) find(set int, tag uint64) ([]line, *line) {
 	row := t.row(set)
 	for w := range row {
 		if row[w].tag == tag {
-			return row, w
+			return row, &row[w]
 		}
 	}
-	return row, -1
+	return row, nil
 }
 
-// promote makes way w the most recently used in its set.
+// promote makes l, one of row's ways, the most recently used in its set.
 //
 //desclint:hotpath
-func promote(row []line, w int) {
-	old := row[w].lru
+func promote(row []line, l *line) {
+	old := l.lru
 	for i := range row {
 		if row[i].lru < old {
 			row[i].lru++
 		}
 	}
-	row[w].lru = 0
+	l.lru = 0
 }
 
 // victim chooses the way to replace: the first invalid way, else the
@@ -95,7 +95,7 @@ func victim(row []line) int {
 // (Exclusive is folded into Modified on first write and into Shared
 // otherwise).
 type l1Cache struct {
-	sets    int
+	setMask uint64 // sets - 1; newL1 admits only a power-of-two set count
 	blkBits uint
 	lineTable
 }
@@ -112,68 +112,46 @@ func newL1(capacity, ways, blockBytes int) (*l1Cache, error) {
 	for 1<<blkBits < blockBytes {
 		blkBits++
 	}
-	return &l1Cache{sets: sets, blkBits: blkBits, lineTable: newLineTable(sets, ways)}, nil
+	return &l1Cache{setMask: uint64(sets - 1), blkBits: blkBits, lineTable: newLineTable(sets, ways)}, nil
 }
 
-func (c *l1Cache) index(addr uint64) (set int, tag uint64) {
+// probe returns addr's set and the line holding it, or nil.
+//
+//desclint:hotpath
+func (c *l1Cache) probe(addr uint64) ([]line, *line) {
 	blk := addr >> c.blkBits
-	return int(blk % uint64(c.sets)), blk + 1 // +1 so tag 0 means invalid
+	return c.find(int(blk&c.setMask), blk+1) // +1 so tag 0 means invalid
 }
 
-// lookup reports whether addr is present and whether it is Modified.
+// fill installs addr in row, the set probe returned for it, and returns
+// the evicted block address and whether it was dirty. The line starts
+// Shared (or Modified when allocated by a write).
 //
 //desclint:hotpath
-func (c *l1Cache) lookup(addr uint64) (modified, ok bool) {
-	row, w := c.find(c.index(addr))
-	if w < 0 {
-		return false, false
-	}
-	return row[w].dirty, true
-}
-
-// touch updates LRU order and, on writes, promotes the line to Modified.
-//
-//desclint:hotpath
-func (c *l1Cache) touch(addr uint64, write bool) {
-	row, w := c.find(c.index(addr))
-	if w < 0 {
-		return
-	}
-	promote(row, w)
-	if write {
-		row[w].dirty = true
-	}
-}
-
-// allocate installs addr, returning the evicted block address and whether
-// it was dirty. The line starts Shared (or Modified when allocated by a
-// write).
-//
-//desclint:hotpath
-func (c *l1Cache) allocate(addr uint64, write bool) (victimAddr uint64, dirty bool) {
-	set, tag := c.index(addr)
-	row := c.row(set)
-	way := victim(row)
-	if row[way].tag != 0 && row[way].dirty {
-		victimAddr = (row[way].tag - 1) << c.blkBits
+func (c *l1Cache) fill(row []line, addr uint64, write bool) (victimAddr uint64, dirty bool) {
+	l := &row[victim(row)]
+	if l.tag != 0 && l.dirty {
+		victimAddr = (l.tag - 1) << c.blkBits
 		dirty = true
 	}
-	row[way].tag = tag
-	row[way].dirty = write
-	promote(row, way)
+	l.tag = addr>>c.blkBits + 1
+	l.dirty = write
+	promote(row, l)
 	return victimAddr, dirty
 }
 
 // invalidate drops addr if present, reporting whether it was there.
 // (A dirty line invalidated by coherence has already been written back by
 // the caller.)
+//
+//desclint:hotpath
 func (c *l1Cache) invalidate(addr uint64) bool {
-	row, w := c.find(c.index(addr))
-	if w < 0 {
+	_, l := c.probe(addr)
+	if l == nil {
 		return false
 	}
-	row[w].tag = 0
-	row[w].dirty = false
+	l.tag = 0
+	l.dirty = false
 	return true
 }
 
@@ -264,74 +242,45 @@ func (p *l2Pool) put(c *l2Cache) {
 	p.free = append(p.free, c)
 }
 
-func (c *l2Cache) index(addr uint64) (set int, tag uint64) {
+// l2Loc is a block's place in the L2: the bank that serves it, the set
+// that holds it and its tag.
+type l2Loc struct {
+	bank, set int
+	tag       uint64
+}
+
+// locate maps addr to its bank, set and tag. Consecutive blocks go to
+// consecutive banks, and a bank's blocks to consecutive sets within it.
+//
+//desclint:hotpath
+func (c *l2Cache) locate(addr uint64) l2Loc {
 	blk := addr >> c.blkBits
-	bank := blk % uint64(c.banks)
-	row := (blk / uint64(c.banks)) % uint64(c.setsPerBank)
-	return int(bank)*c.setsPerBank + int(row), blk + 1
+	q, bank := blk/uint64(c.banks), blk%uint64(c.banks)
+	row := q % uint64(c.setsPerBank)
+	return l2Loc{bank: int(bank), set: int(bank)*c.setsPerBank + int(row), tag: blk + 1}
 }
 
-// line returns addr's line, or nil when it is not cached.
+// allocate installs loc's block and returns its line and any dirty
+// victim.
 //
 //desclint:hotpath
-func (c *l2Cache) line(addr uint64) *line {
-	row, w := c.find(c.index(addr))
-	if w < 0 {
-		return nil
-	}
-	return &row[w]
-}
-
-// lookup reports presence and refreshes LRU.
-//
-//desclint:hotpath
-func (c *l2Cache) lookup(addr uint64) bool {
-	row, w := c.find(c.index(addr))
-	if w < 0 {
-		return false
-	}
-	promote(row, w)
-	return true
-}
-
-// allocate installs addr and returns any dirty victim.
-//
-//desclint:hotpath
-func (c *l2Cache) allocate(addr uint64) (victimAddr uint64, victimDirty bool) {
-	set, tag := c.index(addr)
-	c.touched[set/64] |= 1 << (set % 64)
-	row := c.row(set)
-	way := victim(row)
-	if row[way].tag != 0 && row[way].dirty {
-		victimAddr = (row[way].tag - 1) << c.blkBits
+func (c *l2Cache) allocate(loc l2Loc) (l *line, victimAddr uint64, victimDirty bool) {
+	c.touched[loc.set/64] |= 1 << (loc.set % 64)
+	row := c.row(loc.set)
+	l = &row[victim(row)]
+	if l.tag != 0 && l.dirty {
+		victimAddr = (l.tag - 1) << c.blkBits
 		victimDirty = true
 	}
-	row[way] = line{tag: tag, owner: -1, lru: row[way].lru}
-	promote(row, way)
-	return victimAddr, victimDirty
+	*l = line{tag: loc.tag, owner: -1, lru: l.lru}
+	promote(row, l)
+	return l, victimAddr, victimDirty
 }
 
-// markPrefetched flags addr as prefetcher-filled.
-func (c *l2Cache) markPrefetched(addr uint64) {
-	if l := c.line(addr); l != nil {
-		l.prefetched = true
-	}
-}
-
-// clearPrefetched reports and clears the prefetched flag (a useful
-// prefetch: the line was demanded before eviction).
-func (c *l2Cache) clearPrefetched(addr uint64) bool {
-	l := c.line(addr)
-	if l == nil || !l.prefetched {
-		return false
-	}
-	l.prefetched = false
-	return true
-}
-
-// recordL1 tracks which core holds the line after a fill.
-func (c *l2Cache) recordL1(addr uint64, core int, write bool) {
-	l := c.line(addr)
+// recordL1 tracks which core holds l's block after a fill; l may be nil.
+//
+//desclint:hotpath
+func recordL1(l *line, core int, write bool) {
 	if l == nil {
 		return
 	}
@@ -342,26 +291,10 @@ func (c *l2Cache) recordL1(addr uint64, core int, write bool) {
 	}
 }
 
-// dirtyOwner returns the core holding addr Modified, or -1.
-func (c *l2Cache) dirtyOwner(addr uint64) int {
-	l := c.line(addr)
-	if l == nil {
-		return -1
-	}
-	return int(l.owner)
-}
-
-// markDirty records an L1 writeback into the line.
-func (c *l2Cache) markDirty(addr uint64) {
-	if l := c.line(addr); l != nil {
-		l.dirty = true
-		l.owner = -1
-	}
-}
-
-// clearSharers drops every sharer except `except`.
-func (c *l2Cache) clearSharers(addr uint64, except int) {
-	l := c.line(addr)
+// clearSharers drops every sharer of l except `except`; l may be nil.
+//
+//desclint:hotpath
+func clearSharers(l *line, except int) {
 	if l == nil {
 		return
 	}

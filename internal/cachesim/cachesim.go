@@ -243,9 +243,10 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 	addr &^= uint64(h.model.BlockBytes() - 1)
 	l1 := h.l1[core]
 
-	if modified, hit := l1.lookup(addr); hit {
-		if !write || modified {
-			l1.touch(addr, write)
+	row, l := l1.probe(addr)
+	if l != nil {
+		if !write || l.dirty {
+			promote(row, l)
 			h.stats.L1Hits++
 			h.mx.l1Hits.Inc()
 			return now + uint64(h.cfg.L1HitCycles)
@@ -256,17 +257,19 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 		h.stats.L1Hits++
 		h.stats.UpgradeMisses++
 		h.mx.l1Hits.Inc()
-		bank := h.bankOf(addr)
-		h.invalidatePeers(addr, core)
-		h.l2.recordL1(addr, core, true)
-		l1.touch(addr, true)
-		return now + uint64(h.cfg.L1HitCycles+h.model.TagProbeCycles(bank))
+		loc := h.l2.locate(addr)
+		_, l2l := h.l2.find(loc.set, loc.tag)
+		h.invalidatePeers(addr, l2l, core)
+		recordL1(l2l, core, true)
+		promote(row, l)
+		l.dirty = true
+		return now + uint64(h.cfg.L1HitCycles+h.model.TagProbeCycles(loc.bank))
 	}
 	h.stats.L1Misses++
 	h.mx.l1Misses.Inc()
 
 	// Allocate in L1; write back the victim if dirty.
-	victim, dirty := l1.allocate(addr, write)
+	victim, dirty := l1.fill(row, addr, write)
 	if dirty {
 		h.writebackToL2(now, victim)
 	}
@@ -275,50 +278,51 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 	return done + uint64(h.cfg.L1HitCycles)
 }
 
-func (h *Hierarchy) bankOf(addr uint64) int {
-	return int((addr / uint64(h.model.BlockBytes())) % uint64(h.model.Banks()))
-}
-
-// fetchFromL2 brings the block to the requesting core's L1.
+// fetchFromL2 brings the block to the requesting core's L1. It probes the
+// L2 once and carries the line through the coherence actions and the hit
+// or fill: only allocate changes which block a line holds.
 func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) uint64 {
-	bank := h.bankOf(addr)
+	loc := h.l2.locate(addr)
+	row, l := h.l2.find(loc.set, loc.tag)
 
 	// MSHR merge: a request for a block already in flight piggybacks on
 	// the outstanding access instead of issuing another one.
 	if done, ok := h.inflight.get(addr); ok && done > now {
 		h.stats.MSHRMerges++
 		h.mx.mshrMerges.Inc()
-		h.l2.recordL1(addr, core, write)
+		recordL1(l, core, write)
 		if write {
-			h.invalidatePeers(addr, core)
+			h.invalidatePeers(addr, l, core)
 		}
 		return done
 	}
 
 	// Coherence: if a peer L1 holds the line Modified, it is written
 	// back through the H-tree first (one L2 write transfer).
-	if owner := h.l2.dirtyOwner(addr); owner >= 0 && owner != core {
-		h.l1[owner].invalidate(addr)
+	if l != nil && l.owner >= 0 && int(l.owner) != core {
+		h.l1[l.owner].invalidate(addr)
 		h.stats.Invalidations++
 		h.stats.L1WritebacksToL2++
 		h.mx.invalidations.Inc()
-		now = h.l2Transfer(now, bank, addr, true)
+		now = h.l2Transfer(now, loc.bank, addr, true)
 	}
 	if write {
-		h.invalidatePeers(addr, core)
+		h.invalidatePeers(addr, l, core)
 	}
 
-	if h.l2.lookup(addr) {
-		if h.l2.clearPrefetched(addr) {
+	if l != nil {
+		promote(row, l)
+		if l.prefetched {
+			l.prefetched = false
 			h.stats.PrefetchHits++
 			h.mx.prefetchHits.Inc()
 		}
 		h.stats.L2Hits++
 		h.mx.l2Hits.Inc()
-		done := h.l2Transfer(now, bank, addr, false)
+		done := h.l2Transfer(now, loc.bank, addr, false)
 		h.stats.HitLatencySumCycles += done - now
 		h.stats.HitCount++
-		h.l2.recordL1(addr, core, write)
+		recordL1(l, core, write)
 		h.inflight.set(addr, done)
 		return done
 	}
@@ -326,25 +330,25 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 	// L2 miss: probe, fetch from DRAM, install (H-tree write), deliver.
 	h.stats.L2Misses++
 	h.mx.l2Misses.Inc()
-	start := h.banks[bank].reserve(now, uint64(h.model.ArrayCycles()))
-	probeDone := start + uint64(h.model.TagProbeCycles(bank))
+	start := h.banks[loc.bank].reserve(now, uint64(h.model.ArrayCycles()))
+	probeDone := start + uint64(h.model.TagProbeCycles(loc.bank))
 	memDone := h.dram.Access(probeDone, addr, false)
 	if h.cfg.PrefetchNextLine {
 		h.prefetch(probeDone, addr+uint64(h.model.BlockBytes()))
 	}
 
-	victim, victimDirty := h.l2.allocate(addr)
+	l, victim, victimDirty := h.l2.allocate(loc)
 	if victimDirty {
 		h.stats.L2Writebacks++
 		h.mx.l2Writebacks.Inc()
 		// Dirty victim leaves through the H-tree to the write buffer,
 		// then to DRAM (off the critical path).
-		h.l2Transfer(memDone, h.bankOf(victim), victim, false)
+		h.l2Transfer(memDone, h.l2.locate(victim).bank, victim, false)
 		h.dram.Access(memDone, victim, true)
 	}
 	// Install the fill in the arrays through the H-tree.
-	fillDone := h.l2Transfer(memDone, bank, addr, true)
-	h.l2.recordL1(addr, core, write)
+	fillDone := h.l2Transfer(memDone, loc.bank, addr, true)
+	recordL1(l, core, write)
 	h.inflight.set(addr, fillDone)
 	return fillDone
 }
@@ -353,23 +357,24 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 // and an H-tree fill whose occupancy and energy are charged, but on which
 // nobody waits.
 func (h *Hierarchy) prefetch(now uint64, addr uint64) {
-	if h.l2.lookup(addr) {
+	loc := h.l2.locate(addr)
+	if row, l := h.l2.find(loc.set, loc.tag); l != nil {
+		promote(row, l)
 		return
 	}
 	if _, ok := h.inflight.get(addr); ok {
 		return
 	}
 	memDone := h.dram.Access(now, addr, false)
-	victim, victimDirty := h.l2.allocate(addr)
+	l, victim, victimDirty := h.l2.allocate(loc)
 	if victimDirty {
 		h.stats.L2Writebacks++
 		h.mx.l2Writebacks.Inc()
-		h.l2Transfer(memDone, h.bankOf(victim), victim, false)
+		h.l2Transfer(memDone, h.l2.locate(victim).bank, victim, false)
 		h.dram.Access(memDone, victim, true)
 	}
-	bank := h.bankOf(addr)
-	fillDone := h.l2Transfer(memDone, bank, addr, true)
-	h.l2.markPrefetched(addr)
+	fillDone := h.l2Transfer(memDone, loc.bank, addr, true)
+	l.prefetched = true
 	h.inflight.set(addr, fillDone)
 	h.stats.PrefetchFills++
 	h.mx.prefetchFills.Inc()
@@ -398,12 +403,17 @@ func (h *Hierarchy) l2Transfer(earliest uint64, bank int, addr uint64, isWrite b
 // from the core's perspective; bank occupancy still accrues).
 func (h *Hierarchy) writebackToL2(now uint64, addr uint64) {
 	h.stats.L1WritebacksToL2++
-	h.l2Transfer(now, h.bankOf(addr), addr, true)
-	h.l2.markDirty(addr)
+	loc := h.l2.locate(addr)
+	h.l2Transfer(now, loc.bank, addr, true)
+	if _, l := h.l2.find(loc.set, loc.tag); l != nil {
+		l.dirty = true
+		l.owner = -1
+	}
 }
 
-// invalidatePeers removes all other L1 copies of addr.
-func (h *Hierarchy) invalidatePeers(addr uint64, except int) {
+// invalidatePeers removes all other L1 copies of addr and drops them from
+// l, addr's L2 line (nil when the L2 does not hold it).
+func (h *Hierarchy) invalidatePeers(addr uint64, l *line, except int) {
 	for c, l1 := range h.l1 {
 		if c == except {
 			continue
@@ -413,7 +423,7 @@ func (h *Hierarchy) invalidatePeers(addr uint64, except int) {
 			h.mx.invalidations.Inc()
 		}
 	}
-	h.l2.clearSharers(addr, except)
+	clearSharers(l, except)
 }
 
 // AvgHitLatencyCycles returns the average L2 hit latency in cycles (Figure 21).

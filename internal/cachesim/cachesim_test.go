@@ -241,6 +241,27 @@ func TestBankSchedReserve(t *testing.T) {
 	if s := b.reserve(1000, 0); s != 1000 {
 		t.Errorf("zero-duration reserve at %d", s)
 	}
+	if s := b.reserve(1000, 1); s != 1001 {
+		t.Errorf("reserve behind a zero-duration request at %d, want 1001", s)
+	}
+
+	// A request more than pruneSlack cycles ahead prunes every interval
+	// that ended before its horizon (9000-pruneSlack): a later straggler
+	// no longer queues behind them, but still queues behind the live one.
+	var p bankSched
+	p.reserve(100, 10)
+	if s := p.reserve(9000, 10); s != 9000 {
+		t.Errorf("reserve far ahead at %d, want 9000", s)
+	}
+	if live := p.iv[p.head:]; len(live) != 1 || live[0] != (busyInterval{9000, 9010}) {
+		t.Errorf("live intervals after prune %v, want [{9000 9010}]", live)
+	}
+	if s := p.reserve(105, 10); s != 105 {
+		t.Errorf("straggler behind a pruned interval at %d, want 105", s)
+	}
+	if s := p.reserve(9003, 4); s != 9010 {
+		t.Errorf("request behind the live interval at %d, want 9010", s)
+	}
 }
 
 // TestPrefetcher: with next-line prefetching on, sequential streams find

@@ -71,7 +71,7 @@ type digestEntry struct {
 
 // capture records nctx contexts of prof, refs references each, and
 // returns the replay source for them.
-func capture(t *testing.T, prof workload.Profile, nctx, refs int) *trace.ReplaySource {
+func capture(t testing.TB, prof workload.Profile, nctx, refs int) *trace.ReplaySource {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := trace.Capture(workload.NewGenerator(prof, digestSeed), digestSeed, nctx, refs, &buf); err != nil {

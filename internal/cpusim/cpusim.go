@@ -16,7 +16,6 @@
 package cpusim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -139,7 +138,7 @@ type hwContext struct {
 type coreState struct {
 	id   int
 	now  uint64
-	ctxs []*hwContext
+	ctxs []hwContext
 	done bool
 	// ready is stepCore's scratch list of the contexts ready this
 	// quantum, sized to hold every context so appends never grow it.
@@ -147,19 +146,56 @@ type coreState struct {
 }
 
 // coreHeap orders cores by local time so the globally earliest core steps
-// next.
+// next. Its methods are container/heap's sift algorithm on a typed slice,
+// so cores with equal local times step in the same order they would under
+// container/heap.
 type coreHeap []*coreState
 
-func (h coreHeap) Len() int            { return len(h) }
-func (h coreHeap) Less(i, j int) bool  { return h[i].now < h[j].now }
-func (h coreHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *coreHeap) Push(x interface{}) { *h = append(*h, x.(*coreState)) }
-func (h *coreHeap) Pop() interface{} {
+// init establishes the heap order (heap.Init).
+//
+//desclint:hotpath
+func (h coreHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+// fix restores the heap order after the root's time advanced
+// (heap.Fix(h, 0): a root can only move down).
+//
+//desclint:hotpath
+func (h coreHeap) fix() { h.down(0, len(h)) }
+
+// pop removes the root (heap.Pop).
+//
+//desclint:hotpath
+func (h *coreHeap) pop() {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	old[n] = nil
+	*h = old[:n]
+}
+
+// down sifts element i of h[:n] towards the leaves.
+//
+//desclint:hotpath
+func (h coreHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h[r].now < h[j].now {
+			j = r
+		}
+		if h[j].now >= h[i].now {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Run executes the workload on the configured processor over the given
@@ -196,30 +232,29 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 	nctx := cfg.Cores * cfg.ContextsPerCore
 	var res Result
 
-	cores := make(coreHeap, 0, cfg.Cores)
-	for coreID := 0; coreID < cfg.Cores; coreID++ {
-		cs := &coreState{
+	states := make([]coreState, cfg.Cores)
+	cores := make(coreHeap, cfg.Cores)
+	for coreID := range states {
+		cs := &states[coreID]
+		*cs = coreState{
 			id:    coreID,
-			ctxs:  make([]*hwContext, cfg.ContextsPerCore),
+			ctxs:  make([]hwContext, cfg.ContextsPerCore),
 			ready: make([]*hwContext, 0, cfg.ContextsPerCore),
 		}
 		for i := range cs.ctxs {
-			id := coreID*cfg.ContextsPerCore + i
-			c := &hwContext{
-				stream:    src.Stream(id, nctx),
-				instrLeft: cfg.InstrPerContext,
-			}
+			c := &cs.ctxs[i]
+			c.stream = src.Stream(coreID*cfg.ContextsPerCore+i, nctx)
+			c.instrLeft = cfg.InstrPerContext
 			c.pending = c.stream.Next()
 			c.gapLeft = int64(c.pending.Gap)
-			cs.ctxs[i] = c
 		}
-		cores = append(cores, cs)
+		cores[coreID] = cs
 	}
-	heap.Init(&cores)
+	cores.init()
 
 	var finish uint64
 	steps, published := uint64(0), uint64(0)
-	for ; cores.Len() > 0; steps++ {
+	for ; len(cores) > 0; steps++ {
 		if steps&ctxCheckMask == 0 {
 			pollCtr.Inc()
 			// Publish quanta progress at poll granularity so a long run
@@ -238,9 +273,9 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 			if cs.now > finish {
 				finish = cs.now
 			}
-			heap.Pop(&cores)
+			cores.pop()
 		} else {
-			heap.Fix(&cores, 0)
+			cores.fix()
 		}
 	}
 	quantaCtr.Add(steps - published) // final partial poll window
@@ -260,7 +295,8 @@ func stepCore(cfg Config, cs *coreState, h *cachesim.Hierarchy, res *Result) {
 	ready := cs.ready[:0]
 	nextUnblock := ^uint64(0)
 	active := false
-	for _, c := range cs.ctxs {
+	for i := range cs.ctxs {
+		c := &cs.ctxs[i]
 		if c.instrLeft == 0 {
 			continue
 		}
