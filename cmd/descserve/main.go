@@ -32,7 +32,7 @@
 // address (useful with -addr 127.0.0.1:0 in scripts); -jobs bounds each
 // experiment runner's worker pool. -cache-dir points every experiment
 // runner at a persistent content-addressed result cache (shared with the
-// descbench/descexplore CLIs), so client-requested runs survive restarts;
+// descbench CLI), so client-requested runs survive restarts;
 // the cache's hit/miss/write counters appear on /metrics.
 package main
 

@@ -11,6 +11,9 @@
 //	desctrace -stats [-blocks 1000]           # value statistics table
 //	desctrace -record t.trc [-refs 20000]     # capture a binary trace
 //	desctrace -replay t.trc [-instr 20000]    # simulate from a trace
+//
+// -replay takes the workload seed from the trace header; -seed applies
+// only to the other modes.
 package main
 
 import (
@@ -19,9 +22,7 @@ import (
 	"fmt"
 	"os"
 
-	"desc/internal/cachemodel"
-	"desc/internal/cachesim"
-	"desc/internal/cpusim"
+	"desc/internal/exp"
 	"desc/internal/stats"
 	"desc/internal/trace"
 	"desc/internal/workload"
@@ -33,7 +34,7 @@ func main() {
 		n      = flag.Int("n", 20, "trace entries to dump")
 		doStat = flag.Bool("stats", false, "print value statistics instead of a trace")
 		blocks = flag.Int("blocks", 1000, "blocks to sample for -stats")
-		seed   = flag.Int64("seed", 1, "workload seed")
+		seed   = flag.Int64("seed", 1, "workload seed (-replay uses the trace header's seed instead)")
 		record = flag.String("record", "", "capture a binary trace to this file")
 		replay = flag.String("replay", "", "simulate from a recorded trace file")
 		refs   = flag.Int("refs", 20_000, "references per context for -record")
@@ -43,7 +44,7 @@ func main() {
 	flag.Parse()
 
 	if *replay != "" {
-		replayTrace(*replay, *scheme, *instr, *seed)
+		replayTrace(*replay, *scheme, *instr)
 		return
 	}
 	if *doStat || *bench == "all" {
@@ -96,8 +97,10 @@ func recordTrace(bench, path string, refs int, seed int64) {
 	fmt.Printf("recorded %s: %d contexts x %d refs -> %s\n", h.Benchmark, h.Contexts, refs, path)
 }
 
-// replayTrace runs the simulator from a recorded trace.
-func replayTrace(path, scheme string, instr uint64, seed int64) {
+// replayTrace runs the simulator from a recorded trace. The block
+// contents come from the generator the trace header names, at the header's
+// seed.
+func replayTrace(path, scheme string, instr uint64) {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "desctrace:", err)
@@ -123,20 +126,15 @@ func replayTrace(path, scheme string, instr uint64, seed int64) {
 	if scheme == "binary" {
 		wires = 64
 	}
-	h, err := cachesim.New(cachesim.Config{L2: cachemodel.Config{Scheme: scheme, DataWires: wires}}, gen)
+	res, err := exp.Simulate(context.Background(), exp.SystemSpec{Scheme: scheme, DataWires: wires}, gen, src, instr, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "desctrace:", err)
 		os.Exit(1)
 	}
-	res, err := cpusim.RunWith(context.Background(), cpusim.Config{InstrPerContext: instr, Seed: seed}, h, src)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "desctrace:", err)
-		os.Exit(1)
-	}
-	st := res.Hierarchy
+	st := res.Sim.Hierarchy
 	fmt.Printf("replayed %s (%s, %d contexts): %d cycles, %d refs, L2 %d hits / %d misses\n",
 		path, src.Header().Benchmark, src.Header().Contexts,
-		res.Cycles, res.MemRefs, st.L2Hits, st.L2Misses)
+		res.Cycles, res.Sim.MemRefs, st.L2Hits, st.L2Misses)
 }
 
 func printStats(blocks int, seed int64) {

@@ -26,11 +26,9 @@ import (
 	"context"
 	"fmt"
 
-	"desc/internal/cachemodel"
 	"desc/internal/cachesim"
 	"desc/internal/core"
 	"desc/internal/cpusim"
-	"desc/internal/energy"
 	"desc/internal/exp"
 	"desc/internal/link"
 	"desc/internal/metrics"
@@ -126,10 +124,12 @@ type SystemConfig struct {
 	CapacityBytes int
 	// NUCA selects the S-NUCA-1 organization.
 	NUCA bool
-	// ECCSegmentBits enables SECDED over segments of this width (64 or
-	// 128); 0 disables ECC.
+	// ECCSegmentBits enables SECDED over segments of this many bits (the
+	// paper uses 64 or 128; any width dividing the 512-bit block works);
+	// 0 disables ECC and a negative width is an error.
 	ECCSegmentBits int
-	// Kind is the processor model (default InOrderMT).
+	// Kind is the processor model (default InOrderMT); any other value
+	// is an error.
 	Kind CoreKind
 	// InstrPerContext is each hardware context's instruction budget
 	// (default 60_000; raise for tighter statistics).
@@ -204,9 +204,6 @@ func SimulateContext(ctx context.Context, cfg SystemConfig, benchmark string) (S
 	if !ok {
 		return SimResult{}, fmt.Errorf("desc: unknown benchmark %q (see Benchmarks, SPECBenchmarks)", benchmark)
 	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = "binary"
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -214,7 +211,7 @@ func SimulateContext(ctx context.Context, cfg SystemConfig, benchmark string) (S
 		cfg.InstrPerContext = 60_000
 	}
 	gen := workload.NewGenerator(prof, cfg.Seed)
-	l2 := cachemodel.Config{
+	spec := exp.SystemSpec{
 		Scheme:        cfg.Scheme,
 		DataWires:     cfg.DataWires,
 		ChunkBits:     cfg.ChunkBits,
@@ -222,52 +219,33 @@ func SimulateContext(ctx context.Context, cfg SystemConfig, benchmark string) (S
 		Banks:         cfg.Banks,
 		CapacityBytes: cfg.CapacityBytes,
 		NUCA:          cfg.NUCA,
+		ECCSegment:    cfg.ECCSegmentBits,
+		Kind:          cfg.Kind,
 	}
-	if cfg.ECCSegmentBits > 0 {
-		l2.ECC = cachemodel.ECCConfig{Enabled: true, SegmentBits: cfg.ECCSegmentBits}
-	}
-	h, err := cachesim.New(cachesim.Config{L2: l2, Metrics: cfg.Metrics}, gen)
+	res, err := exp.Simulate(ctx, spec, gen, cpusim.Streams(gen), cfg.InstrPerContext, cfg.Metrics)
 	if err != nil {
 		return SimResult{}, err
 	}
-	defer h.Release()
-	simCfg := cpusim.Config{
-		Kind:            cfg.Kind,
-		InstrPerContext: cfg.InstrPerContext,
-		Seed:            cfg.Seed,
-		Metrics:         cfg.Metrics,
-	}.WithDefaults()
-	res, err := cpusim.Run(ctx, simCfg, h, gen)
-	if err != nil {
-		return SimResult{}, err
-	}
-	params := energy.NiagaraLike
-	if cfg.Kind == OutOfOrder {
-		params = energy.OoO4Issue
-	}
-	bd := energy.Compute(params, energy.Activity{
-		Cycles:       res.Cycles,
-		Instructions: res.Instructions,
-		L1Accesses:   res.MemRefs,
-		Cores:        simCfg.Cores,
-		ClockGHz:     h.Model().Config().ClockGHz,
-	}, h.Model(), h.DRAM())
+	return simResultOf(res), nil
+}
 
+// simResultOf renders one run's outcome as the public SimResult.
+func simResultOf(r exp.RunResult) SimResult {
 	return SimResult{
-		Benchmark:        benchmark,
-		Cycles:           res.Cycles,
-		Instructions:     res.Instructions,
-		MemRefs:          res.MemRefs,
-		L2EnergyJ:        bd.L2J(),
-		HTreeJ:           bd.L2HTreeJ,
-		ArrayJ:           bd.L2ArrayJ,
-		StaticJ:          bd.L2StaticJ,
-		ProcessorEnergyJ: bd.ProcessorJ(),
-		DRAMEnergyJ:      bd.DRAMJ,
-		AvgL2HitCycles:   res.AvgHitLatencyCycles,
-		L2AreaMM2:        h.Model().AreaMM2(),
-		Stats:            res.Hierarchy,
-	}, nil
+		Benchmark:        r.Bench,
+		Cycles:           r.Cycles,
+		Instructions:     r.Sim.Instructions,
+		MemRefs:          r.Sim.MemRefs,
+		L2EnergyJ:        r.Breakdown.L2J(),
+		HTreeJ:           r.Breakdown.L2HTreeJ,
+		ArrayJ:           r.Breakdown.L2ArrayJ,
+		StaticJ:          r.Breakdown.L2StaticJ,
+		ProcessorEnergyJ: r.Breakdown.ProcessorJ(),
+		DRAMEnergyJ:      r.Breakdown.DRAMJ,
+		AvgL2HitCycles:   r.AvgHit,
+		L2AreaMM2:        r.AreaMM2,
+		Stats:            r.Sim.Hierarchy,
+	}
 }
 
 // Table is a rendered experiment result (markdown/CSV/ASCII chart).

@@ -2,6 +2,7 @@ package desc
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -80,6 +81,37 @@ func TestSimulateEndToEnd(t *testing.T) {
 	}
 	if _, err := Simulate(SystemConfig{}, "NotABenchmark"); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestSimulateInputValidation: inputs the system cannot simulate fail with
+// an error naming the layer that rejects them, instead of panicking or
+// running as some other configuration; unusual but valid inputs still run.
+func TestSimulateInputValidation(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cfg     SystemConfig
+		wantErr string // "" = must simulate
+	}{
+		{"capacity below one set", SystemConfig{CapacityBytes: 1000}, "cachesim: "},
+		{"unknown core kind", SystemConfig{Kind: 7}, "cpusim: unknown core kind 7"},
+		{"negative ECC segment", SystemConfig{ECCSegmentBits: -1}, "exp: "},
+		{"ECC over 32-bit segments", SystemConfig{ECCSegmentBits: 32}, ""},
+		{"ECC over 128-bit segments", SystemConfig{ECCSegmentBits: 128}, ""},
+		{"out-of-order core", SystemConfig{Kind: OutOfOrder}, ""},
+	} {
+		c.cfg.InstrPerContext = 500
+		res, err := Simulate(c.cfg, "Art")
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.wantErr == "" && res.Cycles == 0:
+			t.Errorf("%s: empty result %+v", c.name, res)
+		case c.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want an error containing %q", c.name, c.wantErr)
+		case c.wantErr != "" && !strings.Contains(err.Error(), c.wantErr):
+			t.Errorf("%s: error %q does not contain %q", c.name, err, c.wantErr)
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 package desc
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"testing"
+
+	"desc/internal/exp"
+	"desc/internal/workload"
 )
 
 // The golden SimResult vectors pin the full system-level outcome of every
@@ -77,21 +81,37 @@ func goldenSimOf(r SimResult) goldenSim {
 	}
 }
 
+// TestGoldenSimResults pins every configuration through both callers of
+// the simulation pipeline: the public Simulate and an experiment Runner
+// at the same seed and budget must each reproduce the golden entry.
 func TestGoldenSimResults(t *testing.T) {
+	const seed, instr = 11, 4_000
+	runner, err := exp.NewRunner(exp.Options{Seed: seed, InstrPerContext: instr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, _ := workload.ByName("Art")
 	got := map[string]goldenSim{}
+	viaRunner := map[string]goldenSim{}
 	for _, s := range goldenSimSchemes {
 		res, err := Simulate(SystemConfig{
 			Scheme:          s.scheme,
 			DataWires:       s.wires,
 			ChunkBits:       s.chunk,
 			SegmentBits:     s.segble,
-			Seed:            11,
-			InstrPerContext: 4_000,
+			Seed:            seed,
+			InstrPerContext: instr,
 		}, "Art")
 		if err != nil {
 			t.Fatalf("%s: %v", s.scheme, err)
 		}
 		got[s.scheme] = goldenSimOf(res)
+		spec := exp.SystemSpec{Scheme: s.scheme, DataWires: s.wires, ChunkBits: s.chunk, SegmentBits: s.segble}
+		rr, err := runner.RunOne(context.Background(), spec, art)
+		if err != nil {
+			t.Fatalf("%s via Runner: %v", s.scheme, err)
+		}
+		viaRunner[s.scheme] = goldenSimOf(simResultOf(rr))
 	}
 
 	if *updateGoldenSim {
@@ -122,6 +142,9 @@ func TestGoldenSimResults(t *testing.T) {
 		}
 		if g != pinned {
 			t.Errorf("%s: SimResult diverges from pre-refactor golden:\ngot  %+v\nwant %+v", scheme, g, pinned)
+		}
+		if r := viaRunner[scheme]; r != pinned {
+			t.Errorf("%s: Runner result diverges from golden:\ngot  %+v\nwant %+v", scheme, r, pinned)
 		}
 	}
 }

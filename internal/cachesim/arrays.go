@@ -174,6 +174,9 @@ func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
 		return nil, fmt.Errorf("cachesim: invalid L2 geometry")
 	}
 	sets := capacity / blockBytes / ways
+	if sets == 0 {
+		return nil, fmt.Errorf("cachesim: L2 of %d bytes holds no set of %d ways x %d-byte blocks", capacity, ways, blockBytes)
+	}
 	if sets%banks != 0 {
 		return nil, fmt.Errorf("cachesim: %d L2 sets not divisible by %d banks", sets, banks)
 	}

@@ -37,6 +37,11 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{L1Bytes: 1000, L1Ways: 3}, fixedSource(0)); err == nil {
 		t.Error("non-power-of-two L1 sets accepted")
 	}
+	// 1000 bytes is less than one 16-way set of 64-byte blocks: the L2
+	// would have zero sets, and every access would divide by zero.
+	if _, err := New(Config{L2: cachemodel.Config{CapacityBytes: 1000}}, fixedSource(0)); err == nil {
+		t.Error("L2 with zero sets accepted")
+	}
 }
 
 func TestL1HitPath(t *testing.T) {

@@ -51,7 +51,9 @@ type Config struct {
 	OverlapCycles int
 	// InstrPerContext is each context's instruction budget.
 	InstrPerContext uint64
-	// Seed isolates runs.
+	// Seed records the run's workload seed for callers. The scheduler
+	// never reads it: every access comes from the StreamSource, whose
+	// generator or trace already fixes the seed.
 	Seed int64
 	// Metrics, when non-nil, receives live scheduler telemetry
 	// (scheduling-quanta and cancellation-poll counters under
@@ -118,7 +120,10 @@ type StreamSource interface {
 	Stream(ctx, nctx int) AccessSource
 }
 
-// generatorSource adapts a workload.Generator to StreamSource.
+// Streams adapts a workload generator to StreamSource: context ctx of
+// nctx reads the generator's stream for that context.
+func Streams(gen *workload.Generator) StreamSource { return generatorSource{gen} }
+
 type generatorSource struct {
 	g *workload.Generator
 }
@@ -198,24 +203,22 @@ func (h coreHeap) down(i, n int) {
 	}
 }
 
-// Run executes the workload on the configured processor over the given
-// hierarchy and returns timing results. Deterministic for a fixed
-// (config, generator) pair. Cancelling ctx stops the simulation between
-// scheduling quanta and returns ctx's error; a cancelled run's partial
-// counts are meaningless and must be discarded.
-func Run(ctx context.Context, cfg Config, h *cachesim.Hierarchy, gen *workload.Generator) (Result, error) {
-	return RunWith(ctx, cfg, h, generatorSource{gen})
-}
-
 // ctxCheckMask throttles cancellation polling: the scheduler consults
 // ctx.Done() once every 64 scheduling quanta, so cancellation latency is
 // bounded by a few thousand simulated cycles while the common path stays
 // select-free.
 const ctxCheckMask = 0x3f
 
-// RunWith is Run over any stream source — live generators or recorded
-// traces.
+// RunWith executes the streams of src — a live generator (Streams) or a
+// recorded trace — on the configured processor over the given hierarchy
+// and returns timing results. Deterministic for a fixed (config, source)
+// pair. Cancelling ctx stops the simulation between scheduling quanta and
+// returns ctx's error; a cancelled run's partial counts are meaningless
+// and must be discarded.
 func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamSource) (Result, error) {
+	if cfg.Kind != InOrderMT && cfg.Kind != OutOfOrder {
+		return Result{}, fmt.Errorf("cpusim: unknown core kind %d", cfg.Kind)
+	}
 	cfg = cfg.WithDefaults()
 	if cfg.Cores <= 0 || cfg.ContextsPerCore <= 0 || cfg.IssueWidth <= 0 {
 		return Result{}, fmt.Errorf("cpusim: invalid config %+v", cfg)

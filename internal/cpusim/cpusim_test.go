@@ -31,7 +31,7 @@ func TestDefaults(t *testing.T) {
 	if ooo.Cores != 1 || ooo.ContextsPerCore != 1 || ooo.IssueWidth != 4 {
 		t.Errorf("OoO defaults %+v do not match Table 1", ooo)
 	}
-	if _, err := Run(context.Background(), Config{Cores: -1, ContextsPerCore: 1, IssueWidth: 1, InstrPerContext: 1}, nil, nil); err == nil {
+	if _, err := RunWith(context.Background(), Config{Cores: -1, ContextsPerCore: 1, IssueWidth: 1, InstrPerContext: 1}, nil, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -40,7 +40,7 @@ func TestDefaults(t *testing.T) {
 func TestInstructionAccounting(t *testing.T) {
 	h, gen := system(t, "binary", 64)
 	cfg := Config{InstrPerContext: 5_000}
-	res, err := Run(context.Background(), cfg, h, gen)
+	res, err := RunWith(context.Background(), cfg, h, Streams(gen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestInstructionAccounting(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() Result {
 		h, gen := system(t, "desc-zero", 128)
-		res, err := Run(context.Background(), Config{InstrPerContext: 4_000}, h, gen)
+		res, err := RunWith(context.Background(), Config{InstrPerContext: 4_000}, h, Streams(gen))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,12 +81,12 @@ func TestDeterminism(t *testing.T) {
 // total work.
 func TestMultithreadingHidesLatency(t *testing.T) {
 	h1, gen1 := system(t, "binary", 64)
-	one, err := Run(context.Background(), Config{Cores: 1, ContextsPerCore: 1, InstrPerContext: 16_000}, h1, gen1)
+	one, err := RunWith(context.Background(), Config{Cores: 1, ContextsPerCore: 1, InstrPerContext: 16_000}, h1, Streams(gen1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h4, gen4 := system(t, "binary", 64)
-	four, err := Run(context.Background(), Config{Cores: 1, ContextsPerCore: 4, InstrPerContext: 4_000}, h4, gen4)
+	four, err := RunWith(context.Background(), Config{Cores: 1, ContextsPerCore: 4, InstrPerContext: 4_000}, h4, Streams(gen4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestMultithreadingHidesLatency(t *testing.T) {
 // DESC's longer hit latency (Figure 20: under 2%).
 func TestDESCSlowdownSmallOnMT(t *testing.T) {
 	hb, genb := system(t, "binary", 64)
-	base, err := Run(context.Background(), Config{InstrPerContext: 8_000}, hb, genb)
+	base, err := RunWith(context.Background(), Config{InstrPerContext: 8_000}, hb, Streams(genb))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hd, gend := system(t, "desc-zero", 128)
-	descr, err := Run(context.Background(), Config{InstrPerContext: 8_000}, hd, gend)
+	descr, err := RunWith(context.Background(), Config{InstrPerContext: 8_000}, hd, Streams(gend))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestOoOMoreSensitive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Run(context.Background(), Config{Kind: kind, InstrPerContext: 30_000}, hb, gen)
+		base, err := RunWith(context.Background(), Config{Kind: kind, InstrPerContext: 30_000}, hb, Streams(gen))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestOoOMoreSensitive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		descr, err := Run(context.Background(), Config{Kind: kind, InstrPerContext: 30_000}, hd, gen2)
+		descr, err := RunWith(context.Background(), Config{Kind: kind, InstrPerContext: 30_000}, hd, Streams(gen2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestOoOMoreSensitive(t *testing.T) {
 // TestHierarchyStatsPropagate: the result carries the hierarchy's counts.
 func TestHierarchyStatsPropagate(t *testing.T) {
 	h, gen := system(t, "binary", 64)
-	res, err := Run(context.Background(), Config{InstrPerContext: 3_000}, h, gen)
+	res, err := RunWith(context.Background(), Config{InstrPerContext: 3_000}, h, Streams(gen))
 	if err != nil {
 		t.Fatal(err)
 	}

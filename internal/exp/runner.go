@@ -267,7 +267,8 @@ func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSp
 	if r.obs != nil {
 		r.obs.RunStarted(Demand{Spec: spec, Bench: prof.Name})
 	}
-	c.res, c.err = simulate(ctx, spec, prof, r.opt, r.reg)
+	gen := workload.NewGenerator(prof, r.opt.Seed)
+	c.res, c.err = Simulate(ctx, spec, gen, cpusim.Streams(gen), r.opt.InstrPerContext, r.reg)
 	if c.err != nil {
 		r.mx.runsFailed.Inc()
 	} else {
@@ -359,15 +360,23 @@ func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) 
 	return e.Run(ctx, r)
 }
 
-// simulate performs one full system simulation. It is a pure function of
-// (spec, prof, opt): the hierarchy and processor state is private to the
-// call, and what calls share — the workload's calibrations and generated
-// blocks, and a released L2 line table reset to its initial state —
-// cannot change a result, which is what makes parallel execution
-// deterministic. reg (may be nil) receives write-only telemetry from
-// every layer and never influences the result.
-func simulate(ctx context.Context, spec SystemSpec, prof workload.Profile, opt Options, reg *metrics.Registry) (RunResult, error) {
-	gen := workload.NewGenerator(prof, opt.Seed)
+// Simulate performs one full system simulation: it builds the L2 model
+// and hierarchy for spec over gen's block contents, runs streams for instr
+// instructions per context, and prices the run's energy. It is the only
+// place the layers are assembled; the Runner, the public API and trace
+// replay all call it.
+//
+// Simulate is a pure function of its inputs: the hierarchy and processor
+// state is private to the call, and what calls share — the workload's
+// calibrations and generated blocks, and a released L2 line table reset to
+// its initial state — cannot change a result, which is what makes parallel
+// execution deterministic. reg (may be nil) receives write-only telemetry
+// from every layer and never influences the result.
+func Simulate(ctx context.Context, spec SystemSpec, gen *workload.Generator, streams cpusim.StreamSource, instr uint64, reg *metrics.Registry) (RunResult, error) {
+	bench := gen.Profile().Name
+	if spec.ECCSegment < 0 {
+		return RunResult{}, fmt.Errorf("exp: %s: ECC segment of %d bits is negative; use 0 for no ECC", bench, spec.ECCSegment)
+	}
 	l2 := cachemodel.Config{
 		Scheme:        spec.Scheme,
 		DataWires:     spec.DataWires,
@@ -384,16 +393,11 @@ func simulate(ctx context.Context, spec SystemSpec, prof workload.Profile, opt O
 	}
 	h, err := cachesim.New(cachesim.Config{L2: l2, PrefetchNextLine: spec.Prefetch, Metrics: reg}, gen)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("exp: %s/%s: %w", spec.Scheme, prof.Name, err)
+		return RunResult{}, fmt.Errorf("exp: %s: %w", bench, err)
 	}
 	defer h.Release()
-	simCfg := cpusim.Config{
-		Kind:            spec.Kind,
-		InstrPerContext: opt.InstrPerContext,
-		Seed:            opt.Seed,
-		Metrics:         reg,
-	}.WithDefaults()
-	res, err := cpusim.Run(ctx, simCfg, h, gen)
+	simCfg := cpusim.Config{Kind: spec.Kind, InstrPerContext: instr, Metrics: reg}.WithDefaults()
+	res, err := cpusim.RunWith(ctx, simCfg, h, streams)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -410,7 +414,7 @@ func simulate(ctx context.Context, spec SystemSpec, prof workload.Profile, opt O
 	}, h.Model(), h.DRAM())
 
 	return RunResult{
-		Bench:     prof.Name,
+		Bench:     bench,
 		Cycles:    res.Cycles,
 		Breakdown: bd,
 		AvgHit:    res.AvgHitLatencyCycles,

@@ -68,7 +68,7 @@ type Config struct {
 	// RunCache, when non-nil, is the persistent content-addressed result
 	// cache every experiment Runner consults before simulating (see
 	// internal/runcache). Runs clients request survive restarts and are
-	// shared with the descbench/descexplore CLIs pointed at the same
+	// shared with the descbench CLI pointed at the same
 	// directory; the cache's hit/miss/write/corrupt counters surface on
 	// /metrics when the store was opened with this server's registry.
 	RunCache *runcache.Store

@@ -7,9 +7,8 @@ import (
 	"io"
 	"testing"
 
-	"desc/internal/cachemodel"
-	"desc/internal/cachesim"
 	"desc/internal/cpusim"
+	"desc/internal/exp"
 	"desc/internal/workload"
 )
 
@@ -99,55 +98,44 @@ func TestReaderRejectsGarbage(t *testing.T) {
 }
 
 // TestCaptureReplayTimingIdentical: replaying a captured trace through the
-// simulator reproduces the live run cycle for cycle, because the streams
-// and the block contents are both deterministic.
+// simulator reproduces the live run's whole result — timing, hierarchy
+// counts and energy — because the streams and the block contents are both
+// deterministic. The replay runs exactly what desctrace -replay runs.
 func TestCaptureReplayTimingIdentical(t *testing.T) {
-	prof, _ := workload.ByName("Radix")
 	const seed, instr = 3, 2000
-
-	live := func() cpusim.Result {
+	spec := exp.SystemSpec{Scheme: "desc-zero", DataWires: 128}
+	for _, bench := range []string{"Radix", "Art", "CG"} {
+		prof, _ := workload.ByName(bench)
 		gen := workload.NewGenerator(prof, seed)
-		h, err := cachesim.New(cachesim.Config{L2: cachemodel.Config{Scheme: "desc-zero", DataWires: 128}}, gen)
+		live, err := exp.Simulate(context.Background(), spec, gen, cpusim.Streams(gen), instr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cpusim.Run(context.Background(), cpusim.Config{InstrPerContext: instr, Seed: seed}, h, gen)
+
+		// Capture enough references to cover the instruction budget.
+		var buf bytes.Buffer
+		if _, err := Capture(workload.NewGenerator(prof, seed), seed, 32, 2500, &buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}()
-
-	// Capture enough references to cover the instruction budget.
-	var buf bytes.Buffer
-	gen := workload.NewGenerator(prof, seed)
-	if _, err := Capture(gen, seed, 32, 2500, &buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewReplaySource(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataGen, err := src.Generator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := cachesim.New(cachesim.Config{L2: cachemodel.Config{Scheme: "desc-zero", DataWires: 128}}, dataGen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := cpusim.RunWith(context.Background(), cpusim.Config{InstrPerContext: instr, Seed: seed}, h, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if replay.Cycles != live.Cycles || replay.MemRefs != live.MemRefs {
-		t.Errorf("replay (%d cycles, %d refs) differs from live (%d cycles, %d refs)",
-			replay.Cycles, replay.MemRefs, live.Cycles, live.MemRefs)
+		src, err := NewReplaySource(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dataGen, err := src.Generator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := exp.Simulate(context.Background(), spec, dataGen, src, instr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replay != live {
+			t.Errorf("%s: replay differs from live run:\nreplay %+v\nlive   %+v", bench, replay, live)
+		}
 	}
 }
 
