@@ -5,10 +5,11 @@
 // same rows/series the paper plots, as stats.Table values.
 //
 // Experiments execute in two phases through a Runner (runner.go): a
-// planning phase in which each experiment declares the (configuration,
-// benchmark) runs it demands, and an execution phase in which the Runner
-// simulates the deduplicated demand set on a bounded worker pool before
-// the experiments render their tables from the warmed cache.
+// planning phase in which a dry render of each experiment lists the
+// (configuration, benchmark) runs it demands, and an execution phase in
+// which the Runner simulates the deduplicated demand set on a bounded
+// worker pool before the experiments render their tables from the warmed
+// cache.
 //
 // The cmd/descbench binary runs every experiment and writes markdown/CSV;
 // the repository-root benchmarks run them at reduced scale.
@@ -180,12 +181,14 @@ type Experiment struct {
 	ID string
 	// Title describes the figure as the paper captions it.
 	Title string
-	// Demands declares the (configuration, benchmark) runs the Run
-	// phase will need, so the Runner can batch them, deduplicate them
-	// across experiments, and execute them in parallel up front. Nil
-	// for experiments that do not simulate full systems. The declared
-	// set must cover every run the Run phase performs (enforced by
-	// TestDemandsCoverRun).
+	// Demands returns the distinct (configuration, benchmark) runs the
+	// Run phase will need, in first-request order, so the Runner can
+	// batch them, deduplicate them across experiments, and execute them
+	// in parallel up front. It is derived, never written: it dry-runs
+	// Run on a planning Runner that records each RunOne request without
+	// simulating (see planOf). Nil for experiments that do not simulate
+	// full systems. TestDemandsCoverRun checks that the set covers every
+	// run the Run phase performs.
 	Demands func(opt Options) []Demand
 	// Run renders the result tables, reading demanded runs from the
 	// Runner's cache (and computing any stragglers inline).
@@ -197,9 +200,17 @@ var (
 	indexed  = map[string]Experiment{}
 )
 
+// registerSim installs an experiment that simulates full systems: its
+// Demands are derived from its Run phase (planOf).
+func registerSim(e Experiment) {
+	e.Demands = func(opt Options) []Demand { return planOf(e.Run, opt) }
+	register(e)
+}
+
 // register installs an experiment from an init function. It panics on a
 // duplicate id (matching link.Register): a silently shadowed figure
-// would corrupt descbench output.
+// would corrupt descbench output. Experiments registered directly
+// simulate nothing and have no Demands.
 func register(e Experiment) {
 	if _, dup := indexed[e.ID]; dup {
 		panic("exp: duplicate experiment id " + e.ID)

@@ -8,12 +8,11 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	registerSim(Experiment{
 		ID: "ext03",
 		Title: "Table E3 (extension): next-line L2 prefetching under " +
 			"binary and DESC transfer",
-		Demands: demandsExt03,
-		Run:     runExt03,
+		Run: runExt03,
 	})
 }
 
@@ -32,14 +31,6 @@ func ext03Specs() []struct {
 		{"DESC-zero", DESCZero()},
 		{"DESC-zero + prefetch", func() SystemSpec { s := DESCZero(); s.Prefetch = true; return s }()},
 	}
-}
-
-func demandsExt03(opt Options) []Demand {
-	var specs []SystemSpec
-	for _, sp := range ext03Specs() {
-		specs = append(specs, sp.spec)
-	}
-	return demandsOver(opt.benchmarks(), specs...)
 }
 
 // runExt03 studies an interaction the paper leaves open: prefetching adds

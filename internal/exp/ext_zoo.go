@@ -10,12 +10,11 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	registerSim(Experiment{
 		ID: "ext-zoo",
 		Title: "Table Z1 (extension): the scheme zoo — every registered " +
 			"codec across its geometry axes",
-		Demands: demandsZoo,
-		Run:     runZoo,
+		Run: runZoo,
 	})
 }
 
@@ -60,12 +59,6 @@ func zooSpecs(opt Options) []SystemSpec {
 		}
 	}
 	return specs
-}
-
-// demandsZoo: the full zoo plus the binary reference, over the sweep
-// benchmark set (the zoo trades per-benchmark depth for scheme breadth).
-func demandsZoo(opt Options) []Demand {
-	return demandsOver(opt.sweepBenchmarks(), append([]SystemSpec{BinaryBase()}, zooSpecs(opt)...)...)
 }
 
 // runZoo reports every configuration's geomean L2 energy normalized to

@@ -8,12 +8,11 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	registerSim(Experiment{
 		ID: "ext01",
 		Title: "Table E1 (extension): adaptive skip-value detection " +
 			"(the runtime technique considered and rejected in Section 3.3)",
-		Demands: demandsExt01,
-		Run:     runExt01,
+		Run: runExt01,
 	})
 }
 
@@ -24,12 +23,6 @@ func ext01Specs() []SystemSpec {
 		{Scheme: "desc-last", DataWires: 128, ChunkBits: 4},
 		{Scheme: "desc-adaptive", DataWires: 128, ChunkBits: 4},
 	}
-}
-
-// demandsExt01: the three skip policies plus the binary reference l2Norm
-// divides by, over the benchmark roster.
-func demandsExt01(opt Options) []Demand {
-	return demandsOver(opt.benchmarks(), append([]SystemSpec{BinaryBase()}, ext01Specs()...)...)
 }
 
 // runExt01 implements the adaptive frequent-value detector the paper

@@ -10,29 +10,25 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:      "fig15",
-		Title:   "Figure 15: baseline L2 energy vs data segment size",
-		Demands: demandsFig15,
-		Run:     runFig15,
+	registerSim(Experiment{
+		ID:    "fig15",
+		Title: "Figure 15: baseline L2 energy vs data segment size",
+		Run:   runFig15,
 	})
-	register(Experiment{
-		ID:      "fig16",
-		Title:   "Figure 16: L2 cache energy by data transfer technique",
-		Demands: demandsAllSchemes,
-		Run:     runFig16,
+	registerSim(Experiment{
+		ID:    "fig16",
+		Title: "Figure 16: L2 cache energy by data transfer technique",
+		Run:   runFig16,
 	})
-	register(Experiment{
-		ID:      "fig18",
-		Title:   "Figure 18: static and dynamic L2 energy by technique",
-		Demands: demandsAllSchemes,
-		Run:     runFig18,
+	registerSim(Experiment{
+		ID:    "fig18",
+		Title: "Figure 18: static and dynamic L2 energy by technique",
+		Run:   runFig18,
 	})
-	register(Experiment{
-		ID:      "fig19",
-		Title:   "Figure 19: processor energy with zero-skipped DESC",
-		Demands: demandsFig19,
-		Run:     runFig19,
+	registerSim(Experiment{
+		ID:    "fig19",
+		Title: "Figure 19: processor energy with zero-skipped DESC",
+		Run:   runFig19,
 	})
 }
 
@@ -70,29 +66,6 @@ func designSpec(name string) SystemSpec {
 	}
 }
 
-// demandsAllSchemes: Figures 16 and 18 evaluate every scheme (the binary
-// baseline is allSchemes' first entry) over the benchmark roster.
-func demandsAllSchemes(opt Options) []Demand {
-	return demandsOver(opt.benchmarks(), allSchemes()...)
-}
-
-// demandsFig15: every baseline encoding at every segment size, plus the
-// binary reference, over the sweep benchmarks.
-func demandsFig15(opt Options) []Demand {
-	specs := []SystemSpec{BinaryBase()}
-	for _, scheme := range fig15Schemes() {
-		for _, seg := range fig15Segments {
-			specs = append(specs, SystemSpec{Scheme: scheme, DataWires: 64, SegmentBits: seg})
-		}
-	}
-	return demandsOver(opt.sweepBenchmarks(), specs...)
-}
-
-// demandsFig19: zero-skipped DESC against the binary baseline.
-func demandsFig19(opt Options) []Demand {
-	return demandsOver(opt.benchmarks(), BinaryBase(), DESCZero())
-}
-
 // schemeLabel names a spec as figure legends do, straight from the
 // scheme's registered descriptor. Unregistered names fall back to the
 // raw name so partially rendered tables stay legible.
@@ -119,10 +92,9 @@ func l2Norm(ctx context.Context, r *Runner, spec SystemSpec, p workload.Profile)
 
 // fig15Schemes enumerates every registered scheme whose traits declare a
 // segment-size axis — the paper's four prior-work encodings plus any
-// segmented codec the zoo has since gained (fpf, lwc, ...). The demand
-// set and the rendering loop share the function so the plan stays in
-// sync with the runs, and a newly registered segmented scheme joins the
-// sweep with no experiment-layer edit.
+// segmented codec the zoo has since gained (fpf, lwc, ...). A newly
+// registered segmented scheme joins the sweep with no experiment-layer
+// edit.
 func fig15Schemes() []string {
 	var names []string
 	for _, d := range link.Descriptors() {

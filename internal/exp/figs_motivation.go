@@ -8,24 +8,16 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:      "fig01",
-		Title:   "Figure 1: L2 energy as a fraction of total processor energy",
-		Demands: demandsMotivation,
-		Run:     runFig01,
+	registerSim(Experiment{
+		ID:    "fig01",
+		Title: "Figure 1: L2 energy as a fraction of total processor energy",
+		Run:   runFig01,
 	})
-	register(Experiment{
-		ID:      "fig02",
-		Title:   "Figure 2: components of overall 8MB L2 energy (LSTP devices)",
-		Demands: demandsMotivation,
-		Run:     runFig02,
+	registerSim(Experiment{
+		ID:    "fig02",
+		Title: "Figure 2: components of overall 8MB L2 energy (LSTP devices)",
+		Run:   runFig02,
 	})
-}
-
-// demandsMotivation: both motivation figures read the binary baseline
-// over the benchmark roster.
-func demandsMotivation(opt Options) []Demand {
-	return demandsOver(opt.benchmarks(), BinaryBase())
 }
 
 // runFig01 reproduces the motivation: with conventional binary transfer,

@@ -8,29 +8,25 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:      "fig23",
-		Title:   "Figure 23: S-NUCA-1 execution time with zero-skipped DESC",
-		Demands: demandsNUCA,
-		Run:     runFig23,
+	registerSim(Experiment{
+		ID:    "fig23",
+		Title: "Figure 23: S-NUCA-1 execution time with zero-skipped DESC",
+		Run:   runFig23,
 	})
-	register(Experiment{
-		ID:      "fig24",
-		Title:   "Figure 24: S-NUCA-1 L2 energy with zero-skipped DESC",
-		Demands: demandsNUCA,
-		Run:     runFig24,
+	registerSim(Experiment{
+		ID:    "fig24",
+		Title: "Figure 24: S-NUCA-1 L2 energy with zero-skipped DESC",
+		Run:   runFig24,
 	})
-	register(Experiment{
-		ID:      "fig28",
-		Title:   "Figure 28: execution time under SECDED ECC",
-		Demands: demandsECC,
-		Run:     runFig28,
+	registerSim(Experiment{
+		ID:    "fig28",
+		Title: "Figure 28: execution time under SECDED ECC",
+		Run:   runFig28,
 	})
-	register(Experiment{
-		ID:      "fig29",
-		Title:   "Figure 29: L2 energy under SECDED ECC",
-		Demands: demandsECC,
-		Run:     runFig29,
+	registerSim(Experiment{
+		ID:    "fig29",
+		Title: "Figure 29: L2 energy under SECDED ECC",
+		Run:   runFig29,
 	})
 }
 
@@ -40,22 +36,6 @@ func nucaSpecs() (binary, desc SystemSpec) {
 	binary = SystemSpec{Scheme: "binary", DataWires: 128, Banks: 128, NUCA: true}
 	desc = SystemSpec{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4, Banks: 128, NUCA: true}
 	return
-}
-
-// demandsNUCA: both S-NUCA-1 figures compare the same spec pair over the
-// benchmark roster.
-func demandsNUCA(opt Options) []Demand {
-	binary, desc := nucaSpecs()
-	return demandsOver(opt.benchmarks(), binary, desc)
-}
-
-// demandsECC: Figures 28/29 evaluate the four W-S SECDED configurations.
-func demandsECC(opt Options) []Demand {
-	var specs []SystemSpec
-	for _, s := range eccSpecs() {
-		specs = append(specs, s.spec)
-	}
-	return demandsOver(opt.benchmarks(), specs...)
 }
 
 // runFig23 reports DESC's execution time on S-NUCA-1 normalized to binary

@@ -10,23 +10,20 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:      "fig20",
-		Title:   "Figure 20: execution time by data communication scheme",
-		Demands: demandsAllSchemes,
-		Run:     runFig20,
+	registerSim(Experiment{
+		ID:    "fig20",
+		Title: "Figure 20: execution time by data communication scheme",
+		Run:   runFig20,
 	})
-	register(Experiment{
-		ID:      "fig21",
-		Title:   "Figure 21: average L2 hit delay, binary vs DESC",
-		Demands: demandsFig21,
-		Run:     runFig21,
+	registerSim(Experiment{
+		ID:    "fig21",
+		Title: "Figure 21: average L2 hit delay, binary vs DESC",
+		Run:   runFig21,
 	})
-	register(Experiment{
-		ID:      "fig30",
-		Title:   "Figure 30: out-of-order execution time (SPEC CPU2006)",
-		Demands: demandsFig30,
-		Run:     runFig30,
+	registerSim(Experiment{
+		ID:    "fig30",
+		Title: "Figure 30: out-of-order execution time (SPEC CPU2006)",
+		Run:   runFig30,
 	})
 }
 
@@ -71,10 +68,6 @@ func fig21Specs() []SystemSpec {
 		{Scheme: "desc-zero", DataWires: 64, ChunkBits: 4},
 		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4},
 	}
-}
-
-func demandsFig21(opt Options) []Demand {
-	return demandsOver(opt.benchmarks(), fig21Specs()...)
 }
 
 // runFig21 reports the average L2 hit delay in cycles for binary and
@@ -125,11 +118,6 @@ func fig30Specs() (base, desc SystemSpec) {
 	desc = DESCZero()
 	desc.Kind = cpusim.OutOfOrder
 	return
-}
-
-func demandsFig30(opt Options) []Demand {
-	base, desc := fig30Specs()
-	return demandsOver(fig30Profiles(opt), base, desc)
 }
 
 // runFig30 runs the eight SPEC CPU2006 profiles on the out-of-order core

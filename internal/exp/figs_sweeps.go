@@ -9,42 +9,31 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:      "fig14",
-		Title:   "Figure 14: L2 design space over ITRS device classes",
-		Demands: demandsFig14,
-		Run:     runFig14,
+	registerSim(Experiment{
+		ID:    "fig14",
+		Title: "Figure 14: L2 design space over ITRS device classes",
+		Run:   runFig14,
 	})
-	register(Experiment{
-		ID:      "fig22",
-		Title:   "Figure 22: cache design space, binary vs DESC",
-		Demands: demandsFig22,
-		Run:     runFig22,
+	registerSim(Experiment{
+		ID:    "fig22",
+		Title: "Figure 22: cache design space, binary vs DESC",
+		Run:   runFig22,
 	})
-	register(Experiment{
-		ID:      "fig25",
-		Title:   "Figure 25: sensitivity to the number of banks",
-		Demands: demandsFig25,
-		Run:     runFig25,
+	registerSim(Experiment{
+		ID:    "fig25",
+		Title: "Figure 25: sensitivity to the number of banks",
+		Run:   runFig25,
 	})
-	register(Experiment{
-		ID:      "fig26",
-		Title:   "Figure 26: sensitivity to chunk size and bus width",
-		Demands: demandsFig26,
-		Run:     runFig26,
+	registerSim(Experiment{
+		ID:    "fig26",
+		Title: "Figure 26: sensitivity to chunk size and bus width",
+		Run:   runFig26,
 	})
-	register(Experiment{
-		ID:      "fig27",
-		Title:   "Figure 27: impact of L2 capacity on cache energy",
-		Demands: demandsFig27,
-		Run:     runFig27,
+	registerSim(Experiment{
+		ID:    "fig27",
+		Title: "Figure 27: impact of L2 capacity on cache energy",
+		Run:   runFig27,
 	})
-}
-
-// sweepDemands is the demand set of every sweepPoint-based figure: the
-// swept specs plus the binary reference, over the sweep benchmarks.
-func sweepDemands(opt Options, specs []SystemSpec) []Demand {
-	return demandsOver(opt.sweepBenchmarks(), append([]SystemSpec{BinaryBase()}, specs...)...)
 }
 
 // sweepPoint evaluates a spec over the sweep benchmarks and returns
@@ -98,8 +87,6 @@ func fig14Specs(opt Options) []SystemSpec {
 	return specs
 }
 
-func demandsFig14(opt Options) []Demand { return sweepDemands(opt, fig14Specs(opt)) }
-
 // runFig14 explores cell/periphery device classes for the baseline binary
 // cache (paper: LSTP-LSTP with 8 banks and a 64-bit bus minimizes both L2
 // and processor energy at a ~2% execution time cost versus HP).
@@ -143,8 +130,6 @@ func fig22Specs(opt Options) []SystemSpec {
 	return specs
 }
 
-func demandsFig22(opt Options) []Demand { return sweepDemands(opt, fig22Specs(opt)) }
-
 // runFig22 scatters design points — bank count x bus width (and chunk
 // size for DESC) — in the energy/time plane (paper: DESC opens new
 // design points with higher energy efficiency at little latency cost).
@@ -181,8 +166,6 @@ func fig25Specs(opt Options) []SystemSpec {
 	return specs
 }
 
-func demandsFig25(opt Options) []Demand { return sweepDemands(opt, fig25Specs(opt)) }
-
 // runFig25 sweeps the bank count for zero-skipped DESC (paper: both L2
 // energy and execution time reach their best around 8 banks; beyond that
 // per-bank overheads grow).
@@ -216,8 +199,6 @@ func fig26Specs(opt Options) []SystemSpec {
 	return specs
 }
 
-func demandsFig26(opt Options) []Demand { return sweepDemands(opt, fig26Specs(opt)) }
-
 // runFig26 sweeps chunk size (1..8 bits) and bus width (32..256 wires)
 // for zero-skipped DESC (paper: 4-bit chunks with 128 wires give the best
 // L2 energy-delay product).
@@ -240,16 +221,6 @@ func fig27Caps(opt Options) []int {
 		return []int{1 << 20, 8 << 20, 32 << 20}
 	}
 	return []int{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20}
-}
-
-func demandsFig27(opt Options) []Demand {
-	var specs []SystemSpec
-	for _, c := range fig27Caps(opt) {
-		dSpec := DESCZero()
-		dSpec.CapacityBytes = c
-		specs = append(specs, SystemSpec{Scheme: "binary", DataWires: 64, CapacityBytes: c}, dSpec)
-	}
-	return sweepDemands(opt, specs)
 }
 
 // runFig27 sweeps the L2 capacity (paper: DESC improves cache energy by

@@ -85,6 +85,11 @@ type Runner struct {
 
 	mu    sync.Mutex
 	calls map[runKey]*call
+
+	// planning makes this a planning Runner (see planOf): RunOne only
+	// appends each request to plan and returns standIn.
+	planning bool
+	plan     []Demand
 }
 
 // runnerMetrics counts the run cache's behavior: how much work the
@@ -209,6 +214,12 @@ func (r *Runner) key(spec SystemSpec, bench string) runKey {
 // retry; cancellation via ctx returns ctx.Err() without waiting for the
 // underlying simulation.
 func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Profile) (RunResult, error) {
+	if r.planning {
+		r.plan = append(r.plan, Demand{Spec: spec, Bench: prof.Name})
+		res := standIn
+		res.Bench = prof.Name
+		return res, nil
+	}
 	key := r.key(spec, prof.Name)
 	r.mu.Lock()
 	if c, ok := r.calls[key]; ok {
@@ -348,9 +359,9 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 	return nil
 }
 
-// Run plans and renders one experiment: its declared demand set executes
-// on the worker pool first, then the experiment's Run phase renders
-// tables from the warmed cache.
+// Run plans and renders one experiment: its demand set executes on the
+// worker pool first, then the experiment's Run phase renders tables from
+// the warmed cache.
 func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) {
 	if e.Demands != nil {
 		if err := r.Execute(ctx, e.Demands(r.opt)); err != nil {
@@ -358,6 +369,42 @@ func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) 
 		}
 	}
 	return e.Run(ctx, r)
+}
+
+// standIn is what a planning Runner returns for every run: each quantity
+// a render reads is 1, so every ratio, mean and geomean it takes is
+// defined and the render runs its loops to the end.
+var standIn = RunResult{
+	Cycles: 1,
+	Breakdown: energy.Breakdown{
+		CoreDynJ: 1, L1DynJ: 1, CoreStaticJ: 1,
+		L2HTreeJ: 1, L2ArrayJ: 1, L2StaticJ: 1, DRAMJ: 1,
+	},
+	AvgHit:   1,
+	Sim:      cpusim.Result{Cycles: 1, Instructions: 1, MemRefs: 1, AvgHitLatencyCycles: 1},
+	AreaMM2:  1,
+	LeakageW: 1,
+}
+
+// planOf derives an experiment's demand set from its render phase: it
+// dry-runs run on a planning Runner, which records every RunOne request
+// without simulating, and returns the requests deduplicated in
+// first-occurrence order. The planning Runner never touches a cache, the
+// worker pool, an observer, metrics or the disk. If the dry render fails,
+// planOf returns what it recorded; the real render then computes the
+// remaining runs inline.
+func planOf(run func(context.Context, *Runner) ([]*stats.Table, error), opt Options) []Demand {
+	r := &Runner{opt: opt.WithDefaults(), planning: true}
+	_, _ = run(context.Background(), r)
+	seen := make(map[Demand]bool, len(r.plan))
+	plan := r.plan[:0]
+	for _, d := range r.plan {
+		if !seen[d] {
+			seen[d] = true
+			plan = append(plan, d)
+		}
+	}
+	return plan
 }
 
 // Simulate performs one full system simulation: it builds the L2 model
@@ -422,16 +469,4 @@ func Simulate(ctx context.Context, spec SystemSpec, gen *workload.Generator, str
 		AreaMM2:   h.Model().AreaMM2(),
 		LeakageW:  h.Model().LeakageW(),
 	}, nil
-}
-
-// demandsOver crosses specs with profiles: the standard demand-set shape
-// of experiments that evaluate a spec list over a benchmark list.
-func demandsOver(profiles []workload.Profile, specs ...SystemSpec) []Demand {
-	out := make([]Demand, 0, len(profiles)*len(specs))
-	for _, p := range profiles {
-		for _, s := range specs {
-			out = append(out, Demand{Spec: s, Bench: p.Name})
-		}
-	}
-	return out
 }

@@ -187,7 +187,12 @@ func TestRunnerParallelSweepSharesCalibration(t *testing.T) {
 		s.Banks = banks
 		specs = append(specs, s)
 	}
-	demands := demandsOver(workload.Parallel()[:2], specs...)
+	var demands []Demand
+	for _, p := range workload.Parallel()[:2] {
+		for _, s := range specs {
+			demands = append(demands, Demand{Spec: s, Bench: p.Name})
+		}
+	}
 	parallel := mustRunner(opt, Jobs(4))
 	if err := parallel.Execute(context.Background(), demands); err != nil {
 		t.Fatal(err)

@@ -404,6 +404,39 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestExperimentPlannedMatchesRuns: on a fresh server, a request's
+// planned total is the number of runs it then starts. fig14 is the case
+// in point: its quick device-class sweep repeats the binary baseline.
+func TestExperimentPlannedMatchesRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run skipped in -short mode")
+	}
+	s := New(Config{})
+	rec := do(t, s, http.MethodPost, "/v1/experiments", "application/json",
+		[]byte(`{"id":"fig14","quick":true,"instr":400}`))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d; body: %s", rec.Code, rec.Body.String())
+	}
+	planned, started := -1, 0
+	for _, line := range bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n")) {
+		var ev event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("stream line does not parse: %v; line: %q", err, line)
+		}
+		switch ev.Event {
+		case "planned":
+			planned = ev.Total
+		case "run_started":
+			started++
+		case "error":
+			t.Fatalf("stream carries an error event: %s", ev.Error)
+		}
+	}
+	if planned != started {
+		t.Errorf("planned total %d, but the stream started %d runs", planned, started)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s := New(Config{})
 	payload := trafficPayload(t)
