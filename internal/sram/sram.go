@@ -41,6 +41,16 @@ func (o Organization) Validate() error {
 	if o.Subbanks <= 0 || o.Mats <= 0 {
 		return fmt.Errorf("sram: %d subbanks x %d mats", o.Subbanks, o.Mats)
 	}
+	for _, c := range []struct {
+		role  string
+		class wiremodel.DeviceClass
+	}{{"cell", o.Cells}, {"periphery", o.Periphery}} {
+		switch c.class {
+		case wiremodel.HP, wiremodel.LOP, wiremodel.LSTP:
+		default:
+			return fmt.Errorf("sram: unknown %s device class %v; want HP, LOP or LSTP", c.role, c.class)
+		}
+	}
 	return nil
 }
 

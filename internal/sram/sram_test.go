@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"strings"
 	"testing"
 
 	"desc/internal/wiremodel"
@@ -24,6 +25,15 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := NewBank(Organization{CapacityBytes: 1 << 20, Subbanks: 0, Mats: 4}); err == nil {
 		t.Error("zero subbanks accepted")
+	}
+	for _, org := range []Organization{
+		{CapacityBytes: 1 << 20, Subbanks: 4, Mats: 4, Cells: wiremodel.DeviceClass(3)},
+		{CapacityBytes: 1 << 20, Subbanks: 4, Mats: 4, Periphery: wiremodel.DeviceClass(-1)},
+	} {
+		_, err := NewBank(org)
+		if err == nil || !strings.HasPrefix(err.Error(), "sram: unknown ") {
+			t.Errorf("cells %v, periphery %v: error %v, want an sram: unknown device class error", org.Cells, org.Periphery, err)
+		}
 	}
 }
 
