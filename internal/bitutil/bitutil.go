@@ -1,6 +1,7 @@
 // Package bitutil provides the bit-level primitives shared by all data
-// transfer codecs: Hamming weight/distance over byte slices, and the
-// extraction and reassembly of fixed-width chunks from cache blocks.
+// transfer codecs: bit access, the extraction and reassembly of
+// fixed-width chunks from cache blocks, and the word-parallel kernels of
+// swar.go.
 //
 // Throughout the repository a cache block is a []byte in little-endian bit
 // order: bit i of the block is bit (i%8) of byte i/8. A "chunk" is a k-bit
@@ -8,32 +9,7 @@
 // chunk per wire per round.
 package bitutil
 
-import (
-	"fmt"
-	"math/bits"
-)
-
-// HammingWeight returns the number of set bits in b.
-func HammingWeight(b []byte) int {
-	n := 0
-	for _, x := range b {
-		n += bits.OnesCount8(x)
-	}
-	return n
-}
-
-// HammingDistance returns the number of bit positions at which a and b
-// differ. The slices must have equal length.
-func HammingDistance(a, b []byte) int {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("bitutil: Hamming distance of unequal lengths %d and %d", len(a), len(b)))
-	}
-	n := 0
-	for i := range a {
-		n += bits.OnesCount8(a[i] ^ b[i])
-	}
-	return n
-}
+import "fmt"
 
 // Bit reports bit i of block (little-endian bit order).
 func Bit(block []byte, i int) bool {
@@ -131,17 +107,3 @@ func Clone(b []byte) []byte {
 	copy(c, b)
 	return c
 }
-
-// IsZero reports whether every byte of b is zero.
-func IsZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// OnesCount16 is a convenience re-export used by codecs operating on
-// chunk values.
-func OnesCount16(v uint16) int { return bits.OnesCount16(v) }

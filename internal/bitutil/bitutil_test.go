@@ -6,41 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestHammingWeight(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		in   []byte
-		want int
-	}{
-		{nil, 0},
-		{[]byte{0x00}, 0},
-		{[]byte{0xFF}, 8},
-		{[]byte{0x53}, 4}, // the paper's example byte 01010011
-		{[]byte{0x0F, 0xF0}, 8},
-	}
-	for _, c := range cases {
-		if got := HammingWeight(c.in); got != c.want {
-			t.Errorf("HammingWeight(%x) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	t.Parallel()
-	if got := HammingDistance([]byte{0x00}, []byte{0x53}); got != 4 {
-		t.Errorf("HD(0x00, 0x53) = %d, want 4", got)
-	}
-	if got := HammingDistance([]byte{0xAA, 0x55}, []byte{0xAA, 0x55}); got != 0 {
-		t.Errorf("HD(x, x) = %d, want 0", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("HammingDistance of unequal lengths did not panic")
-		}
-	}()
-	HammingDistance([]byte{1}, []byte{1, 2})
-}
-
 func TestBitSetBit(t *testing.T) {
 	t.Parallel()
 	b := make([]byte, 4)
@@ -146,14 +111,8 @@ func TestChunkPanics(t *testing.T) {
 	}
 }
 
-func TestIsZeroAndClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	t.Parallel()
-	if !IsZero([]byte{0, 0, 0}) {
-		t.Error("IsZero(zeros) = false")
-	}
-	if IsZero([]byte{0, 1, 0}) {
-		t.Error("IsZero(nonzero) = true")
-	}
 	orig := []byte{1, 2, 3}
 	c := Clone(orig)
 	c[0] = 9

@@ -3,7 +3,6 @@ package bitutil
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
 // This file holds the word-parallel (SWAR) kernels behind the hot encode
@@ -16,8 +15,6 @@ import (
 
 // Nibble and byte masks: one constant bit per lane of a word.
 const (
-	// NibbleLSB has bit 0 of every nibble set.
-	NibbleLSB = 0x1111111111111111
 	// NibbleMSB has bit 3 of every nibble set.
 	NibbleMSB = 0x8888888888888888
 	// nibbleLow3 has bits 0..2 of every nibble set.
@@ -28,10 +25,6 @@ const (
 	ByteMSB = 0x8080808080808080
 	// byteLow7 has bits 0..6 of every byte set.
 	byteLow7 = 0x7F7F7F7F7F7F7F7F
-	// byteLow and byteMSB are retained as internal aliases for the
-	// exported byte masks (the max-fold kernels predate the export).
-	byteLow = ByteLSB
-	byteMSB = ByteMSB
 )
 
 // LoadWords packs block into little-endian uint64 words (bit i of the block
@@ -60,14 +53,6 @@ func LoadWords(dst []uint64, block []byte) []uint64 {
 	return dst
 }
 
-// NibbleSpread broadcasts the 4-bit value v into all 16 nibbles of a word,
-// for comparing a whole word of chunks against one skip value.
-//
-//desclint:hotpath
-func NibbleSpread(v uint16) uint64 {
-	return uint64(v&0xF) * NibbleLSB
-}
-
 // NibbleZeroMask returns a word with bit 3 of each nibble set iff that
 // nibble of x is zero. The per-lane carry trick is exact: bit 3 of
 // (x&7)+7 is set iff the low three bits are non-zero, OR-ing in x adds
@@ -76,14 +61,6 @@ func NibbleSpread(v uint16) uint64 {
 //desclint:hotpath
 func NibbleZeroMask(x uint64) uint64 {
 	return ^(((x & nibbleLow3) + nibbleLow3) | x) & NibbleMSB
-}
-
-// NibbleEqMask returns a word with bit 3 of each nibble set iff the
-// corresponding nibbles of x and y are equal.
-//
-//desclint:hotpath
-func NibbleEqMask(x, y uint64) uint64 {
-	return NibbleZeroMask(x ^ y)
 }
 
 // NibbleNeqMask returns a word with bit 3 of each nibble set iff the
@@ -95,20 +72,13 @@ func NibbleNeqMask(x, y uint64) uint64 {
 	return ^NibbleZeroMask(x^y) & NibbleMSB
 }
 
-// CountZeroNibbles returns how many of the 16 nibbles of x are zero.
-//
-//desclint:hotpath
-func CountZeroNibbles(x uint64) int {
-	return bits.OnesCount64(NibbleZeroMask(x))
-}
-
 // byteMax returns the lane-wise maximum of two words of bytes. Both inputs
 // must have bit 7 of every byte clear (values <= 0x7F), which holds for
 // spread nibbles.
 func byteMax(a, b uint64) uint64 {
 	// Bit 7 of (a|0x80)-b is set iff a >= b in that lane; no borrow can
 	// cross lanes because every lane of a|0x80 exceeds every lane of b.
-	ge := (((a | byteMSB) - b) >> 7) & byteLow
+	ge := (((a | ByteMSB) - b) >> 7) & ByteLSB
 	mask := ge * 0xFF // broadcast each 0/1 to a full-byte 0x00/0xFF mask
 	return (a & mask) | (b &^ mask)
 }
@@ -149,13 +119,6 @@ func ByteLaneMask(n int) uint64 {
 	return (uint64(1) << (8 * uint(n))) - 1
 }
 
-// ByteSpread broadcasts the 8-bit value v into all 8 bytes of a word.
-//
-//desclint:hotpath
-func ByteSpread(v uint16) uint64 {
-	return uint64(v&0xFF) * ByteLSB
-}
-
 // ByteZeroMask returns a word with bit 7 of each byte set iff that byte
 // of x is zero. Same exact per-lane carry form as NibbleZeroMask: bit 7
 // of (x&0x7F)+0x7F is set iff the low seven bits are non-zero, OR-ing in
@@ -167,14 +130,6 @@ func ByteZeroMask(x uint64) uint64 {
 	return ^(((x & byteLow7) + byteLow7) | x) & ByteMSB
 }
 
-// ByteEqMask returns a word with bit 7 of each byte set iff the
-// corresponding bytes of x and y are equal.
-//
-//desclint:hotpath
-func ByteEqMask(x, y uint64) uint64 {
-	return ByteZeroMask(x ^ y)
-}
-
 // ByteNeqMask returns a word with bit 7 of each byte set iff the
 // corresponding bytes of x and y differ. Iterate its set bits with
 // bits.TrailingZeros64 &^ 7 to visit only the differing lanes.
@@ -182,13 +137,6 @@ func ByteEqMask(x, y uint64) uint64 {
 //desclint:hotpath
 func ByteNeqMask(x, y uint64) uint64 {
 	return ^ByteZeroMask(x^y) & ByteMSB
-}
-
-// CountZeroBytes returns how many of the 8 bytes of x are zero.
-//
-//desclint:hotpath
-func CountZeroBytes(x uint64) int {
-	return bits.OnesCount64(ByteZeroMask(x))
 }
 
 // BytePopcounts returns a word whose byte lanes hold the population

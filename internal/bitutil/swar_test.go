@@ -49,49 +49,27 @@ func TestLoadWordsReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestNibbleSpread(t *testing.T) {
-	t.Parallel()
-	for v := uint16(0); v < 16; v++ {
-		w := NibbleSpread(v)
-		for i := 0; i < 16; i++ {
-			if nibbleAt(w, i) != v {
-				t.Fatalf("NibbleSpread(%d) nibble %d = %d", v, i, nibbleAt(w, i))
-			}
-		}
-	}
-}
-
 func TestNibbleMasksMatchScalar(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
-	words := []uint64{0, ^uint64(0), NibbleSpread(1), 0x0123456789ABCDEF, 0xF0F0F0F0F0F0F0F0}
+	words := []uint64{0, ^uint64(0), 0x1111111111111111, 0x0123456789ABCDEF, 0xF0F0F0F0F0F0F0F0}
 	for i := 0; i < 500; i++ {
 		words = append(words, rng.Uint64())
 	}
 	for _, x := range words {
 		y := words[int(x%uint64(len(words)))]
-		zm, eq, neq := NibbleZeroMask(x), NibbleEqMask(x, y), NibbleNeqMask(x, y)
-		zeros := 0
+		zm, neq := NibbleZeroMask(x), NibbleNeqMask(x, y)
 		for i := 0; i < 16; i++ {
 			bit := uint64(8) << (4 * uint(i))
 			if (nibbleAt(x, i) == 0) != (zm&bit != 0) {
 				t.Fatalf("NibbleZeroMask(%#x) wrong at nibble %d", x, i)
 			}
-			if (nibbleAt(x, i) == nibbleAt(y, i)) != (eq&bit != 0) {
-				t.Fatalf("NibbleEqMask(%#x, %#x) wrong at nibble %d", x, y, i)
-			}
 			if (nibbleAt(x, i) != nibbleAt(y, i)) != (neq&bit != 0) {
 				t.Fatalf("NibbleNeqMask(%#x, %#x) wrong at nibble %d", x, y, i)
 			}
-			if nibbleAt(x, i) == 0 {
-				zeros++
-			}
 		}
-		if zm&^uint64(NibbleMSB) != 0 || eq&^uint64(NibbleMSB) != 0 || neq&^uint64(NibbleMSB) != 0 {
+		if zm&^uint64(NibbleMSB) != 0 || neq&^uint64(NibbleMSB) != 0 {
 			t.Fatalf("mask for %#x sets bits outside nibble MSBs", x)
-		}
-		if got := CountZeroNibbles(x); got != zeros {
-			t.Fatalf("CountZeroNibbles(%#x) = %d, want %d", x, got, zeros)
 		}
 	}
 }
@@ -143,49 +121,27 @@ func byteAt(x uint64, i int) uint16 {
 	return uint16(x>>(8*uint(i))) & 0xFF
 }
 
-func TestByteSpread(t *testing.T) {
-	t.Parallel()
-	for v := uint16(0); v < 256; v++ {
-		w := ByteSpread(v)
-		for i := 0; i < 8; i++ {
-			if byteAt(w, i) != v {
-				t.Fatalf("ByteSpread(%d) byte %d = %d", v, i, byteAt(w, i))
-			}
-		}
-	}
-}
-
 func TestByteMasksMatchScalar(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
-	words := []uint64{0, ^uint64(0), ByteSpread(1), ByteSpread(0x80), 0x0123456789ABCDEF, 0xFF00FF00FF00FF00, 0x0100000000000001}
+	words := []uint64{0, ^uint64(0), 0x0101010101010101, 0x8080808080808080, 0x0123456789ABCDEF, 0xFF00FF00FF00FF00, 0x0100000000000001}
 	for i := 0; i < 500; i++ {
 		words = append(words, rng.Uint64())
 	}
 	for _, x := range words {
 		y := words[int(x%uint64(len(words)))]
-		zm, eq, neq := ByteZeroMask(x), ByteEqMask(x, y), ByteNeqMask(x, y)
-		zeros := 0
+		zm, neq := ByteZeroMask(x), ByteNeqMask(x, y)
 		for i := 0; i < 8; i++ {
 			bit := uint64(0x80) << (8 * uint(i))
 			if (byteAt(x, i) == 0) != (zm&bit != 0) {
 				t.Fatalf("ByteZeroMask(%#x) wrong at byte %d", x, i)
 			}
-			if (byteAt(x, i) == byteAt(y, i)) != (eq&bit != 0) {
-				t.Fatalf("ByteEqMask(%#x, %#x) wrong at byte %d", x, y, i)
-			}
 			if (byteAt(x, i) != byteAt(y, i)) != (neq&bit != 0) {
 				t.Fatalf("ByteNeqMask(%#x, %#x) wrong at byte %d", x, y, i)
 			}
-			if byteAt(x, i) == 0 {
-				zeros++
-			}
 		}
-		if zm&^uint64(ByteMSB) != 0 || eq&^uint64(ByteMSB) != 0 || neq&^uint64(ByteMSB) != 0 {
+		if zm&^uint64(ByteMSB) != 0 || neq&^uint64(ByteMSB) != 0 {
 			t.Fatalf("mask for %#x sets bits outside byte MSBs", x)
-		}
-		if got := CountZeroBytes(x); got != zeros {
-			t.Fatalf("CountZeroBytes(%#x) = %d, want %d", x, got, zeros)
 		}
 	}
 }
