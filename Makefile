@@ -10,7 +10,7 @@ FUZZTIME ?= 30s
 # Worker-pool size for results-quick (0 = GOMAXPROCS).
 JOBS ?= 0
 
-.PHONY: all build test race lint lint-json lint-baseline vet fuzz bench bench-quick results-quick results-cached serve-smoke verify clean
+.PHONY: all build test race lint lint-json lint-baseline vet perfbench-check fuzz bench bench-quick results-quick results-cached serve-smoke verify clean
 
 all: build
 
@@ -47,6 +47,12 @@ lint-baseline:
 ## vet: go vet alone (lint already includes it)
 vet:
 	$(GO) vet ./...
+
+## perfbench-check: vet and test the nested perfbench module, which
+## `go build ./...` skips although it compiles against internal/exp and
+## the public desc API
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## fuzz: 30-second smoke per fuzz target, seeded from testdata/fuzz
 fuzz:
@@ -135,7 +141,7 @@ serve-smoke:
 	$(GO) test -run TestEncodeHotPathZeroAlloc -count=1 ./internal/serve
 
 ## verify: everything CI gates a PR on
-verify: build lint test race
+verify: build lint test race perfbench-check
 	@echo "verify: OK"
 
 clean:
