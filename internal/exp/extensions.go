@@ -16,15 +16,6 @@ func init() {
 	})
 }
 
-// ext01Specs are the three skip policies under comparison.
-func ext01Specs() []SystemSpec {
-	return []SystemSpec{
-		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4},
-		{Scheme: "desc-last", DataWires: 128, ChunkBits: 4},
-		{Scheme: "desc-adaptive", DataWires: 128, ChunkBits: 4},
-	}
-}
-
 // runExt01 implements the adaptive frequent-value detector the paper
 // considered: per-wire saturating counters track the most frequent chunk
 // value and skip it. The paper rejected it because non-zero values are
@@ -32,7 +23,11 @@ func ext01Specs() []SystemSpec {
 // experiment reproduces that comparison against zero and last-value
 // skipping.
 func runExt01(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	specs := ext01Specs()
+	specs := []SystemSpec{
+		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4},
+		{Scheme: "desc-last", DataWires: 128, ChunkBits: 4},
+		{Scheme: "desc-adaptive", DataWires: 128, ChunkBits: 4},
+	}
 	t := stats.NewTable("Extension: skip-policy comparison (L2 energy normalized to binary)",
 		"Benchmark", "Zero Skipped", "Last Value Skipped", "Adaptive Skipped")
 	geos := make([][]float64, len(specs))
