@@ -41,14 +41,10 @@ func (o Organization) Validate() error {
 	if o.Subbanks <= 0 || o.Mats <= 0 {
 		return fmt.Errorf("sram: %d subbanks x %d mats", o.Subbanks, o.Mats)
 	}
-	for _, c := range []struct {
-		role  string
-		class wiremodel.DeviceClass
-	}{{"cell", o.Cells}, {"periphery", o.Periphery}} {
-		switch c.class {
-		case wiremodel.HP, wiremodel.LOP, wiremodel.LSTP:
-		default:
-			return fmt.Errorf("sram: unknown %s device class %v; want HP, LOP or LSTP", c.role, c.class)
+	for _, c := range []wiremodel.DeviceClass{o.Cells, o.Periphery} {
+		if c != wiremodel.HP && c != wiremodel.LOP && c != wiremodel.LSTP {
+			return fmt.Errorf("sram: unknown device class in %v cells, %v periphery; want HP, LOP or LSTP",
+				o.Cells, o.Periphery)
 		}
 	}
 	return nil
