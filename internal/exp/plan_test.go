@@ -78,24 +78,16 @@ func TestDemandPlansGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	ids := map[string]bool{}
-	for id := range got { //desclint:allow determinism sorted below
-		ids[id] = true
-	}
-	for id := range want { //desclint:allow determinism sorted below
-		ids[id] = true
-	}
-	sorted := make([]string, 0, len(ids))
-	for id := range ids { //desclint:allow determinism sorted immediately below
-		sorted = append(sorted, id)
-	}
-	sort.Strings(sorted)
-	for _, id := range sorted {
+	for _, e := range All() {
 		for _, m := range modes {
-			g, w := got[id][m.name], want[id][m.name]
-			if g != w {
-				t.Errorf("%s %s: demand plan %+v, golden %+v", id, m.name, g, w)
+			if g, w := got[e.ID][m.name], want[e.ID][m.name]; g != w {
+				t.Errorf("%s %s: demand plan %+v, golden %+v", e.ID, m.name, g, w)
 			}
+		}
+	}
+	for id := range want { //desclint:allow determinism failure reporting only
+		if got[id] == nil {
+			t.Errorf("%s: golden plan for an experiment with no demands", id)
 		}
 	}
 }
