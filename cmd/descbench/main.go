@@ -47,17 +47,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
-	"text/tabwriter"
 	"time"
 
-	"desc"
 	"desc/internal/exp"
+	"desc/internal/link"
 	"desc/internal/metrics"
 	"desc/internal/progress"
 	"desc/internal/runcache"
@@ -93,36 +91,6 @@ func writeCacheStats(store *runcache.Store, path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// printSchemes prints the registry as a sorted name/label/traits table —
-// the roster every experiment (notably ext-zoo) sweeps.
-func printSchemes(w io.Writer) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NAME\tLABEL\tCODEC CYCLES\tHISTORY\tDESC I/F\tAXES\tDESIGN POINT")
-	for _, d := range desc.SchemeDescriptors() {
-		var axes []string
-		if d.Traits.UsesChunkBits {
-			axes = append(axes, "chunk")
-		}
-		if d.Traits.UsesSegmentBits {
-			axes = append(axes, "segment")
-		}
-		if len(axes) == 0 {
-			axes = []string{"-"}
-		}
-		design := fmt.Sprintf("%dw", d.Traits.DesignWires)
-		if d.Traits.DesignChunkBits > 0 {
-			design += fmt.Sprintf(" %dc", d.Traits.DesignChunkBits)
-		}
-		if d.Traits.DesignSegmentBits > 0 {
-			design += fmt.Sprintf(" %ds", d.Traits.DesignSegmentBits)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%v\t%s\t%s\n",
-			d.Name, d.Label, d.Traits.CodecCycles, d.Traits.History,
-			d.Traits.DESCInterface, strings.Join(axes, ","), design)
-	}
-	tw.Flush()
-}
-
 func main() {
 	var (
 		quick       = flag.Bool("quick", false, "reduced sweeps and instruction budgets")
@@ -149,7 +117,10 @@ func main() {
 		return
 	}
 	if *listSchemes {
-		printSchemes(os.Stdout)
+		if err := link.WriteRoster(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "descbench:", err)
+			os.Exit(1)
+		}
 		return
 	}
 	if *jobs < 0 {

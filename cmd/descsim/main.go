@@ -17,13 +17,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
-	"text/tabwriter"
 	"time"
 
 	"desc"
+	"desc/internal/link"
 	"desc/internal/metrics"
 )
 
@@ -67,7 +65,10 @@ func main() {
 		return
 	}
 	if *listFull {
-		listSchemes(os.Stdout)
+		if err := link.WriteRoster(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "descsim:", err)
+			os.Exit(1)
+		}
 		return
 	}
 	if *benches {
@@ -138,36 +139,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "descsim: run report written to %s\n", *metricsPath)
 	}
-}
-
-// listSchemes prints the registry as a sorted name/label/traits table —
-// the self-description every scheme package registers.
-func listSchemes(w io.Writer) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NAME\tLABEL\tCODEC CYCLES\tHISTORY\tDESC I/F\tAXES\tDESIGN POINT")
-	for _, d := range desc.SchemeDescriptors() {
-		var axes []string
-		if d.Traits.UsesChunkBits {
-			axes = append(axes, "chunk")
-		}
-		if d.Traits.UsesSegmentBits {
-			axes = append(axes, "segment")
-		}
-		if len(axes) == 0 {
-			axes = []string{"-"}
-		}
-		design := fmt.Sprintf("%dw", d.Traits.DesignWires)
-		if d.Traits.DesignChunkBits > 0 {
-			design += fmt.Sprintf(" %dc", d.Traits.DesignChunkBits)
-		}
-		if d.Traits.DesignSegmentBits > 0 {
-			design += fmt.Sprintf(" %ds", d.Traits.DesignSegmentBits)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%v\t%s\t%s\n",
-			d.Name, d.Label, d.Traits.CodecCycles, d.Traits.History,
-			d.Traits.DESCInterface, strings.Join(axes, ","), design)
-	}
-	tw.Flush()
 }
 
 // timing captures one Simulate call's wall-clock outcome for the report.

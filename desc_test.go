@@ -99,6 +99,7 @@ func TestSimulateInputValidation(t *testing.T) {
 		{"ECC over 32-bit segments", SystemConfig{ECCSegmentBits: 32}, ""},
 		{"ECC over 128-bit segments", SystemConfig{ECCSegmentBits: 128}, ""},
 		{"out-of-order core", SystemConfig{Kind: OutOfOrder}, ""},
+		{"unknown scheme with bad geometry", SystemConfig{Scheme: "bogus", DataWires: -1}, `link: unknown scheme "bogus"`},
 	} {
 		c.cfg.InstrPerContext = 500
 		res, err := Simulate(c.cfg, "Art")

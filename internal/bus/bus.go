@@ -9,8 +9,6 @@
 // toggle detector, and toggle regenerator used on shared H-tree segments.
 package bus
 
-import "fmt"
-
 // Bus is a set of wires that remember their logic state and count their
 // transitions. State persists across block transfers, exactly as physical
 // wires do, so codecs see realistic inter-block Hamming distances.
@@ -24,9 +22,6 @@ type Bus struct {
 func New(n int) *Bus {
 	return &Bus{state: make([]bool, n), flips: make([]uint64, n)}
 }
-
-// Width returns the number of wires.
-func (b *Bus) Width() int { return len(b.state) }
 
 // State reports the current logic level of wire i.
 func (b *Bus) State(i int) bool { return b.state[i] }
@@ -49,19 +44,6 @@ func (b *Bus) Set(i int, v bool) int {
 	b.flips[i]++
 	b.total++
 	return 1
-}
-
-// SetWord drives wires [0, len(bits)) to the given levels and returns the
-// number of flips (the Hamming distance between old and new state).
-func (b *Bus) SetWord(levels []bool) int {
-	if len(levels) > len(b.state) {
-		panic(fmt.Sprintf("bus: word of %d bits on %d-wire bus", len(levels), len(b.state)))
-	}
-	n := 0
-	for i, v := range levels {
-		n += b.Set(i, v)
-	}
-	return n
 }
 
 // Flips returns the total number of transitions recorded on wire i.

@@ -8,9 +8,6 @@ import (
 func TestBusToggleAndSet(t *testing.T) {
 	t.Parallel()
 	b := New(4)
-	if b.Width() != 4 {
-		t.Fatalf("Width = %d", b.Width())
-	}
 	b.Toggle(0)
 	if !b.State(0) || b.Flips(0) != 1 {
 		t.Error("toggle did not flip wire 0")
@@ -31,12 +28,19 @@ func TestBusSetWordHammingDistance(t *testing.T) {
 	b := New(8)
 	// 01010011 from all-zero: 4 flips (paper Figure 3a).
 	word := []bool{true, true, false, false, true, false, true, false}
-	if n := b.SetWord(word); n != 4 {
-		t.Errorf("SetWord flips = %d, want 4", n)
+	setWord := func() int {
+		n := 0
+		for i, v := range word {
+			n += b.Set(i, v)
+		}
+		return n
+	}
+	if n := setWord(); n != 4 {
+		t.Errorf("word flips = %d, want 4", n)
 	}
 	// Same word again: 0 flips.
-	if n := b.SetWord(word); n != 0 {
-		t.Errorf("repeat SetWord flips = %d, want 0", n)
+	if n := setWord(); n != 0 {
+		t.Errorf("repeat word flips = %d, want 0", n)
 	}
 }
 

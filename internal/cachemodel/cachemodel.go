@@ -59,10 +59,6 @@ type Config struct {
 	CapacityBytes int
 	// Banks is the number of independent banks (default 8).
 	Banks int
-	// BlockBytes is the cache block size (default 64).
-	BlockBytes int
-	// Ways is the set associativity (default 16).
-	Ways int
 	// DataWires is the H-tree data width in wires (default 64).
 	DataWires int
 	// Scheme names the transfer scheme (default "binary").
@@ -71,8 +67,6 @@ type Config struct {
 	ChunkBits int
 	// SegmentBits is the BIC/DZC segment size (default 8).
 	SegmentBits int
-	// Node is the technology node (default 22nm).
-	Node wiremodel.Node
 	// Cells and Periphery are the array device classes (default LSTP).
 	Cells, Periphery wiremodel.DeviceClass
 	// ClockGHz is the clock frequency (default 3.2).
@@ -93,12 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.Banks == 0 {
 		c.Banks = 8
 	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 64
-	}
-	if c.Ways == 0 {
-		c.Ways = 16
-	}
 	if c.DataWires == 0 {
 		c.DataWires = 64
 	}
@@ -111,14 +99,17 @@ func (c Config) withDefaults() Config {
 	if c.SegmentBits == 0 {
 		c.SegmentBits = 8
 	}
-	if c.Node.Name == "" {
-		c.Node = wiremodel.Node22
-	}
 	if c.ClockGHz == 0 {
 		c.ClockGHz = 3.2
 	}
 	return c
 }
+
+// blockBytes is Table 1's cache block size.
+const blockBytes = 64
+
+// node is the technology node of the evaluated cache (Table 1: 22nm).
+var node = wiremodel.Node22
 
 // Latency/energy constants beyond the wire and array models.
 const (
@@ -264,7 +255,7 @@ func New(cfg Config) (*Model, error) {
 		CapacityBytes: bankCap,
 		Subbanks:      subbanks,
 		Mats:          (totalMats + subbanks - 1) / subbanks,
-		Node:          cfg.Node,
+		Node:          node,
 		Cells:         cfg.Cells,
 		Periphery:     cfg.Periphery,
 	})
@@ -273,31 +264,26 @@ func New(cfg Config) (*Model, error) {
 	}
 	d, ok := link.Lookup(cfg.Scheme)
 	if !ok {
-		// Construct through link.New anyway for its richer error (the
-		// registry listing plus close-match suggestions).
-		_, err := link.New(link.Spec{
-			Scheme: cfg.Scheme, BlockBits: cfg.BlockBytes * 8, DataWires: cfg.DataWires,
-		})
-		if err == nil {
-			err = fmt.Errorf("cachemodel: unknown scheme %q", cfg.Scheme)
-		}
+		// link.New composes the unknown-scheme error (the registry
+		// listing plus close-match suggestions).
+		_, err := link.New(link.Spec{Scheme: cfg.Scheme})
 		return nil, err
 	}
 	m := &Model{cfg: cfg, traits: d.Traits, bank: bank, eccScale: 1}
 
 	if cfg.ECC.Enabled {
-		if cfg.BlockBytes*8%cfg.ECC.SegmentBits != 0 {
-			return nil, fmt.Errorf("cachemodel: block of %d bits not divisible into ECC segments of %d", cfg.BlockBytes*8, cfg.ECC.SegmentBits)
+		if blockBytes*8%cfg.ECC.SegmentBits != 0 {
+			return nil, fmt.Errorf("cachemodel: block of %d bits not divisible into ECC segments of %d", blockBytes*8, cfg.ECC.SegmentBits)
 		}
 		m.eccParityWires = cfg.ECC.parityBits()
-		segs := cfg.BlockBytes * 8 / cfg.ECC.SegmentBits
-		encoded := cfg.BlockBytes*8 + segs*m.eccParityWires
-		m.eccScale = float64(encoded) / float64(cfg.BlockBytes*8)
+		segs := blockBytes * 8 / cfg.ECC.SegmentBits
+		encoded := blockBytes*8 + segs*m.eccParityWires
+		m.eccScale = float64(encoded) / float64(blockBytes*8)
 	}
 
 	spec := link.Spec{
 		Scheme:      cfg.Scheme,
-		BlockBits:   cfg.BlockBytes * 8,
+		BlockBits:   blockBytes * 8,
 		DataWires:   cfg.DataWires,
 		ChunkBits:   cfg.ChunkBits,
 		SegmentBits: cfg.SegmentBits,
@@ -360,7 +346,7 @@ func (m *Model) Config() Config { return m.cfg }
 func (m *Model) Banks() int { return m.cfg.Banks }
 
 // BlockBytes returns the block size.
-func (m *Model) BlockBytes() int { return m.cfg.BlockBytes }
+func (m *Model) BlockBytes() int { return blockBytes }
 
 // AreaMM2 returns the cache area including the DESC interface overhead
 // when the configured scheme uses per-mat TX/RX interfaces (Figure 17:
@@ -391,7 +377,7 @@ func (m *Model) tracksHistory() (bool, float64) {
 
 // wireFor returns the H-tree wire model for the given bank.
 func (m *Model) wireFor(bankID int) wiremodel.Wire {
-	return wiremodel.NewWire(m.cfg.Node, m.cfg.Periphery, m.pathMM[bankID])
+	return wiremodel.NewWire(node, m.cfg.Periphery, m.pathMM[bankID])
 }
 
 // FlightCycles returns the one-way wire propagation latency to a bank.
@@ -433,7 +419,7 @@ func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 	}
 
 	var arrayJ float64
-	bits := m.cfg.BlockBytes * 8
+	bits := blockBytes * 8
 	if isWrite {
 		arrayJ = m.bank.WriteEnergyJ(bits)
 	} else {
@@ -475,13 +461,6 @@ func (m *Model) TagProbeCycles(bankID int) int {
 	return controllerCycles + 2*m.FlightCycles(bankID) + m.ArrayCycles()
 }
 
-// TagProbeEnergyJ returns the energy of a tag-only probe.
-func (m *Model) TagProbeEnergyJ(bankID int) float64 {
-	// Tag array read (~ways x tag bits) plus address transfer.
-	tagBits := m.cfg.Ways * 32
-	return m.bank.ReadEnergyJ(tagBits)/4 + addrWires*addrActivity*m.perFlipJ[bankID]
-}
-
 // LeakageW returns the cache's total standby power: banks plus H-tree
 // repeaters plus scheme-specific storage.
 func (m *Model) LeakageW() float64 {
@@ -510,12 +489,3 @@ func (m *Model) totalWires() int {
 func (m *Model) Stats() (accesses uint64, energyJ, htreeJ, arrayJ float64, xferCycles uint64) {
 	return m.accesses, m.energyJ, m.htreeJ, m.arrayJ, m.xferCycles
 }
-
-// ResetStats zeroes the accumulators (wire state is preserved).
-func (m *Model) ResetStats() {
-	m.accesses, m.energyJ, m.htreeJ, m.arrayJ, m.xferCycles = 0, 0, 0, 0, 0
-}
-
-// PathMM returns the H-tree path length for a bank (exported for tests and
-// the NUCA latency table).
-func (m *Model) PathMM(bankID int) float64 { return m.pathMM[bankID] }

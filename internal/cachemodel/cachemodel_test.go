@@ -19,14 +19,14 @@ func model(t *testing.T, cfg Config) *Model {
 func TestDefaultsAreTheDesignPoint(t *testing.T) {
 	m := model(t, Config{})
 	cfg := m.Config()
-	if cfg.CapacityBytes != 8<<20 || cfg.Banks != 8 || cfg.BlockBytes != 64 ||
-		cfg.Ways != 16 || cfg.DataWires != 64 || cfg.Scheme != "binary" {
+	if cfg.CapacityBytes != 8<<20 || cfg.Banks != 8 || m.BlockBytes() != 64 ||
+		cfg.DataWires != 64 || cfg.Scheme != "binary" {
 		t.Errorf("defaults %+v do not match Table 1 / Section 4.1", cfg)
 	}
 	if cfg.ClockGHz != 3.2 {
 		t.Errorf("clock %v, want 3.2GHz", cfg.ClockGHz)
 	}
-	if cfg.Node.Name != "22nm" || cfg.Cells != wiremodel.LSTP || cfg.Periphery != wiremodel.LSTP {
+	if node.Name != "22nm" || cfg.Cells != wiremodel.LSTP || cfg.Periphery != wiremodel.LSTP {
 		t.Error("default technology should be 22nm LSTP-LSTP")
 	}
 }
@@ -60,10 +60,6 @@ func TestAccessAccounting(t *testing.T) {
 	acc, e, h, a, x := m.Stats()
 	if acc != 1 || e != r.EnergyJ || h != r.HTreeJ || a != r.ArrayJ || x != uint64(r.TransferCycles) {
 		t.Error("ledger does not match the access result")
-	}
-	m.ResetStats()
-	if acc, _, _, _, _ := m.Stats(); acc != 0 {
-		t.Error("ResetStats did not clear")
 	}
 }
 
@@ -142,14 +138,14 @@ func TestLeakageComparisons(t *testing.T) {
 func TestNUCAPathsVary(t *testing.T) {
 	uca := model(t, Config{Banks: 16})
 	for b := 1; b < 16; b++ {
-		if uca.PathMM(b) != uca.PathMM(0) {
+		if uca.pathMM[b] != uca.pathMM[0] {
 			t.Fatal("UCA paths differ across banks")
 		}
 	}
 	nuca := model(t, Config{Banks: 16, NUCA: true})
-	minP, maxP := nuca.PathMM(0), nuca.PathMM(0)
+	minP, maxP := nuca.pathMM[0], nuca.pathMM[0]
 	for b := 1; b < 16; b++ {
-		if p := nuca.PathMM(b); p < minP {
+		if p := nuca.pathMM[b]; p < minP {
 			minP = p
 		} else if p > maxP {
 			maxP = p
@@ -158,7 +154,7 @@ func TestNUCAPathsVary(t *testing.T) {
 	if maxP <= minP {
 		t.Error("NUCA paths should vary with bank position")
 	}
-	if maxP >= uca.PathMM(0)*1.5 {
+	if maxP >= uca.pathMM[0]*1.5 {
 		t.Error("NUCA worst path should not dwarf the UCA balanced path")
 	}
 }
@@ -215,15 +211,12 @@ func TestBankBounds(t *testing.T) {
 	m.Access(99, make([]byte, 64), false)
 }
 
-// TestTagProbe: probes cost less than data accesses and take less time.
+// TestTagProbe: probes take less time than data accesses.
 func TestTagProbe(t *testing.T) {
 	m := model(t, Config{})
 	block := make([]byte, 64)
 	r := m.Access(0, block, false)
 	if int64(m.TagProbeCycles(0)) >= r.Cycles {
 		t.Error("tag probe should be faster than a full access")
-	}
-	if m.TagProbeEnergyJ(0) >= r.EnergyJ {
-		t.Error("tag probe should cost less than a full access")
 	}
 }

@@ -95,24 +95,18 @@ func victim(row []line) int {
 // (Exclusive is folded into Modified on first write and into Shared
 // otherwise).
 type l1Cache struct {
-	setMask uint64 // sets - 1; newL1 admits only a power-of-two set count
+	setMask uint64 // sets - 1; the L1 geometry gives a power-of-two set count
 	blkBits uint
 	lineTable
 }
 
-func newL1(capacity, ways, blockBytes int) (*l1Cache, error) {
-	if capacity <= 0 || ways <= 0 || blockBytes <= 0 {
-		return nil, fmt.Errorf("cachesim: invalid L1 geometry")
-	}
-	sets := capacity / blockBytes / ways
-	if sets == 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cachesim: L1 sets %d not a power of two", sets)
-	}
+func newL1(blockBytes int) *l1Cache {
+	sets := l1Bytes / blockBytes / l1Ways
 	blkBits := uint(0)
 	for 1<<blkBits < blockBytes {
 		blkBits++
 	}
-	return &l1Cache{setMask: uint64(sets - 1), blkBits: blkBits, lineTable: newLineTable(sets, ways)}, nil
+	return &l1Cache{setMask: uint64(sets - 1), blkBits: blkBits, lineTable: newLineTable(sets, l1Ways)}
 }
 
 // probe returns addr's set and the line holding it, or nil.
@@ -169,13 +163,10 @@ type l2Cache struct {
 	touched []uint64
 }
 
-func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
-	if capacity <= 0 || ways <= 0 || blockBytes <= 0 || banks <= 0 {
-		return nil, fmt.Errorf("cachesim: invalid L2 geometry")
-	}
-	sets := capacity / blockBytes / ways
+func newL2(capacity, blockBytes, banks int) (*l2Cache, error) {
+	sets := capacity / blockBytes / l2Ways
 	if sets == 0 {
-		return nil, fmt.Errorf("cachesim: L2 of %d bytes holds no set of %d ways x %d-byte blocks", capacity, ways, blockBytes)
+		return nil, fmt.Errorf("cachesim: L2 of %d bytes holds no set of %d ways x %d-byte blocks", capacity, l2Ways, blockBytes)
 	}
 	if sets%banks != 0 {
 		return nil, fmt.Errorf("cachesim: %d L2 sets not divisible by %d banks", sets, banks)
@@ -184,9 +175,9 @@ func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
 	for 1<<blkBits < blockBytes {
 		blkBits++
 	}
-	c := l2Tables.take(sets, ways)
+	c := l2Tables.take(sets, l2Ways)
 	if c == nil {
-		c = &l2Cache{lineTable: newLineTable(sets, ways), touched: make([]uint64, (sets+63)/64)}
+		c = &l2Cache{lineTable: newLineTable(sets, l2Ways), touched: make([]uint64, (sets+63)/64)}
 	}
 	c.setsPerBank, c.banks, c.blkBits = sets/banks, banks, blkBits
 	return c, nil

@@ -24,19 +24,24 @@ type BlockSource interface {
 	FillBlockData(addr uint64, buf []byte)
 }
 
+// Table 1's core count and private L1 data caches, and the L2's
+// associativity. The L2 capacity, banking and transfer scheme are the
+// swept parameters and come from Config.L2.
+const (
+	// cores is the number of cores, each with a private L1D.
+	cores = 8
+	// l1Bytes, l1Ways: per-core L1 data cache geometry (16KB 4-way).
+	l1Bytes, l1Ways = 16 << 10, 4
+	// l1HitCycles is the L1 access latency.
+	l1HitCycles = 2
+	// l2Ways is the L2 set associativity.
+	l2Ways = 16
+)
+
 // Config parameterizes the hierarchy.
 type Config struct {
-	// Cores is the number of cores (each with a private L1D).
-	Cores int
-	// L1Bytes, L1Ways: per-core L1 data cache geometry (16KB 4-way in
-	// Table 1).
-	L1Bytes, L1Ways int
-	// L1HitCycles is the L1 access latency (2 in Table 1).
-	L1HitCycles int
 	// L2 is the last-level cache configuration.
 	L2 cachemodel.Config
-	// DRAM is the memory configuration.
-	DRAM dram.Config
 	// PrefetchNextLine enables a next-line L2 prefetcher: every demand
 	// L2 miss also fetches the following block into the L2 (off the
 	// critical path). Prefetches add H-tree fill traffic, which
@@ -48,22 +53,6 @@ type Config struct {
 	// never feed back into timing or energy, so results are identical
 	// with or without a registry.
 	Metrics *metrics.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.Cores == 0 {
-		c.Cores = 8
-	}
-	if c.L1Bytes == 0 {
-		c.L1Bytes = 16 << 10
-	}
-	if c.L1Ways == 0 {
-		c.L1Ways = 4
-	}
-	if c.L1HitCycles == 0 {
-		c.L1HitCycles = 2
-	}
-	return c
 }
 
 // Stats accumulates hierarchy event counts.
@@ -146,7 +135,6 @@ func newHierMetrics(reg *metrics.Registry) hierMetrics {
 
 // New builds the hierarchy.
 func New(cfg Config, src BlockSource) (*Hierarchy, error) {
-	cfg = cfg.withDefaults()
 	if src == nil {
 		return nil, fmt.Errorf("cachesim: nil block source")
 	}
@@ -154,31 +142,22 @@ func New(cfg Config, src BlockSource) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem, err := dram.New(cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
 	model.SetMetrics(cfg.Metrics)
 	h := &Hierarchy{
 		cfg:      cfg,
 		model:    model,
-		dram:     mem,
+		dram:     dram.New(),
 		src:      src,
 		banks:    make([]bankSched, model.Banks()),
 		inflight: newFillTimes(),
 		mx:       newHierMetrics(cfg.Metrics),
 		buf:      make([]byte, model.BlockBytes()),
 	}
-	h.l1 = make([]*l1Cache, cfg.Cores)
+	h.l1 = make([]*l1Cache, cores)
 	for i := range h.l1 {
-		l1, err := newL1(cfg.L1Bytes, cfg.L1Ways, model.BlockBytes())
-		if err != nil {
-			return nil, err
-		}
-		h.l1[i] = l1
+		h.l1[i] = newL1(model.BlockBytes())
 	}
-	l2cfg := model.Config()
-	h.l2, err = newL2(l2cfg.CapacityBytes, l2cfg.Ways, l2cfg.BlockBytes, l2cfg.Banks)
+	h.l2, err = newL2(model.Config().CapacityBytes, model.BlockBytes(), model.Banks())
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +228,7 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 			promote(row, l)
 			h.stats.L1Hits++
 			h.mx.l1Hits.Inc()
-			return now + uint64(h.cfg.L1HitCycles)
+			return now + l1HitCycles
 		}
 		// Write to a Shared line: upgrade — invalidate peers via the
 		// L2 directory (tag probe latency, no data transfer) and
@@ -263,7 +242,7 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 		recordL1(l2l, core, true)
 		promote(row, l)
 		l.dirty = true
-		return now + uint64(h.cfg.L1HitCycles+h.model.TagProbeCycles(loc.bank))
+		return now + uint64(l1HitCycles+h.model.TagProbeCycles(loc.bank))
 	}
 	h.stats.L1Misses++
 	h.mx.l1Misses.Inc()
@@ -275,7 +254,7 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 	}
 
 	done := h.fetchFromL2(now, core, addr, write)
-	return done + uint64(h.cfg.L1HitCycles)
+	return done + l1HitCycles
 }
 
 // fetchFromL2 brings the block to the requesting core's L1. It probes the

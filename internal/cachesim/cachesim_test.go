@@ -34,9 +34,6 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{}, nil); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := New(Config{L1Bytes: 1000, L1Ways: 3}, fixedSource(0)); err == nil {
-		t.Error("non-power-of-two L1 sets accepted")
-	}
 	// 1000 bytes is less than one 16-way set of 64-byte blocks: the L2
 	// would have zero sets, and every access would divide by zero.
 	if _, err := New(Config{L2: cachemodel.Config{CapacityBytes: 1000}}, fixedSource(0)); err == nil {

@@ -138,7 +138,6 @@ func simulate(t *testing.T, name string, cfg cpusim.Config, hcfg cachesim.Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	hcfg.Cores = cfg.WithDefaults().Cores
 	h, err := cachesim.New(hcfg, gen)
 	if err != nil {
 		t.Fatal(err)

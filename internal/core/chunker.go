@@ -60,9 +60,6 @@ func (c *Chunker) NumChunks() int { return c.numChunks }
 // Rounds returns the number of transfer rounds per block.
 func (c *Chunker) Rounds() int { return c.rounds }
 
-// MaxValue returns the largest representable chunk value, 2^k - 1.
-func (c *Chunker) MaxValue() uint16 { return uint16(1<<uint(c.chunkBits)) - 1 }
-
 // Split extracts the block's chunks in chunk-index order.
 func (c *Chunker) Split(block []byte) []uint16 {
 	if len(block)*8 != c.blockBits {
@@ -100,15 +97,4 @@ func (c *Chunker) Round(i int) int { return i / c.wires }
 func (c *Chunker) ChunkAt(round, wire int) (int, bool) {
 	i := round*c.wires + wire
 	return i, i < c.numChunks
-}
-
-// RoundChunks appends to dst the chunk indices of the given round, in wire
-// order, and returns the extended slice.
-func (c *Chunker) RoundChunks(round int, dst []int) []int {
-	for w := 0; w < c.wires; w++ {
-		if i, ok := c.ChunkAt(round, w); ok {
-			dst = append(dst, i)
-		}
-	}
-	return dst
 }

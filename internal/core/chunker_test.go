@@ -15,9 +15,6 @@ func TestChunkerGeometry(t *testing.T) {
 	if c.NumChunks() != 128 || c.Rounds() != 1 {
 		t.Errorf("design point: %d chunks, %d rounds; want 128, 1", c.NumChunks(), c.Rounds())
 	}
-	if c.MaxValue() != 15 {
-		t.Errorf("MaxValue = %d", c.MaxValue())
-	}
 
 	// Figure 4b: 128 chunks on 64 wires -> 2 rounds; wire 0 carries
 	// chunks 0 and 64 (the figure's 1-indexed "1 and 65").
@@ -51,9 +48,6 @@ func TestChunkerPartialRound(t *testing.T) {
 	}
 	if _, ok := c.ChunkAt(2, 32); ok {
 		t.Error("round 2 wire 32 should be empty")
-	}
-	if got := len(c.RoundChunks(2, nil)); got != 32 {
-		t.Errorf("round 2 has %d chunks, want 32", got)
 	}
 }
 

@@ -2,31 +2,17 @@ package dram
 
 import "testing"
 
-func newDRAM(t *testing.T) *DRAM {
-	t.Helper()
-	d, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 func TestDefaults(t *testing.T) {
-	d := newDRAM(t)
-	cfg := d.Config()
-	if cfg.Channels != 2 {
-		t.Errorf("channels = %d, want 2 (Table 1)", cfg.Channels)
+	if channels != 2 {
+		t.Errorf("channels = %d, want 2 (Table 1)", channels)
 	}
-	if cfg.RowMissNs <= cfg.RowHitNs {
+	if rowMissNs <= rowHitNs {
 		t.Error("row miss should be slower than row hit")
-	}
-	if _, err := New(Config{Channels: -1}); err == nil {
-		t.Error("negative channels accepted")
 	}
 }
 
 func TestRowBufferBehavior(t *testing.T) {
-	d := newDRAM(t)
+	d := New()
 	const addr = 0x10000
 	first := d.Access(0, addr, false)
 	// Same channel, bank, and row immediately after (stride 128 keeps
@@ -42,7 +28,7 @@ func TestRowBufferBehavior(t *testing.T) {
 }
 
 func TestChannelQueueing(t *testing.T) {
-	d := newDRAM(t)
+	d := New()
 	// Two concurrent row misses on the same channel: the second waits
 	// behind the first one's burst occupancy.
 	a := d.Access(0, 0, false)
@@ -53,7 +39,7 @@ func TestChannelQueueing(t *testing.T) {
 }
 
 func TestWritesReturnEarly(t *testing.T) {
-	d := newDRAM(t)
+	d := New()
 	done := d.Access(0, 0x40000, true)
 	read := d.Access(0, 0x80000, false)
 	if done >= read {
@@ -62,7 +48,7 @@ func TestWritesReturnEarly(t *testing.T) {
 }
 
 func TestEnergyAccounting(t *testing.T) {
-	d := newDRAM(t)
+	d := New()
 	d.Access(0, 0, false)
 	acc, _, e := d.Stats()
 	if acc != 1 || e <= 0 {
@@ -71,15 +57,10 @@ func TestEnergyAccounting(t *testing.T) {
 	if d.BackgroundW() <= 0 {
 		t.Error("no background power")
 	}
-	d.ResetStats()
-	acc, _, e = d.Stats()
-	if acc != 0 || e != 0 {
-		t.Error("ResetStats did not clear")
-	}
 }
 
 func TestDeterminism(t *testing.T) {
-	d1, d2 := newDRAM(t), newDRAM(t)
+	d1, d2 := New(), New()
 	addrs := []uint64{0, 1 << 14, 1 << 20, 64, 1 << 14}
 	for i, a := range addrs {
 		if d1.Access(uint64(i*10), a, i%2 == 0) != d2.Access(uint64(i*10), a, i%2 == 0) {

@@ -89,9 +89,6 @@ func NewSECDED(k int) (*Code, error) {
 // K returns the number of data bits.
 func (c *Code) K() int { return c.k }
 
-// R returns the number of Hamming parity bits (excluding overall parity).
-func (c *Code) R() int { return c.r }
-
 // N returns the codeword length in bits, k + r + 1.
 func (c *Code) N() int { return c.n }
 

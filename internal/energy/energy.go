@@ -76,9 +76,6 @@ func (b Breakdown) ProcessorJ() float64 {
 	return b.CoreDynJ + b.L1DynJ + b.CoreStaticJ + b.L2J()
 }
 
-// TotalJ includes DRAM.
-func (b Breakdown) TotalJ() float64 { return b.ProcessorJ() + b.DRAMJ }
-
 // Activity is the run summary the model consumes.
 type Activity struct {
 	// Cycles is the execution time in core cycles.
@@ -96,7 +93,7 @@ type Activity struct {
 // Compute produces the breakdown for a finished run.
 func Compute(core CoreParams, act Activity, model *cachemodel.Model, mem *dram.DRAM) Breakdown {
 	seconds := float64(act.Cycles) / (act.ClockGHz * 1e9)
-	_, _, htreeJ, arrayJ, _ := modelStats(model)
+	_, _, htreeJ, arrayJ, _ := model.Stats()
 	var b Breakdown
 	b.CoreDynJ = float64(act.Instructions) * core.DynPJPerInstr * 1e-12
 	b.L1DynJ = float64(act.L1Accesses) * core.L1DynPJPerAccess * 1e-12
@@ -109,9 +106,4 @@ func Compute(core CoreParams, act Activity, model *cachemodel.Model, mem *dram.D
 		b.DRAMJ = dramJ + mem.BackgroundW()*seconds
 	}
 	return b
-}
-
-// modelStats adapts the cache model's accumulator tuple.
-func modelStats(m *cachemodel.Model) (accesses uint64, energyJ, htreeJ, arrayJ float64, xfer uint64) {
-	return m.Stats()
 }

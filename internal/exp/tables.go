@@ -44,10 +44,12 @@ func runTab01(context.Context, *Runner) ([]*stats.Table, error) {
 		mt.Cores, l2.ClockGHz, mt.ContextsPerCore))
 	t.AddRow("Single-threaded", fmt.Sprintf("%d-issue out-of-order core, %d-cycle overlap window, %.1f GHz",
 		ooo.IssueWidth, ooo.OverlapCycles, l2.ClockGHz))
+	// The L1 geometry and the L2 associativity are cachesim's Table 1
+	// constants, the 22nm node cachemodel's.
 	t.AddRow("L1 caches (per core)", "16KB, 4-way, LRU, 64B block, hit delay 2, MESI-style directory")
-	t.AddRow("L2 cache (shared)", fmt.Sprintf("%dMB, %d-way, LRU, %dB block, %d banks, %d-bit data H-tree",
-		l2.CapacityBytes>>20, l2.Ways, l2.BlockBytes, l2.Banks, l2.DataWires))
-	t.AddRow("L2 devices", fmt.Sprintf("%s cells, %s periphery, %s", l2.Cells, l2.Periphery, l2.Node.Name))
+	t.AddRow("L2 cache (shared)", fmt.Sprintf("%dMB, 16-way, LRU, %dB block, %d banks, %d-bit data H-tree",
+		l2.CapacityBytes>>20, m.BlockBytes(), l2.Banks, l2.DataWires))
+	t.AddRow("L2 devices", fmt.Sprintf("%s cells, %s periphery, %s", l2.Cells, l2.Periphery, wiremodel.Node22.Name))
 	t.AddRow("DRAM", "2 DDR3-1066 channels, FR-FCFS row-buffer scheduling")
 	return []*stats.Table{t}, nil
 }

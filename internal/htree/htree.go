@@ -174,10 +174,6 @@ func (t *Tree) State(leaf, w int) bool {
 	return st[w>>6]&(1<<(uint(w)&63)) != 0
 }
 
-// FlipsAtLevel returns the accumulated transitions on all segments of a
-// level.
-func (t *Tree) FlipsAtLevel(level int) uint64 { return t.flipsPerLevel[level] }
-
 // EnergyJ returns the accumulated segment-accurate energy.
 func (t *Tree) EnergyJ() float64 { return t.energyJ }
 

@@ -62,8 +62,8 @@ func TestTransferTouchesOnlyPath(t *testing.T) {
 		t.Fatal("no energy for a real transfer")
 	}
 	for l := 0; l < tr.Levels(); l++ {
-		if tr.FlipsAtLevel(l) != 3 {
-			t.Errorf("level %d flips = %d, want 3", l, tr.FlipsAtLevel(l))
+		if tr.flipsPerLevel[l] != 3 {
+			t.Errorf("level %d flips = %d, want 3", l, tr.flipsPerLevel[l])
 		}
 	}
 	// The target leaf's segment changed; every other leaf's did not.

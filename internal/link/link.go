@@ -23,9 +23,11 @@ package link
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
+	"text/tabwriter"
 )
 
 // FlipCount attributes wire transitions to wire classes. The wire model
@@ -280,12 +282,10 @@ func Lookup(name string) (Descriptor, bool) {
 }
 
 // New builds the scheme named in spec.Scheme, running the shared and the
-// scheme's own Spec validation first. Unknown names report the registry
-// and, for near-misses, a did-you-mean suggestion.
+// scheme's own Spec validation first. Unknown names are reported before
+// any geometry check, with the registry and, for near-misses, a
+// did-you-mean suggestion.
 func New(spec Spec) (Link, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	d, ok := Lookup(spec.Scheme)
 	if !ok {
 		if close := closeMatches(spec.Scheme); len(close) > 0 {
@@ -293,6 +293,9 @@ func New(spec Spec) (Link, error) {
 				spec.Scheme, strings.Join(close, " or "), Schemes())
 		}
 		return nil, fmt.Errorf("link: unknown scheme %q (registered: %v)", spec.Scheme, Schemes())
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	if d.Validate != nil {
 		if err := d.Validate(spec); err != nil {
@@ -324,6 +327,37 @@ func Descriptors() []Descriptor {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// WriteRoster prints the registry as a sorted name/label/traits table,
+// one row per descriptor: the roster every experiment (notably ext-zoo)
+// sweeps, as the command-line tools' -list-schemes show it.
+func WriteRoster(w io.Writer) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "NAME\tLABEL\tCODEC CYCLES\tHISTORY\tDESC I/F\tAXES\tDESIGN POINT")
+	for _, d := range Descriptors() {
+		var axes []string
+		if d.Traits.UsesChunkBits {
+			axes = append(axes, "chunk")
+		}
+		if d.Traits.UsesSegmentBits {
+			axes = append(axes, "segment")
+		}
+		if len(axes) == 0 {
+			axes = []string{"-"}
+		}
+		design := fmt.Sprintf("%dw", d.Traits.DesignWires)
+		if d.Traits.DesignChunkBits > 0 {
+			design += fmt.Sprintf(" %dc", d.Traits.DesignChunkBits)
+		}
+		if d.Traits.DesignSegmentBits > 0 {
+			design += fmt.Sprintf(" %ds", d.Traits.DesignSegmentBits)
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%v\t%s\t%s\n",
+			d.Name, d.Label, d.Traits.CodecCycles, d.Traits.History,
+			d.Traits.DESCInterface, strings.Join(axes, ","), design)
+	}
+	return tw.Flush()
 }
 
 // closeMatches returns registered names within edit distance 2 of name,

@@ -202,3 +202,42 @@ func TestCostAccumulatorNoOverflow(t *testing.T) {
 		t.Errorf("Flips = %+v, want all %d", total.Flips, u)
 	}
 }
+
+// TestWriteRoster: the -list-schemes table has its header and one row per
+// registered descriptor, with the traits in their columns.
+func TestWriteRoster(t *testing.T) {
+	if _, ok := Lookup("test-link-roster"); !ok {
+		Register(Descriptor{
+			Name:    "test-link-roster",
+			Label:   "Roster",
+			Factory: func(s Spec) (Link, error) { return nil, nil },
+			Traits: Traits{
+				CodecCycles: 2, History: HistoryAdaptive, DESCInterface: true,
+				UsesChunkBits: true, UsesSegmentBits: true,
+				DesignWires: 128, DesignChunkBits: 4, DesignSegmentBits: 8,
+			},
+		})
+	}
+	var b strings.Builder
+	if err := WriteRoster(&b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if got := strings.Fields(lines[0]); strings.Join(got, " ") != "NAME LABEL CODEC CYCLES HISTORY DESC I/F AXES DESIGN POINT" {
+		t.Errorf("header = %q", lines[0])
+	}
+	descs := Descriptors()
+	if len(lines) != 1+len(descs) {
+		t.Fatalf("%d lines for %d descriptors:\n%s", len(lines), len(descs), b.String())
+	}
+	for i, d := range descs {
+		if f := strings.Fields(lines[1+i]); f[0] != d.Name {
+			t.Errorf("row %d names %q, want %q", i, f[0], d.Name)
+		}
+		if d.Name == "test-link-roster" {
+			if got := strings.Join(strings.Fields(lines[1+i]), " "); got != "test-link-roster Roster 2 adaptive true chunk,segment 128w 4c 8s" {
+				t.Errorf("roster row = %q", got)
+			}
+		}
+	}
+}

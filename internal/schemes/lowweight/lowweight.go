@@ -141,12 +141,6 @@ func build(k int) *Code {
 // at indexes the cumulative count of length-m vectors of weight <= b.
 func (c *Code) at(m, b int) int { return m*(c.w+1) + b }
 
-// DataBits returns k, the data bits per segment.
-func (c *Code) DataBits() int { return c.k }
-
-// CodeBits returns n = k+1, the wires per segment.
-func (c *Code) CodeBits() int { return c.n }
-
 // MaxWeight returns w = k/2, the guaranteed per-segment weight bound.
 func (c *Code) MaxWeight() int { return c.w }
 

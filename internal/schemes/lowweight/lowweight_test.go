@@ -19,8 +19,8 @@ func TestCodebookBijection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%d): %v", k, err)
 		}
-		if c.DataBits() != k || c.CodeBits() != k+1 || c.MaxWeight() != k/2 {
-			t.Fatalf("k=%d: geometry k=%d n=%d w=%d", k, c.DataBits(), c.CodeBits(), c.MaxWeight())
+		if c.k != k || c.n != k+1 || c.MaxWeight() != k/2 {
+			t.Fatalf("k=%d: geometry k=%d n=%d w=%d", k, c.k, c.n, c.MaxWeight())
 		}
 		seen := make(map[[2]uint64]uint64, 1<<uint(k))
 		for rank := uint64(0); rank < 1<<uint(k); rank++ {

@@ -113,10 +113,6 @@ func (l *LWC) BlockBytes() int { return l.blockBits / 8 }
 // Segments returns the number of bus segments.
 func (l *LWC) Segments() int { return l.segs }
 
-// MaxFlipsPerSegment returns the transition-signaling guarantee: no beat
-// flips more than k/2 wires in any segment.
-func (l *LWC) MaxFlipsPerSegment() int { return l.code.MaxWeight() }
-
 // Send implements link.Link.
 //
 //desclint:hotpath

@@ -64,7 +64,7 @@ func TestFlipGuarantee(t *testing.T) {
 		rng.Read(b)
 		c := l.Send(b)
 		total := c.Flips.Data + c.Flips.Control
-		if max := uint64(l.Segments() * l.MaxFlipsPerSegment()); total > max {
+		if max := uint64(l.Segments() * l.code.MaxWeight()); total > max {
 			t.Fatalf("send %d: %d flips > guaranteed bound %d", i, total, max)
 		}
 	}

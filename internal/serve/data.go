@@ -267,9 +267,8 @@ func (s *Server) specFor(req *blockRequest) (link.Spec, error) {
 	d, ok := link.Lookup(req.Scheme)
 	if !ok {
 		// link.New composes the unknown-scheme error, including the
-		// edit-distance suggestion; the geometry is a placeholder that
-		// passes the shared validation so the scheme check is reached.
-		_, err := link.New(link.Spec{Scheme: req.Scheme, BlockBits: defaultBlockBits, DataWires: 8})
+		// edit-distance suggestion.
+		_, err := link.New(link.Spec{Scheme: req.Scheme})
 		return link.Spec{}, errf(http.StatusNotFound, "serve: %v", err)
 	}
 	blockBits := req.BlockBits

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -59,34 +58,6 @@ func GeoMeanStrict(xs []float64) (float64, error) {
 	return math.Exp(s / float64(len(xs))), nil
 }
 
-// Min returns the minimum of xs; panics on empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0
@@ -94,21 +65,6 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Median returns the median of xs (average of the two middle elements for
-// even lengths); panics on empty input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Median of empty slice")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // Histogram is a fixed-bin counter over small non-negative integer values,
@@ -136,18 +92,6 @@ func (h *Histogram) Add(v int) {
 	h.total++
 }
 
-// AddN increments the bin for v by n.
-func (h *Histogram) AddN(v int, n uint64) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.counts) {
-		v = len(h.counts) - 1
-	}
-	h.counts[v] += n
-	h.total += n
-}
-
 // Count returns the count in bin v.
 func (h *Histogram) Count(v int) uint64 {
 	if v < 0 || v >= len(h.counts) {
@@ -159,24 +103,12 @@ func (h *Histogram) Count(v int) uint64 {
 // Total returns the total number of samples.
 func (h *Histogram) Total() uint64 { return h.total }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
 // Frac returns the fraction of samples in bin v (0 if empty).
 func (h *Histogram) Frac(v int) float64 {
 	if h.total == 0 {
 		return 0
 	}
 	return float64(h.Count(v)) / float64(h.total)
-}
-
-// Fracs returns the per-bin fractions.
-func (h *Histogram) Fracs() []float64 {
-	out := make([]float64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.Frac(i)
-	}
-	return out
 }
 
 // Mean returns the mean bin value weighted by counts.
@@ -201,44 +133,4 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.counts[i] += c
 	}
 	h.total += other.total
-}
-
-// Running accumulates a stream of float64 samples.
-type Running struct {
-	n             uint64
-	sum, min, max float64
-}
-
-// Add records one sample.
-func (r *Running) Add(x float64) {
-	if r.n == 0 || x < r.min {
-		r.min = x
-	}
-	if r.n == 0 || x > r.max {
-		r.max = x
-	}
-	r.n++
-	r.sum += x
-}
-
-// N returns the number of samples recorded.
-func (r *Running) N() uint64 { return r.n }
-
-// Mean returns the mean of the samples (0 when empty).
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
-// Sum returns the sum of the samples.
-func (r *Running) Sum() float64 { return r.sum }
-
-// MinMax returns the smallest and largest sample (0,0 when empty).
-func (r *Running) MinMax() (min, max float64) {
-	if r.n == 0 {
-		return 0, 0
-	}
-	return r.min, r.max
 }

@@ -120,9 +120,6 @@ func (t *Writer) Write(r Record) error {
 	return nil
 }
 
-// Records returns how many records have been written.
-func (t *Writer) Records() uint64 { return t.records }
-
 // Flush completes the trace.
 func (t *Writer) Flush() error { return t.w.Flush() }
 

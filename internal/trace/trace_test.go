@@ -52,8 +52,8 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Records() != uint64(len(recs)) {
-		t.Errorf("Records = %d", w.Records())
+	if w.records != uint64(len(recs)) {
+		t.Errorf("records = %d", w.records)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

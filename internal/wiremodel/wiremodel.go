@@ -79,19 +79,6 @@ func (d DeviceClass) String() string {
 	}
 }
 
-// ParseDeviceClass resolves a class name.
-func ParseDeviceClass(s string) (DeviceClass, error) {
-	switch s {
-	case "LSTP", "lstp":
-		return LSTP, nil
-	case "LOP", "lop":
-		return LOP, nil
-	case "HP", "hp":
-		return HP, nil
-	}
-	return 0, fmt.Errorf("wiremodel: unknown device class %q", s)
-}
-
 // LeakFactor scales LSTP leakage to this class. The cited low-power RAM
 // literature puts HP cell leakage two orders of magnitude above LSTP.
 func (d DeviceClass) LeakFactor() float64 {
@@ -149,9 +136,6 @@ func NewWire(node Node, class DeviceClass, lengthMM float64) Wire {
 	}
 	return Wire{node: node, class: class, lenMM: lengthMM}
 }
-
-// LengthMM returns the wire length.
-func (w Wire) LengthMM() float64 { return w.lenMM }
 
 // EnergyPerFlipJ returns the energy of one full transition:
 // E = 1/2 * C * Vdd^2 over the wire's total capacitance, scaled by the

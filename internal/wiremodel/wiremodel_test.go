@@ -15,15 +15,14 @@ func TestTable3Parameters(t *testing.T) {
 	}
 }
 
-func TestDeviceClassNamesAndParse(t *testing.T) {
-	for _, c := range DeviceClasses {
-		got, err := ParseDeviceClass(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseDeviceClass(%q) = %v, %v", c.String(), got, err)
+func TestDeviceClassNames(t *testing.T) {
+	for i, want := range []string{"HP", "LOP", "LSTP"} {
+		if got := DeviceClasses[i].String(); got != want {
+			t.Errorf("DeviceClasses[%d] = %q, want %q", i, got, want)
 		}
 	}
-	if _, err := ParseDeviceClass("ultra"); err == nil {
-		t.Error("bogus class accepted")
+	if got := DeviceClass(9).String(); got != "DeviceClass(9)" {
+		t.Errorf("unknown class = %q", got)
 	}
 }
 
