@@ -10,7 +10,7 @@ FUZZTIME ?= 30s
 # Worker-pool size for results-quick (0 = GOMAXPROCS).
 JOBS ?= 0
 
-.PHONY: all build test race lint lint-json lint-baseline vet perfbench-check fuzz bench bench-quick results-quick results-cached serve-smoke verify clean
+.PHONY: all build test race lint lint-json lint-baseline vet perfbench-check selfcheck fuzz bench bench-quick results-quick results-cached serve-smoke verify clean
 
 all: build
 
@@ -53,6 +53,12 @@ vet:
 ## the public desc API
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+## selfcheck: descverify, the paper's golden vectors, the DESC hardware
+## model against the analytic codec, every scheme's round trip and the
+## SECDED interleaving under injected wire errors (under a second)
+selfcheck:
+	$(GO) run ./cmd/descverify
 
 ## fuzz: 30-second smoke per fuzz target, seeded from testdata/fuzz
 fuzz:
@@ -141,7 +147,7 @@ serve-smoke:
 	$(GO) test -run TestEncodeHotPathZeroAlloc -count=1 ./internal/serve
 
 ## verify: everything CI gates a PR on
-verify: build lint test race perfbench-check
+verify: build lint test race perfbench-check selfcheck
 	@echo "verify: OK"
 
 clean:
