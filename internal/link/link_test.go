@@ -43,11 +43,13 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	Register(Descriptor{
-		Name:    "test-link-registry",
-		Factory: func(s Spec) (Link, error) { return nil, nil },
-		Traits:  Traits{CodecCycles: 3, History: HistoryLastValue, DesignWires: 32},
-	})
+	if _, ok := Lookup("test-link-registry"); !ok {
+		Register(Descriptor{
+			Name:    "test-link-registry",
+			Factory: func(s Spec) (Link, error) { return nil, nil },
+			Traits:  Traits{CodecCycles: 3, History: HistoryLastValue, DesignWires: 32},
+		})
+	}
 	found := false
 	for _, n := range Schemes() {
 		if n == "test-link-registry" {
@@ -112,10 +114,12 @@ func TestNewRejectsUnknownAndInvalid(t *testing.T) {
 // TestNewSuggestsCloseMatches: a misspelled scheme name should name the
 // likely intended scheme(s), not just dump the registry.
 func TestNewSuggestsCloseMatches(t *testing.T) {
-	Register(Descriptor{
-		Name:    "desc-zero-test-twin",
-		Factory: func(s Spec) (Link, error) { return nil, nil },
-	})
+	if _, ok := Lookup("desc-zero-test-twin"); !ok {
+		Register(Descriptor{
+			Name:    "desc-zero-test-twin",
+			Factory: func(s Spec) (Link, error) { return nil, nil },
+		})
+	}
 	_, err := New(Spec{Scheme: "desc-zero-test-twiX", BlockBits: 512, DataWires: 64})
 	if err == nil {
 		t.Fatal("misspelled scheme accepted")

@@ -3,8 +3,8 @@
 // link.Link and link.Decoder contracts, and VerifyAll runs it over every
 // scheme in the registry. A new codec that registers a descriptor gets
 // the full battery — round-trip correctness on stateful traffic,
-// determinism, Reset semantics and allocations, LastDecoded aliasing — without writing a
-// single test of its own.
+// determinism, Reset semantics and allocations, LastDecoded aliasing,
+// decoding after unread sends — without writing a single test of its own.
 package linktest
 
 import (
@@ -73,6 +73,7 @@ func Verify(t *testing.T, name string) {
 	t.Run("reset", func(t *testing.T) { verifyReset(t, name) })
 	t.Run("reset-allocs", func(t *testing.T) { verifyResetAllocs(t, name) })
 	t.Run("aliasing", func(t *testing.T) { verifyAliasing(t, name) })
+	t.Run("unread-sends", func(t *testing.T) { verifyUnreadSends(t, name) })
 	t.Run("degenerate", func(t *testing.T) { verifyDegenerateSpecs(t, name) })
 }
 
@@ -224,5 +225,58 @@ func verifyAliasing(t *testing.T, name string) {
 	l.Send(blocks[3])
 	if !bytes.Equal(retained, blocks[3]) {
 		t.Errorf("retained slice was not overwritten by the next Send; LastDecoded must alias a reused buffer")
+	}
+}
+
+// verifyUnreadSends pins LastDecoded for callers that read rarely or
+// never — the simulator never reads, /v1/decode reads every block. A
+// codec may defer its receiver decode until the first read, so:
+//   - after k unread Sends, LastDecoded is the k-th block, every beat of
+//     it, not a mix of blocks or beats;
+//   - Reset after an unread Send leaves LastDecoded empty;
+//   - a link read before keeps overwriting a retained slice in place on
+//     its next Send, across a Reset;
+//   - an unread steady-state Send allocates nothing.
+func verifyUnreadSends(t *testing.T, name string) {
+	blocks := Traffic(blockBits)
+	for k := 1; k <= len(blocks); k++ {
+		l := newAt(t, name)
+		for _, b := range blocks[:k] {
+			l.Send(b)
+		}
+		if got := l.(link.Decoder).LastDecoded(); !bytes.Equal(got, blocks[k-1]) {
+			t.Fatalf("after %d unread Sends: decoded %x != sent %x", k, got, blocks[k-1])
+		}
+	}
+
+	l := newAt(t, name)
+	dec := l.(link.Decoder)
+	l.Send(blocks[1])
+	l.Reset()
+	if got := dec.LastDecoded(); len(got) != 0 {
+		t.Errorf("LastDecoded after an unread Send and Reset = %x, want empty", got)
+	}
+	l.Send(blocks[3])
+	if got := dec.LastDecoded(); !bytes.Equal(got, blocks[3]) {
+		t.Fatalf("decoded %x != sent %x after Reset", got, blocks[3])
+	}
+	retained := dec.LastDecoded()
+	l.Reset()
+	l.Send(blocks[4])
+	if !bytes.Equal(retained, blocks[4]) {
+		t.Errorf("retained slice was not overwritten by a Send after Reset; a link read before must keep decoding into its buffer")
+	}
+
+	l = newAt(t, name)
+	for _, b := range blocks {
+		l.Send(b)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(len(blocks), func() {
+		l.Send(blocks[i%len(blocks)])
+		i++
+	})
+	if avg != 0 {
+		t.Errorf("%.2f allocs per unread Send after warm traffic, want 0", avg)
 	}
 }
