@@ -68,7 +68,17 @@ type BusInvert struct {
 	modes   []int // scratch: per-segment mode of the current beat
 	rxModes []int // scratch: modes re-decoded from the mode field (ezs)
 	digits  []int // scratch: base-3 digit vector of wide mode fields
-	decoded []byte
+
+	// What the receiver samples after each beat of the last Send, beat b
+	// at offset b times the per-beat length: the data wire levels and
+	// whichever control levels the variant drives. LastDecoded decodes
+	// from them on demand (see link.OnDemand).
+	rxState  []uint64
+	rxInvert []bool
+	rxZero   []bool
+	rxMode   []uint64
+	dec      link.OnDemand
+	decoded  []byte
 }
 
 // NewBusInvert builds a bus-invert link. dataWires must be divisible by
@@ -89,6 +99,7 @@ func NewBusInvert(blockBits, dataWires, segBits int, mode InvertMode) (*BusInver
 	}
 	segs := dataWires / segBits
 	words := (dataWires + 63) / 64
+	beats := (blockBits + dataWires - 1) / dataWires
 	l := &BusInvert{
 		blockBits: blockBits,
 		wires:     dataWires,
@@ -98,16 +109,22 @@ func NewBusInvert(blockBits, dataWires, segBits int, mode InvertMode) (*BusInver
 		state:     make([]uint64, words),
 		scratch:   make([]uint64, words),
 		modes:     make([]int, segs),
+		rxState:   make([]uint64, beats*words),
+		decoded:   make([]byte, 0, blockBits/8),
 	}
 	switch mode {
 	case InvertOnly:
 		l.invert = make([]bool, segs)
+		l.rxInvert = make([]bool, beats*segs)
 	case InvertZeroSkip:
 		l.invert = make([]bool, segs)
 		l.zero = make([]bool, segs)
+		l.rxInvert = make([]bool, beats*segs)
+		l.rxZero = make([]bool, beats*segs)
 	case InvertEncodedZeroSkip:
 		l.modeWires = encodedModeWires(segs)
 		l.modeBus = make([]uint64, (l.modeWires+63)/64)
+		l.rxMode = make([]uint64, beats*len(l.modeBus))
 		l.rxModes = make([]int, segs)
 		l.digits = make([]int, segs)
 	default:
@@ -219,10 +236,6 @@ func (l *BusInvert) Send(block []byte) link.Cost {
 	if len(block)*8 != l.blockBits {
 		panic(fmt.Sprintf("baseline: %s Send of %d bits on %d-bit link", l.Name(), len(block)*8, l.blockBits))
 	}
-	if cap(l.decoded) < len(block) {
-		l.decoded = make([]byte, len(block))
-	}
-	l.decoded = l.decoded[:len(block)]
 
 	beats := (l.blockBits + l.wires - 1) / l.wires
 	var dataFlips, ctrlFlips uint64
@@ -238,7 +251,10 @@ func (l *BusInvert) Send(block []byte) link.Cost {
 		if l.mode == InvertEncodedZeroSkip {
 			ctrlFlips += l.driveModeField(l.modes)
 		}
-		l.decodeBeat(b)
+		l.record(b)
+	}
+	if l.dec.Sent() {
+		l.decode()
 	}
 	return link.Cost{
 		Cycles: int64(beats),
@@ -437,14 +453,18 @@ func (l *BusInvert) driveModeField(modes []int) uint64 {
 	return flips
 }
 
-// readModeField decodes the base-3 mode vector from the mode wires into
-// the reused rxModes scratch.
+// readModeField decodes the base-3 mode vector from the mode wires' current
+// levels into the reused rxModes scratch.
+func (l *BusInvert) readModeField(segs int) []int { return l.modeFieldOf(l.modeBus, segs) }
+
+// modeFieldOf decodes the base-3 mode vector from the mode wire levels
+// modeBus into the reused rxModes scratch.
 //
-//desclint:hotpath runs once per beat on bic-ezs
-func (l *BusInvert) readModeField(segs int) []int {
+//desclint:hotpath runs once per decoded beat on bic-ezs
+func (l *BusInvert) modeFieldOf(modeBus []uint64, segs int) []int {
 	modes := l.rxModes[:segs]
 	if segs <= maxWordModeSegs {
-		v := l.modeBus[0]
+		v := modeBus[0]
 		for i := range modes {
 			modes[i] = int(v % 3)
 			v /= 3
@@ -455,7 +475,7 @@ func (l *BusInvert) readModeField(segs int) []int {
 		modes[i] = 0
 	}
 	for b := l.modeWires - 1; b >= 0; b-- {
-		carry := int(l.modeBus[b>>6] >> uint(b&63) & 1)
+		carry := int(modeBus[b>>6] >> uint(b&63) & 1)
 		for i := 0; i < segs; i++ {
 			cur := modes[i]*2 + carry
 			modes[i] = cur % 3
@@ -465,21 +485,38 @@ func (l *BusInvert) readModeField(segs int) []int {
 	return modes
 }
 
+// record saves what the receiver samples after beat b: the data wire
+// levels and the variant's control levels.
+//
+//desclint:hotpath runs once per beat
+func (l *BusInvert) record(b int) {
+	copy(l.rxState[b*len(l.state):], l.state)
+	if l.invert != nil {
+		copy(l.rxInvert[b*l.segs:], l.invert)
+	}
+	if l.zero != nil {
+		copy(l.rxZero[b*l.segs:], l.zero)
+	}
+	if l.modeBus != nil {
+		copy(l.rxMode[b*len(l.modeBus):], l.modeBus)
+	}
+}
+
 // segMode resolves the mode the receiver observes for segment s: from the
-// per-segment control wires for the sparse variants, from the re-decoded
-// mode field for the dense one.
-func (l *BusInvert) segMode(modes []int, s int) int {
+// per-segment control levels invert and zero for the sparse variants,
+// from the re-decoded mode field for the dense one.
+func (l *BusInvert) segMode(invert, zero []bool, modes []int, s int) int {
 	switch l.mode {
 	case InvertOnly:
-		if l.invert[s] {
+		if invert[s] {
 			return modeInvert
 		}
 		return modeNormal
 	case InvertZeroSkip:
 		switch {
-		case l.zero[s]:
+		case zero[s]:
 			return modeSkip
-		case l.invert[s]:
+		case invert[s]:
 			return modeInvert
 		default:
 			return modeNormal
@@ -489,14 +526,32 @@ func (l *BusInvert) segMode(modes []int, s int) int {
 	}
 }
 
+// decode reconstructs the receiver's view of the last Send into the
+// decoded buffer from the recorded levels.
+func (l *BusInvert) decode() {
+	l.decoded = l.decoded[:l.blockBits/8]
+	for b := 0; b < len(l.rxState)/len(l.state); b++ {
+		l.decodeBeat(b)
+	}
+}
+
 // decodeBeat reconstructs the receiver's view of beat b into the decoded
-// buffer from the wire state and indicator/mode wires.
+// buffer from the recorded wire state and indicator/mode levels.
 //
-//desclint:hotpath runs once per beat
+//desclint:hotpath runs once per decoded beat
 func (l *BusInvert) decodeBeat(b int) {
-	modes := l.modes
-	if l.mode == InvertEncodedZeroSkip {
-		modes = l.readModeField(l.segs)
+	state := l.rxState[b*len(l.state) : (b+1)*len(l.state)]
+	var invert, zero []bool
+	var modes []int
+	switch l.mode {
+	case InvertOnly:
+		invert = l.rxInvert[b*l.segs : (b+1)*l.segs]
+	case InvertZeroSkip:
+		invert = l.rxInvert[b*l.segs : (b+1)*l.segs]
+		zero = l.rxZero[b*l.segs : (b+1)*l.segs]
+	default:
+		n := len(l.modeBus)
+		modes = l.modeFieldOf(l.rxMode[b*n:(b+1)*n], l.segs)
 	}
 	if l.segBits == 8 {
 		// Byte segments: apply all of a word's modes with two masks.
@@ -507,24 +562,22 @@ func (l *BusInvert) decodeBeat(b int) {
 			}
 			var invMask, skipMask uint64
 			for i := 0; i < lanes; i++ {
-				switch l.segMode(modes, w*8+i) {
+				switch l.segMode(invert, zero, modes, w*8+i) {
 				case modeInvert:
 					invMask |= uint64(0xFF) << (8 * uint(i))
 				case modeSkip:
 					skipMask |= uint64(0xFF) << (8 * uint(i))
 				}
 			}
-			l.scratch[w] = (l.state[w] ^ invMask) &^ skipMask
+			l.scratch[w] = (state[w] ^ invMask) &^ skipMask
 		}
 		storeBits(l.decoded, l.scratch, b*l.wires, l.wires)
 		return
 	}
 	// Build the receiver's word view, then store.
-	for w := range l.scratch {
-		l.scratch[w] = l.state[w]
-	}
+	copy(l.scratch, state)
 	for s := 0; s < l.segs; s++ {
-		m := l.segMode(modes, s)
+		m := l.segMode(invert, zero, modes, s)
 		if m == modeNormal {
 			continue
 		}
@@ -549,9 +602,15 @@ func (l *BusInvert) decodeBeat(b int) {
 	storeBits(l.decoded, l.scratch, b*l.wires, l.wires)
 }
 
-// LastDecoded implements link.Decoder. The slice is overwritten by the
-// next Send; copy to retain.
-func (l *BusInvert) LastDecoded() []byte { return l.decoded }
+// LastDecoded implements link.Decoder, decoding the last Send on the first
+// call after it. The slice is overwritten by the next Send; copy to
+// retain.
+func (l *BusInvert) LastDecoded() []byte {
+	if l.dec.Read() {
+		l.decode()
+	}
+	return l.decoded
+}
 
 // Reset implements link.Link.
 func (l *BusInvert) Reset() {
@@ -567,6 +626,7 @@ func (l *BusInvert) Reset() {
 	for i := range l.modeBus {
 		l.modeBus[i] = 0
 	}
+	l.dec.Reset()
 	l.decoded = l.decoded[:0]
 }
 

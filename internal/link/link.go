@@ -99,6 +99,12 @@ type Link interface {
 
 // Decoder is implemented by links that expose the receiver's view, so
 // tests can verify that the wire-level protocol actually carries the data.
+//
+// A codec may decode on demand (see OnDemand): Send records what the
+// receiver samples, and the first LastDecoded after a Send decodes it.
+// Reading once makes the link's later Sends decode eagerly, so a slice a
+// caller retained is still overwritten in place by the next Send. A link
+// that is never read, as in a simulation, never pays for the decode.
 type Decoder interface {
 	// LastDecoded returns the block recovered by the receiver for the
 	// most recent Send. The returned slice aliases a buffer that
@@ -107,6 +113,40 @@ type Decoder interface {
 	// must copy it first.
 	LastDecoded() []byte
 }
+
+// OnDemand is the bookkeeping of a codec that decodes on demand. Send
+// records the per-beat receiver inputs it already holds and calls Sent;
+// LastDecoded calls Read and decodes the record when it reports a
+// pending block; Reset calls Reset.
+//
+// The decode runs at the first LastDecoded after a Send or, once the link
+// has been read, at the end of every Send. Only LastDecoded hands out the
+// decode buffer, so a link that was never read has no retained slice to
+// keep current and its Sends skip the decode; a read link decodes
+// eagerly, which keeps the aliasing contract of Decoder exactly.
+type OnDemand struct {
+	pending bool // a recorded block awaits its decode
+	read    bool // LastDecoded has been called on this link
+}
+
+// Sent marks a block recorded and reports whether Send must decode it now.
+func (d *OnDemand) Sent() bool {
+	d.pending = !d.read
+	return d.read
+}
+
+// Read marks a LastDecoded call and reports whether the recorded block
+// still awaits its decode.
+func (d *OnDemand) Read() bool {
+	d.read = true
+	p := d.pending
+	d.pending = false
+	return p
+}
+
+// Reset drops a recorded block's pending decode. A link that was read
+// stays read: a slice retained before the Reset aliases the same buffer.
+func (d *OnDemand) Reset() { d.pending = false }
 
 // Spec selects and parameterizes a scheme by name for registry-driven
 // construction (the experiment harness sweeps these fields).

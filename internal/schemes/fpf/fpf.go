@@ -76,6 +76,14 @@ type FPF struct {
 	// in's words past the block stay zero, the idle padding wires.
 	in, out []uint64
 
+	// The codeword of every field of the last Send, field i covering
+	// bits i*segBits of the beats laid back to back: what the receiver
+	// ranks back to data. LastDecoded decodes them on demand (see
+	// link.OnDemand).
+	rxLo  []uint64
+	rxExt []bool
+	dec   link.OnDemand
+
 	// Wire state per segment: the data-wire pattern and the spare wire.
 	wireLo  []uint64
 	wireExt []bool
@@ -109,6 +117,9 @@ func New(blockBits, dataWires, segBits int) (*FPF, error) {
 		out:       make([]uint64, words),
 		wireLo:    make([]uint64, segs),
 		wireExt:   make([]bool, segs),
+		rxLo:      make([]uint64, beats*segs),
+		rxExt:     make([]bool, beats*segs),
+		decoded:   make([]byte, 0, blockBits/8),
 	}, nil
 }
 
@@ -134,44 +145,58 @@ func (l *FPF) Send(block []byte) link.Cost {
 	if len(block)*8 != l.blockBits {
 		panic(fmt.Sprintf("schemes: fpf Send of %d bits on %d-bit link", len(block)*8, l.blockBits))
 	}
-	if cap(l.decoded) < len(block) {
-		l.decoded = make([]byte, len(block))
-	}
-	l.decoded = l.decoded[:len(block)]
-
 	// Segments tile the beats back to back, so segment s of beat b is
 	// the field at bit b*wires + s*k of the block: every field comes
-	// straight out of the block's words and every decoded field goes
-	// straight into the receiver's words, stored once at the end.
+	// straight out of the block's words.
 	bitutil.LoadWords(l.in, block)
-	clear(l.out)
 	beats := (l.blockBits + l.wires - 1) / l.wires
 	k := l.segBits
 	var dataFlips, ctrlFlips uint64
-	off := 0
+	i := 0
 	for b := 0; b < beats; b++ {
 		for s := 0; s < l.segs; s++ {
-			lo, ext := l.code.Encode(lowweight.Field(l.in, off, k))
+			lo, ext := l.code.Encode(lowweight.Field(l.in, i*k, k))
 			dataFlips += uint64(bits.OnesCount64(l.wireLo[s] ^ lo))
 			if l.wireExt[s] != ext {
 				ctrlFlips++
 			}
 			l.wireLo[s], l.wireExt[s] = lo, ext
-			// The receiver ranks the settled wire pattern back to data.
-			lowweight.OrField(l.out, off, k, l.code.Decode(lo, ext))
-			off += k
+			// The receiver samples the settled wire pattern.
+			l.rxLo[i], l.rxExt[i] = lo, ext
+			i++
 		}
 	}
-	bitutil.StoreWords(l.decoded, l.out)
+	if l.dec.Sent() {
+		l.decode()
+	}
 	return link.Cost{
 		Cycles: int64(beats),
 		Flips:  link.FlipCount{Data: dataFlips, Control: ctrlFlips},
 	}
 }
 
-// LastDecoded implements link.Decoder. The slice is overwritten by the
-// next Send; copy to retain.
-func (l *FPF) LastDecoded() []byte { return l.decoded }
+// decode reconstructs the receiver's view of the last Send into the
+// decoded buffer: the receiver ranks each sampled wire pattern back to
+// data in its words, stored once at the end.
+func (l *FPF) decode() {
+	clear(l.out)
+	k := l.segBits
+	for i, lo := range l.rxLo {
+		lowweight.OrField(l.out, i*k, k, l.code.Decode(lo, l.rxExt[i]))
+	}
+	l.decoded = l.decoded[:l.blockBits/8]
+	bitutil.StoreWords(l.decoded, l.out)
+}
+
+// LastDecoded implements link.Decoder, decoding the last Send on the first
+// call after it. The slice is overwritten by the next Send; copy to
+// retain.
+func (l *FPF) LastDecoded() []byte {
+	if l.dec.Read() {
+		l.decode()
+	}
+	return l.decoded
+}
 
 // Reset implements link.Link.
 func (l *FPF) Reset() {
@@ -179,6 +204,7 @@ func (l *FPF) Reset() {
 		l.wireLo[i] = 0
 		l.wireExt[i] = false
 	}
+	l.dec.Reset()
 	l.decoded = l.decoded[:0]
 }
 

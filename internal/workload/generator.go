@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math/rand"
-	"sync"
-)
+import "sync"
 
 // chunkBits is the chunk granularity at which value statistics are
 // calibrated (the paper's Figures 12/13 use the 4-bit DESC interface).
@@ -424,143 +421,6 @@ func (g *Generator) genBlock(addr uint64, buf *[64]byte) {
 			buf[c/2] |= v << 4
 		}
 	}
-}
-
-// Access is one memory reference of a context's stream.
-type Access struct {
-	// Addr is the byte address (block aligned).
-	Addr uint64
-	// Write reports a store.
-	Write bool
-	// Gap is the number of non-memory instructions executed before this
-	// reference.
-	Gap int
-}
-
-// reuseFrac is the probability that a reference re-touches a recently used
-// address (temporal locality); recent addresses mostly hit in the L1 and
-// keep miss rates in the range of real memory-intensive applications.
-const reuseFrac = 0.72
-
-// reuseWindow is the number of recent addresses eligible for reuse.
-const reuseWindow = 48
-
-// Stream generates the access sequence of one hardware context.
-type Stream struct {
-	g       *Generator
-	rng     *rand.Rand
-	ctx     int
-	nctx    int
-	seqPtr  uint64
-	strPtr  uint64
-	meanGap float64
-	recent  [reuseWindow]uint64
-	nRecent int
-	wRecent int
-}
-
-// Stream returns the access stream for context ctx of nctx total contexts.
-func (g *Generator) Stream(ctx, nctx int) *Stream {
-	if nctx <= 0 {
-		nctx = 1
-	}
-	s := &Stream{
-		g:    g,
-		rng:  rand.New(rand.NewSource(int64(mix(g.seed + uint64(ctx)*7919)))),
-		ctx:  ctx,
-		nctx: nctx,
-	}
-	refs := g.prof.MemRefsPerKInstr
-	if refs <= 0 {
-		refs = 250
-	}
-	s.meanGap = 1000.0/float64(refs) - 1
-	if s.meanGap < 0 {
-		s.meanGap = 0
-	}
-	s.seqPtr = s.privateBase() + uint64(s.rng.Intn(1024))*64
-	s.strPtr = s.privateBase() + uint64(s.rng.Intn(1024))*64
-	return s
-}
-
-// Region layout: the shared region holds a quarter of the working set; the
-// remainder is split evenly among contexts.
-const sharedBase = uint64(1) << 50
-
-func (s *Stream) sharedSize() uint64 {
-	sz := uint64(s.g.prof.WorkingSetBytes) / 4
-	if sz < 64 {
-		sz = 64
-	}
-	return sz &^ 63
-}
-
-func (s *Stream) privateSize() uint64 {
-	sz := (uint64(s.g.prof.WorkingSetBytes) - s.sharedSize()) / uint64(s.nctx)
-	if sz < 4096 {
-		sz = 4096
-	}
-	return sz &^ 63
-}
-
-func (s *Stream) privateBase() uint64 {
-	return uint64(s.ctx+1) << 40
-}
-
-// Next produces the context's next memory reference.
-func (s *Stream) Next() Access {
-	p := s.g.prof
-	var a Access
-	// Geometric-ish gap with the profile's memory intensity.
-	if s.meanGap > 0 {
-		a.Gap = int(s.rng.ExpFloat64() * s.meanGap)
-	}
-	a.Write = s.rng.Float64() < p.WriteFrac
-
-	// Temporal reuse: revisit a recent address (different word of the
-	// same or a nearby block), modeling the register/block-level reuse
-	// of real programs.
-	if s.nRecent > 0 && s.rng.Float64() < reuseFrac {
-		a.Addr = s.recent[s.rng.Intn(s.nRecent)] &^ 63
-		return a
-	}
-
-	shared := p.SharedFrac > 0 && s.rng.Float64() < p.SharedFrac
-	var base, size uint64
-	if shared {
-		base, size = sharedBase, s.sharedSize()
-	} else {
-		base, size = s.privateBase(), s.privateSize()
-	}
-
-	u := s.rng.Float64()
-	switch {
-	case u < p.SeqFrac:
-		s.seqPtr += 64
-		if s.seqPtr < base || s.seqPtr >= base+size {
-			s.seqPtr = base
-		}
-		a.Addr = s.seqPtr
-	case u < p.SeqFrac+p.StridedFrac:
-		stride := uint64(p.StrideBytes)
-		if stride < 64 {
-			stride = 64
-		}
-		s.strPtr += stride
-		if s.strPtr < base || s.strPtr >= base+size {
-			s.strPtr = base + uint64(s.rng.Int63n(int64(size/64)))*64
-		}
-		a.Addr = s.strPtr
-	default:
-		a.Addr = base + uint64(s.rng.Int63n(int64(size/64)))*64
-	}
-	a.Addr &^= 63
-	s.recent[s.wRecent] = a.Addr
-	s.wRecent = (s.wRecent + 1) % reuseWindow
-	if s.nRecent < reuseWindow {
-		s.nRecent++
-	}
-	return a
 }
 
 // MeasureValueStats samples n blocks from the generator's address space and
