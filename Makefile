@@ -10,7 +10,7 @@ FUZZTIME ?= 30s
 # Worker-pool size for results-quick (0 = GOMAXPROCS).
 JOBS ?= 0
 
-.PHONY: all build test race lint lint-json lint-baseline vet perfbench-check selfcheck fuzz bench bench-quick results-quick results-cached serve-smoke verify clean
+.PHONY: all build test race rerun lint lint-json lint-baseline vet perfbench-check selfcheck fuzz bench bench-quick results-quick results-cached serve-smoke verify clean
 
 all: build
 
@@ -25,6 +25,12 @@ test:
 ## race: full suite under the race detector
 race:
 	$(GO) test -race -shuffle=on ./...
+
+## rerun: run the packages that keep process-wide state (the link
+## registry, the workload block cache, spill memo and stream record) twice
+## in one process, so a test that only passes on a fresh process fails
+rerun:
+	$(GO) test -count=2 ./internal/link/... ./internal/baseline/... ./internal/schemes/... ./internal/workload/... ./internal/cpusim/...
 
 ## lint: the desclint analyzer suite (aliasretain, atomicsafe, ctxcancel,
 ## determinism, errprefix, exhaustive, floateq, hotalloc, unitsuffix) plus
@@ -147,7 +153,7 @@ serve-smoke:
 	$(GO) test -run TestEncodeHotPathZeroAlloc -count=1 ./internal/serve
 
 ## verify: everything CI gates a PR on
-verify: build lint test race perfbench-check selfcheck
+verify: build lint test race rerun perfbench-check selfcheck
 	@echo "verify: OK"
 
 clean:

@@ -77,16 +77,15 @@ func (s *Stream) refill() bool {
 			r.mu.Unlock()
 			return true
 		}
-		room := !r.frozen && r.n < len(r.chunks)*streamChunk
-		if room {
+		frozen, full := r.frozen, r.n == len(r.chunks)*streamChunk
+		if !frozen && !full {
 			r.extend()
 		}
-		grow := !r.frozen && !room
 		r.mu.Unlock()
-		if !room && !grow {
+		if frozen {
 			break
 		}
-		if grow {
+		if full {
 			r.table.grow(r)
 		}
 	}
@@ -227,9 +226,7 @@ func (t *streamTable) stream(g *Generator, ctx, nctx int) *Stream {
 		return &Stream{rec: r}
 	}
 	for t.bytes+streamGenBytes > streamRecordBudget {
-		if n := len(t.free); n > 0 {
-			t.free[n-1] = nil
-			t.free = t.free[:n-1]
+		if t.popFree() != nil {
 			t.bytes -= streamChunkBytes
 		} else {
 			t.evictOldest()
@@ -260,16 +257,25 @@ func (t *streamTable) grow(r *streamRecord) {
 		}
 		t.evictOldest()
 	}
-	var c *[streamChunk]uint64
-	if n := len(t.free); n > 0 {
-		c = t.free[n-1]
-		t.free[n-1] = nil
-		t.free = t.free[:n-1]
-	} else {
+	c := t.popFree()
+	if c == nil {
 		c = new([streamChunk]uint64)
 		t.bytes += streamChunkBytes
 	}
 	r.chunks = append(r.chunks, c)
+}
+
+// popFree takes a chunk off the free list, or returns nil. The caller
+// holds t.mu.
+func (t *streamTable) popFree() *[streamChunk]uint64 {
+	n := len(t.free)
+	if n == 0 {
+		return nil
+	}
+	c := t.free[n-1]
+	t.free[n-1] = nil
+	t.free = t.free[:n-1]
+	return c
 }
 
 // takeGen hands r's generator to a replayer at pos if it stands there.
@@ -292,7 +298,7 @@ func (t *streamTable) takeGen(r *streamRecord, pos int) *streamGen {
 // evictOldest drops the oldest record and frees its chunks for reuse. It
 // keeps only its generator, uncounted, for a replayer at its end; the
 // replayers behind it continue on fast-forwarded generators. The caller
-// holds t.mu and no record lock but possibly that of a newer record.
+// holds t.mu and at most the lock of a newer record.
 func (t *streamTable) evictOldest() {
 	r := t.order[0]
 	t.order[0] = nil

@@ -76,50 +76,35 @@ func TestSharedStreamMatchesPrivate(t *testing.T) {
 			replay(t, label+" after eviction", below, want, 100, 1000)
 			replay(t, label+" new record", tbl.stream(g, ctx, nctx), want, 0, 1000)
 
-			// Concurrent replayers extend one record together.
-			tbl = newStreamTable()
-			var wg sync.WaitGroup
-			errs := make(chan string, 4)
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := tbl.stream(g, ctx, nctx)
-					for j := 0; j < 3000; j++ {
-						if got := s.Next(); got != want[j] {
-							errs <- fmt.Sprintf("%s concurrent: access %d = %+v, want %+v", label, j, got, want[j])
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for e := range errs {
-				t.Fatal(e)
-			}
+			replayConcurrently(t, label, newStreamTable(), g, ctx, nctx, want[:3000])
 		}
 	}
 }
 
 // TestSharedStreamConcurrentBeyondBudget: replayers racing past a full
-// record hand its generator to exactly one of them; every one of them
-// still reads the private sequence.
+// record hand its generator to one of them and fast-forward the others;
+// every one of them still reads the private sequence.
 func TestSharedStreamConcurrentBeyondBudget(t *testing.T) {
 	g := NewGenerator(Parallel()[2], 3)
-	n := recordCap() + 500
-	want := privateAccesses(g, 5, 32, n)
-	tbl := newStreamTable()
+	want := privateAccesses(g, 5, 32, recordCap()+500)
+	replayConcurrently(t, "beyond the budget", newStreamTable(), g, 5, 32, want)
+}
+
+// replayConcurrently has four goroutines replay g's (ctx, nctx) stream
+// from tbl at once, extending one record together, and checks each
+// against want.
+func replayConcurrently(t *testing.T, label string, tbl *streamTable, g *Generator, ctx, nctx int, want []Access) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make(chan string, 4)
+	errs := make(chan string, 4) // one per replayer
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := tbl.stream(g, 5, 32)
-			for j := 0; j < n; j++ {
+			s := tbl.stream(g, ctx, nctx)
+			for j := range want {
 				if got := s.Next(); got != want[j] {
-					errs <- fmt.Sprintf("access %d = %+v, want %+v", j, got, want[j])
+					errs <- fmt.Sprintf("%s, concurrent: access %d = %+v, want %+v", label, j, got, want[j])
 					return
 				}
 			}
