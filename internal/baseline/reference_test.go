@@ -332,6 +332,9 @@ var referenceGeometries = []struct {
 	{128, 8, 8},
 	{512, 64, 4},  // 16 segments: the bic-ezs mode field in one word
 	{512, 128, 2}, // 64 segments: past the one-word mode field (3^40 < 2^64 < 3^41)
+	{512, 64, 16}, // the Figure 15 sweep's segment widths at its 64 wires
+	{512, 64, 32},
+	{512, 64, 64},
 }
 
 // differentialBlocks builds the shared traffic pattern: adversarial
@@ -450,9 +453,26 @@ func TestBusInvertMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzBaselineVsReference holds the word-based Binary and DZC codecs to
-// their scalar oracles on arbitrary two-block sequences (the corpus is
-// shared with FuzzSchemesDecode, whose seeds live in testdata/fuzz).
+// fuzzGeometry derives a bus shape from the first bytes of the fuzz
+// inputs: the segment width from {8, 1, 2, 4, 16, 32, 64} (8 at a zero
+// byte, so the all-zero seeds keep the original byte geometry) and a wire
+// count that the width divides. Deriving it from the existing arguments
+// keeps the checked-in corpora valid.
+func fuzzGeometry(first, second []byte) (wires, segBits int) {
+	segBits = []int{8, 1, 2, 4, 16, 32, 64}[int(first[0])%7]
+	var fit []int
+	for _, w := range []int{16, 24, 8, 32, 48, 64, 128} {
+		if w%segBits == 0 {
+			fit = append(fit, w)
+		}
+	}
+	return fit[int(second[0])%len(fit)], segBits
+}
+
+// FuzzBaselineVsReference holds the word-based Binary, DZC and bus-invert
+// codecs to their scalar oracles on arbitrary two-block sequences, over a
+// segment width and wire count drawn from the inputs (see fuzzGeometry;
+// the corpus lives in testdata/fuzz, one seed per segment width).
 func FuzzBaselineVsReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(
@@ -464,50 +484,51 @@ func FuzzBaselineVsReference(f *testing.F) {
 			return
 		}
 		seq := [][]byte{first[:8], second[:8], first[:8]}
+		wires, segBits := fuzzGeometry(first, second)
 
-		fastB, err := NewBinary(64, 24)
+		fastB, err := NewBinary(64, wires)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refB := newRefBinary(64, 24)
+		refB := newRefBinary(64, wires)
 		for i, block := range seq {
 			got := fastB.Send(block)
 			want, _ := refB.send(block)
 			if got != want {
-				t.Fatalf("binary block %d: fast %+v != reference %+v", i, got, want)
+				t.Fatalf("binary %d wires block %d: fast %+v != reference %+v", wires, i, got, want)
 			}
 		}
 
-		fastD, err := NewDZC(64, 16, 8)
+		fastD, err := NewDZC(64, wires, segBits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refD := newRefDZC(64, 16, 8)
+		refD := newRefDZC(64, wires, segBits)
 		for i, block := range seq {
 			got := fastD.Send(block)
 			want, wantDec := refD.send(block)
 			if got != want {
-				t.Fatalf("dzc block %d: fast %+v != reference %+v", i, got, want)
+				t.Fatalf("dzc %d/%d block %d: fast %+v != reference %+v", wires, segBits, i, got, want)
 			}
 			if !bytes.Equal(fastD.LastDecoded(), wantDec) {
-				t.Fatalf("dzc block %d: decode mismatch", i)
+				t.Fatalf("dzc %d/%d block %d: decode mismatch", wires, segBits, i)
 			}
 		}
 
 		for _, mode := range []InvertMode{InvertOnly, InvertZeroSkip, InvertEncodedZeroSkip} {
-			fastI, err := NewBusInvert(64, 16, 8, mode)
+			fastI, err := NewBusInvert(64, wires, segBits, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refI := newRefBusInvert(64, 16, 8, mode)
+			refI := newRefBusInvert(64, wires, segBits, mode)
 			for i, block := range seq {
 				got := fastI.Send(block)
 				want, wantDec := refI.send(block)
 				if got != want {
-					t.Fatalf("%s block %d: fast %+v != reference %+v", mode, i, got, want)
+					t.Fatalf("%s %d/%d block %d: fast %+v != reference %+v", mode, wires, segBits, i, got, want)
 				}
 				if !bytes.Equal(fastI.LastDecoded(), wantDec) {
-					t.Fatalf("%s block %d: decode mismatch", mode, i)
+					t.Fatalf("%s %d/%d block %d: decode mismatch", mode, wires, segBits, i)
 				}
 			}
 		}

@@ -40,6 +40,10 @@ var codecGeometries = []struct {
 	{512, 2, 128}, // scalar: 2-bit chunks
 	{512, 1, 64},  // scalar: 1-bit chunks
 	{8, 4, 2},     // the paper's Figure 3 example geometry
+	{512, 2, 64},  // the Figure 22/26 chunk sweeps' narrow widths
+	{512, 1, 32},
+	{512, 8, 256}, // byte lanes, one round of 64 chunks on 256 wires
+	{512, 2, 24},  // 2-bit chunks on a ragged wire count
 }
 
 // adversarialBlocks are the corner patterns the skip variants
@@ -225,8 +229,9 @@ func TestCodecResetClearsKernelHistory(t *testing.T) {
 
 // FuzzCodecVsReference drives arbitrary stateful traffic through the fast
 // codec and the scalar oracle under every skip kind and a fuzz-chosen
-// chunk width, asserting cost equality and lossless decode. Seeds are
-// shared with FuzzChannelRoundTrip's corpus format.
+// chunk width and wire count (16, 24 or 32 wires: whole nibble words, a
+// ragged round and two-word rounds), asserting cost equality and lossless
+// decode. Seeds are shared with FuzzChannelRoundTrip's corpus format.
 func FuzzCodecVsReference(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}, uint8(1))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint8(2))
@@ -238,13 +243,14 @@ func FuzzCodecVsReference(f *testing.F) {
 			return
 		}
 		kind := SkipKind(int(seed) % 4)
-		chunkBits := []int{4, 4, 1, 2, 8}[int(seed/4)%5] // bias toward the kernel path
+		chunkBits := []int{4, 4, 1, 2, 8}[int(seed/4)%5] // bias toward the design point
+		wires := []int{16, 24, 32}[int(seed/20)%3]
 
-		fast, err := NewCodec(64, chunkBits, 16, kind)
+		fast, err := NewCodec(64, chunkBits, wires, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newReferenceCodec(64, chunkBits, 16, kind)
+		ref, err := newReferenceCodec(64, chunkBits, wires, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +260,11 @@ func FuzzCodecVsReference(f *testing.F) {
 			block := payload[off : off+8]
 			got, want := fast.Send(block), ref.Send(block)
 			if got != want {
-				t.Fatalf("%v k=%d off=%d: fast %+v != reference %+v",
-					kind, chunkBits, off, got, want)
+				t.Fatalf("%v k=%d w=%d off=%d: fast %+v != reference %+v",
+					kind, chunkBits, wires, off, got, want)
 			}
 			if !bytes.Equal(fast.LastDecoded(), block) {
-				t.Fatalf("%v k=%d off=%d: lossy decode", kind, chunkBits, off)
+				t.Fatalf("%v k=%d w=%d off=%d: lossy decode", kind, chunkBits, wires, off)
 			}
 		}
 	})
