@@ -151,9 +151,16 @@ func BenchmarkSendDESCAdaptive(b *testing.B) { benchmarkScheme(b, "desc-adaptive
 func BenchmarkSendFPF(b *testing.B)          { benchmarkScheme(b, "fpf", 64) }
 func BenchmarkSendLWC(b *testing.B)          { benchmarkScheme(b, "lwc", 64) }
 
-// BenchmarkSendDESCZeroScalar pins the scalar fallback path (ragged wire
-// count) so both codec paths stay on the perf record.
-func BenchmarkSendDESCZeroScalar(b *testing.B) { benchmarkScheme(b, "desc-zero", 24) }
+// BenchmarkSendDESCZeroWires24 pins a ragged wire count: 24 nibble lanes
+// per round, so each round's second word is half empty.
+func BenchmarkSendDESCZeroWires24(b *testing.B) { benchmarkScheme(b, "desc-zero", 24) }
+
+// The chunk sweeps' (Figures 22 and 26) narrow chunks: 2-bit chunks
+// spread into nibble lanes at the two wire counts the quick sweeps run.
+func BenchmarkSendDESCZeroChunk2(b *testing.B) { benchmarkSchemeGeom(b, "desc-zero", 128, 2, 8) }
+func BenchmarkSendDESCZeroChunk2Wires64(b *testing.B) {
+	benchmarkSchemeGeom(b, "desc-zero", 64, 2, 8)
+}
 
 // The byte-lane variants pin the 8-bit-chunk word kernel, the other half
 // of the fast-path gate.
@@ -162,16 +169,23 @@ func BenchmarkSendDESCAdaptiveBytes(b *testing.B) {
 	benchmarkSchemeGeom(b, "desc-adaptive", 64, 8, 8)
 }
 
-// The segBits-16 variants pin the baselines' scalar segment path, the
-// control for the byte-segment word kernels above.
-func BenchmarkSendDZCScalar(b *testing.B)       { benchmarkSchemeGeom(b, "dzc", 64, 4, 16) }
-func BenchmarkSendBusInvertScalar(b *testing.B) { benchmarkSchemeGeom(b, "bic", 64, 4, 16) }
+// The segment sweep's (Figure 15) other widths for the lane kernels of
+// the bus-invert family and dzc: 16-bit lanes, and 4-bit lanes with 16
+// mode decisions per word.
+func BenchmarkSendDZCSeg16(b *testing.B)       { benchmarkSchemeGeom(b, "dzc", 64, 4, 16) }
+func BenchmarkSendBusInvertSeg16(b *testing.B) { benchmarkSchemeGeom(b, "bic", 64, 4, 16) }
+func BenchmarkSendBusInvertSeg4(b *testing.B)  { benchmarkSchemeGeom(b, "bic", 64, 4, 4) }
+func BenchmarkSendBICZeroSkipSeg4(b *testing.B) {
+	benchmarkSchemeGeom(b, "bic-zs", 64, 4, 4)
+}
+func BenchmarkSendDZCSeg4(b *testing.B) { benchmarkSchemeGeom(b, "dzc", 64, 4, 4) }
 
 // The segment-width sweep's other literature-codec and dense-mode-field
-// shapes: table lookups (fpf at 4 bits, lwc at 16), the wide walk (lwc
-// at 64, one segment plus its spare wire) and the 16-segment base-3
-// mode field.
+// shapes: table lookups (fpf at 4 bits, lwc at 16), the wide walks (fpf
+// and lwc at 64, one segment plus its spare wires) and the 16-segment
+// base-3 mode field.
 func BenchmarkSendFPFSeg4(b *testing.B)          { benchmarkSchemeGeom(b, "fpf", 64, 4, 4) }
+func BenchmarkSendFPFSeg64(b *testing.B)         { benchmarkSchemeGeom(b, "fpf", 64, 4, 64) }
 func BenchmarkSendLWCSeg16(b *testing.B)         { benchmarkSchemeGeom(b, "lwc", 64, 4, 16) }
 func BenchmarkSendLWCSeg64(b *testing.B)         { benchmarkSchemeGeom(b, "lwc", 64, 4, 64) }
 func BenchmarkSendBICEncodedZSSeg4(b *testing.B) { benchmarkSchemeGeom(b, "bic-ezs", 64, 4, 4) }

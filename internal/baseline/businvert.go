@@ -46,26 +46,29 @@ func (m InvertMode) String() string {
 }
 
 // BusInvert implements the three bus-invert variants over a segmented bus.
-// Wire state lives in uint64 words and per-segment costs are popcounts, so
-// the codec stays fast on the simulator's hot path; segments never straddle
-// word boundaries because segBits divides 64 (or is a multiple of it).
+// Wire state lives in uint64 words and every beat runs the lane kernel of
+// sendBeat at any segment width (see segLanes), so the codec stays fast
+// on the simulator's hot path.
 type BusInvert struct {
 	blockBits int
 	wires     int
 	segBits   int
 	segs      int
 	mode      InvertMode
+	lanes     segLanes
 
 	state   []uint64 // data wire levels
 	scratch []uint64 // beat being encoded
-	invert  []bool   // per-segment invert wire levels
-	zero    []bool   // per-segment zero-indicator levels
+	// Per-segment control levels, one word per lane group (see
+	// segLanes): the invert wires, and the zero indicators of bic-zs.
+	invert []uint64
+	zero   []uint64
 	// Dense mode field levels, wire b at bit b%64 of word b/64, over
 	// modeWires wires.
 	modeBus   []uint64
 	modeWires int
 
-	modes   []int // scratch: per-segment mode of the current beat
+	modes   []int // scratch: per-segment mode of the current beat (ezs)
 	rxModes []int // scratch: modes re-decoded from the mode field (ezs)
 	digits  []int // scratch: base-3 digit vector of wide mode fields
 
@@ -74,8 +77,8 @@ type BusInvert struct {
 	// whichever control levels the variant drives. LastDecoded decodes
 	// from them on demand (see link.OnDemand).
 	rxState  []uint64
-	rxInvert []bool
-	rxZero   []bool
+	rxInvert []uint64
+	rxZero   []uint64
 	rxMode   []uint64
 	dec      link.OnDemand
 	decoded  []byte
@@ -106,25 +109,27 @@ func NewBusInvert(blockBits, dataWires, segBits int, mode InvertMode) (*BusInver
 		segBits:   segBits,
 		segs:      segs,
 		mode:      mode,
+		lanes:     newSegLanes(dataWires, segBits),
 		state:     make([]uint64, words),
 		scratch:   make([]uint64, words),
-		modes:     make([]int, segs),
 		rxState:   make([]uint64, beats*words),
 		decoded:   make([]byte, 0, blockBits/8),
 	}
+	groups := len(l.lanes.valid)
 	switch mode {
 	case InvertOnly:
-		l.invert = make([]bool, segs)
-		l.rxInvert = make([]bool, beats*segs)
+		l.invert = make([]uint64, groups)
+		l.rxInvert = make([]uint64, beats*groups)
 	case InvertZeroSkip:
-		l.invert = make([]bool, segs)
-		l.zero = make([]bool, segs)
-		l.rxInvert = make([]bool, beats*segs)
-		l.rxZero = make([]bool, beats*segs)
+		l.invert = make([]uint64, groups)
+		l.zero = make([]uint64, groups)
+		l.rxInvert = make([]uint64, beats*groups)
+		l.rxZero = make([]uint64, beats*groups)
 	case InvertEncodedZeroSkip:
 		l.modeWires = encodedModeWires(segs)
 		l.modeBus = make([]uint64, (l.modeWires+63)/64)
 		l.rxMode = make([]uint64, beats*len(l.modeBus))
+		l.modes = make([]int, segs)
 		l.rxModes = make([]int, segs)
 		l.digits = make([]int, segs)
 	default:
@@ -173,62 +178,6 @@ const (
 	modeSkip   = 2
 )
 
-// segView returns the data and current-state bits of segment s, the word
-// index, shift, and mask. Segments wider than a word are handled by the
-// multi-word path in hdSeg/writeSeg.
-func (l *BusInvert) segGeom(s int) (firstWord, shift int, mask uint64, words int) {
-	bitOff := s * l.segBits
-	if l.segBits >= 64 {
-		return bitOff / 64, 0, ^uint64(0), l.segBits / 64
-	}
-	mask = (uint64(1) << uint(l.segBits)) - 1
-	return bitOff / 64, bitOff % 64, mask, 1
-}
-
-// hdSeg returns (hamming distance to data, whether data is all zero).
-func (l *BusInvert) hdSeg(s int) (hd int, allZero bool) {
-	fw, shift, mask, words := l.segGeom(s)
-	if words == 1 {
-		data := (l.scratch[fw] >> uint(shift)) & mask
-		cur := (l.state[fw] >> uint(shift)) & mask
-		return bits.OnesCount64(data ^ cur), data == 0
-	}
-	allZero = true
-	for w := 0; w < words; w++ {
-		data := l.scratch[fw+w]
-		hd += bits.OnesCount64(data ^ l.state[fw+w])
-		if data != 0 {
-			allZero = false
-		}
-	}
-	return hd, allZero
-}
-
-// writeSeg drives segment s to the beat's data (optionally inverted) and
-// returns the flips.
-func (l *BusInvert) writeSeg(s int, inverted bool) int {
-	fw, shift, mask, words := l.segGeom(s)
-	if words == 1 {
-		data := (l.scratch[fw] >> uint(shift)) & mask
-		if inverted {
-			data = ^data & mask
-		}
-		cur := (l.state[fw] >> uint(shift)) & mask
-		l.state[fw] = (l.state[fw] &^ (mask << uint(shift))) | (data << uint(shift))
-		return bits.OnesCount64(cur ^ data)
-	}
-	flips := 0
-	for w := 0; w < words; w++ {
-		data := l.scratch[fw+w]
-		if inverted {
-			data = ^data
-		}
-		flips += bits.OnesCount64(l.state[fw+w] ^ data)
-		l.state[fw+w] = data
-	}
-	return flips
-}
-
 // Send implements link.Link.
 //
 //desclint:hotpath
@@ -241,13 +190,9 @@ func (l *BusInvert) Send(block []byte) link.Cost {
 	var dataFlips, ctrlFlips uint64
 	for b := 0; b < beats; b++ {
 		loadBits(l.scratch, block, b*l.wires, l.wires)
-		if l.segBits == 8 {
-			l.sendBeatBytes(&dataFlips, &ctrlFlips)
-		} else {
-			for s := 0; s < l.segs; s++ {
-				l.modes[s] = l.chooseMode(s, &dataFlips, &ctrlFlips)
-			}
-		}
+		d, c := l.sendBeat()
+		dataFlips += d
+		ctrlFlips += c
 		if l.mode == InvertEncodedZeroSkip {
 			ctrlFlips += l.driveModeField(l.modes)
 		}
@@ -262,156 +207,103 @@ func (l *BusInvert) Send(block []byte) link.Cost {
 	}
 }
 
-// sendBeatBytes is the word-parallel encoder for the common byte-segment
-// geometry: a word holds 8 segments, so the per-segment Hamming distances
-// are the byte lanes of one BytePopcounts and the all-zero segments fall
-// out of one ByteZeroMask. The mode decisions (which depend on the
-// persistent per-segment control-wire levels) stay scalar, but they read
-// precomputed lane aggregates, and the data wires drive as two masked
-// words instead of per-segment shifts. It must agree with chooseMode
-// bit-for-bit; the refBusInvert oracle pins both.
+// sendBeat encodes the beat in scratch, one lane group at a time: one
+// LanePopcounts yields every segment's Hamming distance to the wires and
+// one LaneZeroMask its all-zero segments. The mode decisions, which read
+// the persistent control levels, stay per segment, but they only set
+// lane bits: the data wires then drive as two lane-filled masks, and
+// data and control flips are popcounts of the old levels against the
+// new. The refBusInvert oracle pins it bit for bit.
 //
-//desclint:hotpath runs once per beat on byte-segment geometries
-func (l *BusInvert) sendBeatBytes(dataFlips, ctrlFlips *uint64) {
-	for w := range l.scratch {
-		data := l.scratch[w]
-		pc := bitutil.BytePopcounts(data ^ l.state[w]) // per-segment Hamming distance
-		zm := bitutil.ByteZeroMask(data)               // all-zero segments
-		lanes := l.segs - w*8
-		if lanes > 8 {
-			lanes = 8
+//desclint:hotpath runs once per beat
+func (l *BusInvert) sendBeat() (dataFlips, ctrlFlips uint64) {
+	g := &l.lanes
+	k := g.laneBits
+	laneOnes := uint64(1)<<uint(k) - 1
+	for grp, valid := range g.valid {
+		data := l.scratch[grp*g.segWords : (grp+1)*g.segWords]
+		state := l.state[grp*g.segWords : (grp+1)*g.segWords]
+		pc, zm := g.distances(data, state), g.zeroLanes(grp, data)
+		var inv, zero uint64
+		if l.invert != nil {
+			inv = l.invert[grp]
 		}
-		var invMask, keepMask uint64
-		for i := 0; i < lanes; i++ {
-			s := w*8 + i
-			sh := 8 * uint(i)
-			hd := int(pc >> sh & 0xFF)
-			hdInv := 8 - hd
-			allZero := zm>>sh&0x80 != 0
-
-			m := modeNormal
+		if l.zero != nil {
+			zero = l.zero[grp]
+		}
+		var invLanes, skipLanes uint64
+		for m := valid; m != 0; m &= m - 1 {
+			top := m & -m
+			lane := bits.TrailingZeros64(m) + 1 - k
+			hd := int(pc >> uint(lane) & laneOnes)
+			hdInv := l.segBits - hd
 			switch l.mode {
 			case InvertOnly:
 				costN, costI := hd, hdInv
-				if l.invert[s] {
+				if inv&top != 0 {
 					costN++
 				} else {
 					costI++
 				}
 				if costI < costN {
-					m = modeInvert
+					invLanes |= top
 				}
 			case InvertZeroSkip:
-				costN := hd + flipCost(l.invert[s], false) + flipCost(l.zero[s], false)
-				costI := hdInv + flipCost(l.invert[s], true) + flipCost(l.zero[s], false)
-				switch {
-				case allZero && flipCost(l.zero[s], true) <= costN && flipCost(l.zero[s], true) <= costI:
-					m = modeSkip
+				// Driving the zero indicator low costs one flip if
+				// it is high; raising it costs one if it is low.
+				zeroHigh := b2i(zero&top != 0)
+				invHigh := b2i(inv&top != 0)
+				costN := hd + invHigh + zeroHigh
+				costI := hdInv + 1 - invHigh + zeroHigh
+				switch costS := 1 - zeroHigh; {
+				case zm&top != 0 && costS <= costN && costS <= costI:
+					skipLanes |= top
 				case costI < costN:
-					m = modeInvert
+					invLanes |= top
 				}
 			default: // InvertEncodedZeroSkip
+				// The mode field is shared, so the per-segment
+				// decision minimizes data flips only.
+				mode := modeNormal
 				switch {
-				case allZero:
-					m = modeSkip
+				case zm&top != 0:
+					mode = modeSkip
+					skipLanes |= top
 				case hdInv < hd:
-					m = modeInvert
+					mode = modeInvert
+					invLanes |= top
 				}
-			}
-			l.modes[s] = m
-
-			switch m {
-			case modeSkip:
-				// Data and invert wires untouched; only the
-				// zero indicator (if any) can flip.
-				keepMask |= uint64(0xFF) << sh
-				if l.mode == InvertZeroSkip {
-					*ctrlFlips += uint64(setLevel(l.zero, s, true))
-				}
-			case modeInvert:
-				invMask |= uint64(0xFF) << sh
-				*dataFlips += uint64(hdInv)
-				if l.mode != InvertEncodedZeroSkip {
-					*ctrlFlips += uint64(setLevel(l.invert, s, true))
-				}
-				if l.mode == InvertZeroSkip {
-					*ctrlFlips += uint64(setLevel(l.zero, s, false))
-				}
-			default:
-				*dataFlips += uint64(hd)
-				if l.mode != InvertEncodedZeroSkip {
-					*ctrlFlips += uint64(setLevel(l.invert, s, false))
-				}
-				if l.mode == InvertZeroSkip {
-					*ctrlFlips += uint64(setLevel(l.zero, s, false))
-				}
+				l.modes[grp*g.lanes+lane/k] = mode
 			}
 		}
-		// Drive: skipped segments keep their old levels, inverted ones
-		// take the complement, the rest take the data directly. Padding
-		// lanes beyond the bus are zero in both data and state.
-		l.state[w] = (data^invMask)&^keepMask | l.state[w]&keepMask
+		// Drive: skipped segments keep their levels, inverted ones take
+		// the complement, the rest take the data directly.
+		invMask, keepMask := bitutil.LaneFill(invLanes, k), bitutil.LaneFill(skipLanes, k)
+		for j, d := range data {
+			next := (d^invMask)&^keepMask | state[j]&keepMask
+			dataFlips += uint64(bits.OnesCount64(state[j] ^ next))
+			state[j] = next
+		}
+		switch l.mode {
+		case InvertOnly:
+			ctrlFlips += uint64(bits.OnesCount64(inv ^ invLanes))
+			l.invert[grp] = invLanes
+		case InvertZeroSkip:
+			// A skipped segment leaves its invert wire untouched.
+			next := inv&skipLanes | invLanes
+			ctrlFlips += uint64(bits.OnesCount64(inv^next) + bits.OnesCount64(zero^skipLanes))
+			l.invert[grp], l.zero[grp] = next, skipLanes
+		}
 	}
+	return dataFlips, ctrlFlips
 }
 
-// chooseMode encodes one segment of the current beat: it picks the
-// cheapest legal mode, drives the wires, and accumulates flips.
-func (l *BusInvert) chooseMode(s int, dataFlips, ctrlFlips *uint64) int {
-	hd, allZero := l.hdSeg(s)
-	hdInv := l.segBits - hd
-
-	switch l.mode {
-	case InvertOnly:
-		costN, costI := hd, hdInv
-		if l.invert[s] {
-			costN++
-		} else {
-			costI++
-		}
-		if costI < costN {
-			*dataFlips += uint64(l.writeSeg(s, true))
-			*ctrlFlips += uint64(setLevel(l.invert, s, true))
-			return modeInvert
-		}
-		*dataFlips += uint64(l.writeSeg(s, false))
-		*ctrlFlips += uint64(setLevel(l.invert, s, false))
-		return modeNormal
-
-	case InvertZeroSkip:
-		costN := hd + flipCost(l.invert[s], false) + flipCost(l.zero[s], false)
-		costI := hdInv + flipCost(l.invert[s], true) + flipCost(l.zero[s], false)
-		costS := -1
-		if allZero {
-			costS = flipCost(l.zero[s], true) // data and invert untouched
-		}
-		if costS >= 0 && costS <= costN && costS <= costI {
-			*ctrlFlips += uint64(setLevel(l.zero, s, true))
-			return modeSkip
-		}
-		if costI < costN {
-			*dataFlips += uint64(l.writeSeg(s, true))
-			*ctrlFlips += uint64(setLevel(l.invert, s, true))
-			*ctrlFlips += uint64(setLevel(l.zero, s, false))
-			return modeInvert
-		}
-		*dataFlips += uint64(l.writeSeg(s, false))
-		*ctrlFlips += uint64(setLevel(l.invert, s, false))
-		*ctrlFlips += uint64(setLevel(l.zero, s, false))
-		return modeNormal
-
-	default: // InvertEncodedZeroSkip
-		// The mode field is shared, so the per-segment decision
-		// minimizes data flips only.
-		if allZero {
-			return modeSkip // data wires untouched
-		}
-		if hdInv < hd {
-			*dataFlips += uint64(l.writeSeg(s, true))
-			return modeInvert
-		}
-		*dataFlips += uint64(l.writeSeg(s, false))
-		return modeNormal
+// b2i returns 1 for true and 0 for false.
+func b2i(v bool) int {
+	if v {
+		return 1
 	}
+	return 0
 }
 
 // driveModeField binary-encodes the base-3 mode vector onto the mode wires
@@ -491,39 +383,9 @@ func (l *BusInvert) modeFieldOf(modeBus []uint64, segs int) []int {
 //desclint:hotpath runs once per beat
 func (l *BusInvert) record(b int) {
 	copy(l.rxState[b*len(l.state):], l.state)
-	if l.invert != nil {
-		copy(l.rxInvert[b*l.segs:], l.invert)
-	}
-	if l.zero != nil {
-		copy(l.rxZero[b*l.segs:], l.zero)
-	}
-	if l.modeBus != nil {
-		copy(l.rxMode[b*len(l.modeBus):], l.modeBus)
-	}
-}
-
-// segMode resolves the mode the receiver observes for segment s: from the
-// per-segment control levels invert and zero for the sparse variants,
-// from the re-decoded mode field for the dense one.
-func (l *BusInvert) segMode(invert, zero []bool, modes []int, s int) int {
-	switch l.mode {
-	case InvertOnly:
-		if invert[s] {
-			return modeInvert
-		}
-		return modeNormal
-	case InvertZeroSkip:
-		switch {
-		case zero[s]:
-			return modeSkip
-		case invert[s]:
-			return modeInvert
-		default:
-			return modeNormal
-		}
-	default:
-		return modes[s]
-	}
+	copy(l.rxInvert[b*len(l.invert):], l.invert)
+	copy(l.rxZero[b*len(l.zero):], l.zero)
+	copy(l.rxMode[b*len(l.modeBus):], l.modeBus)
 }
 
 // decode reconstructs the receiver's view of the last Send into the
@@ -536,67 +398,41 @@ func (l *BusInvert) decode() {
 }
 
 // decodeBeat reconstructs the receiver's view of beat b into the decoded
-// buffer from the recorded wire state and indicator/mode levels.
+// buffer from the recorded wire state and indicator/mode levels: the
+// per-segment levels of each lane group become an invert and a skip
+// mask, as in sendBeat.
 //
 //desclint:hotpath runs once per decoded beat
 func (l *BusInvert) decodeBeat(b int) {
+	g := &l.lanes
 	state := l.rxState[b*len(l.state) : (b+1)*len(l.state)]
-	var invert, zero []bool
 	var modes []int
-	switch l.mode {
-	case InvertOnly:
-		invert = l.rxInvert[b*l.segs : (b+1)*l.segs]
-	case InvertZeroSkip:
-		invert = l.rxInvert[b*l.segs : (b+1)*l.segs]
-		zero = l.rxZero[b*l.segs : (b+1)*l.segs]
-	default:
+	if l.mode == InvertEncodedZeroSkip {
 		n := len(l.modeBus)
 		modes = l.modeFieldOf(l.rxMode[b*n:(b+1)*n], l.segs)
 	}
-	if l.segBits == 8 {
-		// Byte segments: apply all of a word's modes with two masks.
-		for w := range l.scratch {
-			lanes := l.segs - w*8
-			if lanes > 8 {
-				lanes = 8
-			}
-			var invMask, skipMask uint64
-			for i := 0; i < lanes; i++ {
-				switch l.segMode(invert, zero, modes, w*8+i) {
+	for grp, valid := range g.valid {
+		var invLanes, skipLanes uint64
+		switch l.mode {
+		case InvertOnly:
+			invLanes = l.rxInvert[b*len(g.valid)+grp]
+		case InvertZeroSkip:
+			skipLanes = l.rxZero[b*len(g.valid)+grp]
+			invLanes = l.rxInvert[b*len(g.valid)+grp] &^ skipLanes
+		default:
+			for m := valid; m != 0; m &= m - 1 {
+				top := m & -m
+				switch modes[grp*g.lanes+(bits.TrailingZeros64(m)+1)/g.laneBits-1] {
 				case modeInvert:
-					invMask |= uint64(0xFF) << (8 * uint(i))
+					invLanes |= top
 				case modeSkip:
-					skipMask |= uint64(0xFF) << (8 * uint(i))
+					skipLanes |= top
 				}
 			}
-			l.scratch[w] = (state[w] ^ invMask) &^ skipMask
 		}
-		storeBits(l.decoded, l.scratch, b*l.wires, l.wires)
-		return
-	}
-	// Build the receiver's word view, then store.
-	copy(l.scratch, state)
-	for s := 0; s < l.segs; s++ {
-		m := l.segMode(invert, zero, modes, s)
-		if m == modeNormal {
-			continue
-		}
-		fw, shift, mask, words := l.segGeom(s)
-		for w := 0; w < words; w++ {
-			switch m {
-			case modeSkip:
-				if words == 1 {
-					l.scratch[fw] &^= mask << uint(shift)
-				} else {
-					l.scratch[fw+w] = 0
-				}
-			case modeInvert:
-				if words == 1 {
-					l.scratch[fw] ^= mask << uint(shift)
-				} else {
-					l.scratch[fw+w] = ^l.scratch[fw+w]
-				}
-			}
+		invMask, skipMask := bitutil.LaneFill(invLanes, g.laneBits), bitutil.LaneFill(skipLanes, g.laneBits)
+		for j := grp * g.segWords; j < (grp+1)*g.segWords; j++ {
+			l.scratch[j] = (state[j] ^ invMask) &^ skipMask
 		}
 	}
 	storeBits(l.decoded, l.scratch, b*l.wires, l.wires)
@@ -618,35 +454,16 @@ func (l *BusInvert) Reset() {
 		l.state[i] = 0
 	}
 	for i := range l.invert {
-		l.invert[i] = false
+		l.invert[i] = 0
 	}
 	for i := range l.zero {
-		l.zero[i] = false
+		l.zero[i] = 0
 	}
 	for i := range l.modeBus {
 		l.modeBus[i] = 0
 	}
 	l.dec.Reset()
 	l.decoded = l.decoded[:0]
-}
-
-// setLevel drives the control line for segment s to level v and returns
-// the flip count (0 or 1).
-func setLevel(levels []bool, s int, v bool) int {
-	if levels[s] == v {
-		return 0
-	}
-	levels[s] = v
-	return 1
-}
-
-// flipCost returns 1 if driving a wire from state cur to level want would
-// flip it, else 0.
-func flipCost(cur, want bool) int {
-	if cur != want {
-		return 1
-	}
-	return 0
 }
 
 var (

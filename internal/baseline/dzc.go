@@ -13,16 +13,18 @@ import (
 // each with a zero-indicator wire. An all-zero segment raises its
 // indicator and leaves the data wires untouched; a non-zero segment lowers
 // the indicator and drives the data conventionally. Wire state is word
-// based for speed, like the other hot-path codecs.
+// based and every beat runs the lane kernel of sendBeat at any segment
+// width (see segLanes), like the other hot-path codecs.
 type DZC struct {
 	blockBits int
 	wires     int
 	segBits   int
 	segs      int
+	lanes     segLanes
 
 	state   []uint64
 	scratch []uint64
-	zero    []bool
+	zero    []uint64 // indicator levels, one word per lane group
 
 	decoded []byte
 }
@@ -43,14 +45,16 @@ func NewDZC(blockBits, dataWires, segBits int) (*DZC, error) {
 		return nil, fmt.Errorf("baseline: %d-bit segments are not whole words", segBits)
 	}
 	words := (dataWires + 63) / 64
+	lanes := newSegLanes(dataWires, segBits)
 	return &DZC{
 		blockBits: blockBits,
 		wires:     dataWires,
 		segBits:   segBits,
 		segs:      dataWires / segBits,
+		lanes:     lanes,
 		state:     make([]uint64, words),
 		scratch:   make([]uint64, words),
-		zero:      make([]bool, dataWires/segBits),
+		zero:      make([]uint64, len(lanes.valid)),
 	}, nil
 }
 
@@ -85,23 +89,9 @@ func (l *DZC) Send(block []byte) link.Cost {
 	var dataFlips, ctrlFlips uint64
 	for b := 0; b < beats; b++ {
 		loadBits(l.scratch, block, b*l.wires, l.wires)
-		if l.segBits == 8 {
-			dataFlips, ctrlFlips = l.sendBeatBytes(dataFlips, ctrlFlips)
-		} else {
-			for s := 0; s < l.segs; s++ {
-				dataFlips, ctrlFlips = l.sendSeg(s, dataFlips, ctrlFlips)
-			}
-			// Receiver view: wire state with zero-indicated segments
-			// forced to zero.
-			for w := range l.scratch {
-				l.scratch[w] = l.state[w]
-			}
-			for s := 0; s < l.segs; s++ {
-				if l.zero[s] {
-					l.maskSeg(s)
-				}
-			}
-		}
+		d, c := l.sendBeat()
+		dataFlips += d
+		ctrlFlips += c
 		storeBits(l.decoded, l.scratch, b*l.wires, l.wires)
 	}
 	return link.Cost{
@@ -110,104 +100,32 @@ func (l *DZC) Send(block []byte) link.Cost {
 	}
 }
 
-// sendBeatBytes is the word-parallel encoder for the common byte-segment
-// geometry: a word of wire state holds 8 segments, all-zero segments fall
-// out of one ByteZeroMask, and the new state assembles from two masked
-// words instead of per-segment shifts. The receiver view is left in
-// scratch for the caller's storeBits. It must agree with the scalar
-// sendSeg/maskSeg path bit-for-bit (the refDZC oracle pins both).
+// sendBeat encodes the beat in scratch, one lane group at a time, and
+// leaves the receiver view in scratch for the caller's storeBits. One
+// LaneZeroMask is the new set of raised indicators: their segments keep
+// their old data levels, the rest take the data, and both the data and
+// the indicator flips are popcounts of old levels against new. The
+// refDZC oracle pins it bit for bit.
 //
-//desclint:hotpath runs once per beat on byte-segment geometries
-func (l *DZC) sendBeatBytes(dataFlips, ctrlFlips uint64) (uint64, uint64) {
-	for w := range l.scratch {
-		data := l.scratch[w]
-		// keepMask spans the all-zero segments: their data wires keep
-		// their old levels and only the indicator (a control wire) can
-		// flip. Padding lanes beyond the bus are zero in both data and
-		// state, so keeping them is a no-op.
-		keepMask := (bitutil.ByteZeroMask(data) >> 7) * 0xFF
-		newState := data&^keepMask | l.state[w]&keepMask
-		dataFlips += uint64(bits.OnesCount64(l.state[w] ^ newState))
-		l.state[w] = newState
-
-		// Indicator updates stay per segment: they are persistent
-		// control-wire levels with hysteresis.
-		lanes := l.segs - w*8
-		if lanes > 8 {
-			lanes = 8
+//desclint:hotpath runs once per beat
+func (l *DZC) sendBeat() (dataFlips, ctrlFlips uint64) {
+	g := &l.lanes
+	for grp := range g.valid {
+		data := l.scratch[grp*g.segWords : (grp+1)*g.segWords]
+		state := l.state[grp*g.segWords : (grp+1)*g.segWords]
+		zm := g.zeroLanes(grp, data)
+		keep := bitutil.LaneFill(zm, g.laneBits)
+		for j, d := range data {
+			next := d&^keep | state[j]&keep
+			dataFlips += uint64(bits.OnesCount64(state[j] ^ next))
+			state[j] = next
+			// Receiver view: zero-indicated segments read as zero.
+			data[j] = next &^ keep
 		}
-		for i := 0; i < lanes; i++ {
-			z := keepMask>>(8*uint(i))&1 != 0
-			if l.zero[w*8+i] != z {
-				l.zero[w*8+i] = z
-				ctrlFlips++
-			}
-		}
-		// Receiver view: zero-indicated segments read as zero.
-		l.scratch[w] = newState &^ keepMask
+		ctrlFlips += uint64(bits.OnesCount64(l.zero[grp] ^ zm))
+		l.zero[grp] = zm
 	}
 	return dataFlips, ctrlFlips
-}
-
-// sendSeg encodes one segment of the current beat.
-func (l *DZC) sendSeg(s int, dataFlips, ctrlFlips uint64) (uint64, uint64) {
-	fw, shift, mask, words := l.segGeom(s)
-	allZero := true
-	if words == 1 {
-		allZero = (l.scratch[fw]>>uint(shift))&mask == 0
-	} else {
-		for w := 0; w < words; w++ {
-			if l.scratch[fw+w] != 0 {
-				allZero = false
-				break
-			}
-		}
-	}
-	if allZero {
-		if !l.zero[s] {
-			l.zero[s] = true
-			ctrlFlips++
-		}
-		return dataFlips, ctrlFlips
-	}
-	if l.zero[s] {
-		l.zero[s] = false
-		ctrlFlips++
-	}
-	if words == 1 {
-		data := (l.scratch[fw] >> uint(shift)) & mask
-		cur := (l.state[fw] >> uint(shift)) & mask
-		dataFlips += uint64(bits.OnesCount64(cur ^ data))
-		l.state[fw] = (l.state[fw] &^ (mask << uint(shift))) | (data << uint(shift))
-	} else {
-		for w := 0; w < words; w++ {
-			dataFlips += uint64(bits.OnesCount64(l.state[fw+w] ^ l.scratch[fw+w]))
-			l.state[fw+w] = l.scratch[fw+w]
-		}
-	}
-	return dataFlips, ctrlFlips
-}
-
-// segGeom mirrors BusInvert's segment geometry.
-func (l *DZC) segGeom(s int) (firstWord, shift int, mask uint64, words int) {
-	bitOff := s * l.segBits
-	if l.segBits >= 64 {
-		return bitOff / 64, 0, ^uint64(0), l.segBits / 64
-	}
-	mask = (uint64(1) << uint(l.segBits)) - 1
-	return bitOff / 64, bitOff % 64, mask, 1
-}
-
-// maskSeg zeroes segment s in the scratch (receiver view) words.
-func (l *DZC) maskSeg(s int) {
-	fw, shift, mask, words := l.segGeom(s)
-	if words == 1 {
-		l.scratch[fw] &^= mask << uint(shift)
-		return
-	}
-	for w := 0; w < words; w++ {
-		l.scratch[fw+w] = 0
-	}
 }
 
 // LastDecoded implements link.Decoder. The slice is overwritten by the
@@ -220,7 +138,7 @@ func (l *DZC) Reset() {
 		l.state[i] = 0
 	}
 	for i := range l.zero {
-		l.zero[i] = false
+		l.zero[i] = 0
 	}
 	l.decoded = l.decoded[:0]
 }

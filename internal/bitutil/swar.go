@@ -6,25 +6,23 @@ import (
 )
 
 // This file holds the word-parallel (SWAR) kernels behind the hot encode
-// and decode paths: cache blocks are packed into uint64 words holding 16
-// consecutive 4-bit chunks (or 8 consecutive 8-bit chunks) each, and
-// per-round chunk comparisons become a handful of bitwise operations plus
-// popcounts instead of per-wire loops. Every kernel here is pinned against
-// the scalar implementations by the differential tests in this package and
-// in internal/core.
+// and decode paths. A uint64 word is split into equal lanes: DESC packs
+// chunks into 4-bit nibble or 8-bit byte lanes, and the segmented bus
+// codecs treat each bus segment of 1 to 64 bits as one lane. Per-round
+// chunk comparisons and per-segment Hamming distances then become a
+// handful of bitwise operations plus popcounts instead of per-wire
+// loops. Every kernel here is pinned against the scalar implementations
+// by the differential tests in this package, internal/core and
+// internal/baseline.
 
 // Nibble and byte masks: one constant bit per lane of a word.
 const (
 	// NibbleMSB has bit 3 of every nibble set.
 	NibbleMSB = 0x8888888888888888
-	// nibbleLow3 has bits 0..2 of every nibble set.
-	nibbleLow3 = 0x7777777777777777
 	// ByteLSB has bit 0 of every byte set.
 	ByteLSB = 0x0101010101010101
 	// ByteMSB has bit 7 of every byte set.
 	ByteMSB = 0x8080808080808080
-	// byteLow7 has bits 0..6 of every byte set.
-	byteLow7 = 0x7F7F7F7F7F7F7F7F
 )
 
 // LoadWords packs block into little-endian uint64 words (bit i of the block
@@ -53,15 +51,69 @@ func LoadWords(dst []uint64, block []byte) []uint64 {
 	return dst
 }
 
-// NibbleZeroMask returns a word with bit 3 of each nibble set iff that
-// nibble of x is zero. The per-lane carry trick is exact: bit 3 of
-// (x&7)+7 is set iff the low three bits are non-zero, OR-ing in x adds
-// bit 3 itself, and lanes cannot carry into each other because 7+7 < 16.
+// LaneMSB returns the word with the top bit of every k-bit lane set, for
+// a lane width k that divides 64.
+func LaneMSB(k int) uint64 {
+	if k >= 64 {
+		return 1 << 63
+	}
+	return ^uint64(0) / (1<<uint(k) - 1) << uint(k-1)
+}
+
+// LaneZeroMask returns the lanes of x that are zero as a lane-MSB mask,
+// where msb = LaneMSB(k) fixes the lane width k. The per-lane carry trick
+// is exact for every width: adding the low k-1 ones to a lane's low k-1
+// bits carries into its top bit iff they are non-zero, OR-ing in x adds
+// the top bit itself, and no lane carries into the next because
+// 2*(2^(k-1)-1) < 2^k. For k = 1 it reduces to ^x.
 //
 //desclint:hotpath
-func NibbleZeroMask(x uint64) uint64 {
-	return ^(((x & nibbleLow3) + nibbleLow3) | x) & NibbleMSB
+func LaneZeroMask(x, msb uint64) uint64 {
+	return ^(((x &^ msb) + ^msb) | x) & msb
 }
+
+// LaneFill widens a lane-MSB mask of k-bit lanes to full lanes: every
+// lane whose top bit is set in m becomes all ones. Lanes do not overlap,
+// so the multiply cannot carry between them.
+//
+//desclint:hotpath
+func LaneFill(m uint64, k int) uint64 {
+	return (m >> uint(k-1)) * (1<<uint(k) - 1)
+}
+
+// LanePopcounts returns a word whose k-bit lanes hold the population
+// counts of the corresponding lanes of x, for k dividing 64: the classic
+// SWAR popcount stopped at the lane width, so one call yields the
+// Hamming distances of every segment of a bus word.
+//
+//desclint:hotpath
+func LanePopcounts(x uint64, k int) uint64 {
+	if k >= 2 {
+		x -= x >> 1 & 0x5555555555555555
+	}
+	if k >= 4 {
+		x = x&0x3333333333333333 + x>>2&0x3333333333333333
+	}
+	if k >= 8 {
+		x = (x + x>>4) & 0x0F0F0F0F0F0F0F0F
+	}
+	if k >= 16 {
+		x = (x + x>>8) & 0x00FF00FF00FF00FF
+	}
+	if k >= 32 {
+		x = (x + x>>16) & 0x0000FFFF0000FFFF
+	}
+	if k >= 64 {
+		x = (x + x>>32) & 0xFFFFFFFF
+	}
+	return x
+}
+
+// NibbleZeroMask returns a word with bit 3 of each nibble set iff that
+// nibble of x is zero (LaneZeroMask at 4-bit lanes).
+//
+//desclint:hotpath
+func NibbleZeroMask(x uint64) uint64 { return LaneZeroMask(x, NibbleMSB) }
 
 // NibbleNeqMask returns a word with bit 3 of each nibble set iff the
 // corresponding nibbles of x and y differ. Iterate its set bits with
@@ -83,12 +135,18 @@ func byteMax(a, b uint64) uint64 {
 	return (a & mask) | (b &^ mask)
 }
 
-// MaxNibble returns the maximum 4-bit nibble value in x.
+// MaxNibble returns the maximum 4-bit nibble value over the words xs. The
+// words fold lane-wise into one word of byte maxima first, so a round of
+// words pays for a single horizontal fold.
 //
 //desclint:hotpath
-func MaxNibble(x uint64) uint16 {
+func MaxNibble(xs ...uint64) uint16 {
 	const byteNibble = 0x0F0F0F0F0F0F0F0F
-	m := byteMax(x&byteNibble, (x>>4)&byteNibble)
+	var m uint64
+	for _, x := range xs {
+		m = byteMax(m, x&byteNibble)
+		m = byteMax(m, (x>>4)&byteNibble)
+	}
 	m = byteMax(m, m>>32)
 	m = byteMax(m, m>>16)
 	m = byteMax(m, m>>8)
@@ -120,15 +178,10 @@ func ByteLaneMask(n int) uint64 {
 }
 
 // ByteZeroMask returns a word with bit 7 of each byte set iff that byte
-// of x is zero. Same exact per-lane carry form as NibbleZeroMask: bit 7
-// of (x&0x7F)+0x7F is set iff the low seven bits are non-zero, OR-ing in
-// x adds bit 7 itself, and 0x7F+0x7F < 0x100 so lanes cannot carry into
-// each other.
+// of x is zero (LaneZeroMask at 8-bit lanes).
 //
 //desclint:hotpath
-func ByteZeroMask(x uint64) uint64 {
-	return ^(((x & byteLow7) + byteLow7) | x) & ByteMSB
-}
+func ByteZeroMask(x uint64) uint64 { return LaneZeroMask(x, ByteMSB) }
 
 // ByteNeqMask returns a word with bit 7 of each byte set iff the
 // corresponding bytes of x and y differ. Iterate its set bits with
@@ -137,18 +190,6 @@ func ByteZeroMask(x uint64) uint64 {
 //desclint:hotpath
 func ByteNeqMask(x, y uint64) uint64 {
 	return ^ByteZeroMask(x^y) & ByteMSB
-}
-
-// BytePopcounts returns a word whose byte lanes hold the population
-// counts of the corresponding bytes of x (each in 0..8). This is the
-// classic SWAR popcount stopped at the per-byte fold — the per-segment
-// Hamming distances of a whole 8-segment bus word in four operations.
-//
-//desclint:hotpath
-func BytePopcounts(x uint64) uint64 {
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	return (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
 }
 
 // laneMax16 returns the lane-wise maximum of two words of four 16-bit
@@ -167,14 +208,19 @@ func laneMax16(a, b uint64) uint64 {
 	return (a & mask) | (b &^ mask)
 }
 
-// MaxByte returns the maximum 8-bit byte value in x. Bytes are spread to
-// 16-bit lanes first so the borrow-trick comparison stays exact for the
-// full 0..255 range (the nibble fold's byteMax requires values <= 0x7F).
+// MaxByte returns the maximum 8-bit byte value over the words xs, folded
+// like MaxNibble. Bytes are spread to 16-bit lanes first so the
+// borrow-trick comparison stays exact for the full 0..255 range (the
+// nibble fold's byteMax requires values <= 0x7F).
 //
 //desclint:hotpath
-func MaxByte(x uint64) uint16 {
+func MaxByte(xs ...uint64) uint16 {
 	const lane16Low = 0x00FF00FF00FF00FF
-	m := laneMax16(x&lane16Low, (x>>8)&lane16Low)
+	var m uint64
+	for _, x := range xs {
+		m = laneMax16(m, x&lane16Low)
+		m = laneMax16(m, (x>>8)&lane16Low)
+	}
 	m = laneMax16(m, m>>32)
 	m = laneMax16(m, m>>16)
 	return uint16(m & 0xFF)
@@ -272,6 +318,63 @@ func LoadBits(dst []uint64, block []byte, off, count int) {
 		}
 		dst[i] = w
 	}
+}
+
+// ReadBits returns the n <= 64 bits of block starting at bit offset off,
+// in the repository's bit order; the field must lie inside the block. It
+// is one unaligned word load away from the block's end and byte loads at
+// its tail.
+//
+//desclint:hotpath called once per lane word by the DESC loader
+func ReadBits(block []byte, off, n int) uint64 {
+	i, sh := off>>3, uint(off&7)
+	var w uint64
+	if i+8 <= len(block) {
+		w = binary.LittleEndian.Uint64(block[i:]) >> sh
+		if sh != 0 && n > 64-int(sh) {
+			w |= uint64(block[i+8]) << (64 - sh)
+		}
+	} else {
+		for j := 0; i+j < len(block); j++ {
+			w |= uint64(block[i+j]) << (8 * uint(j))
+		}
+		w >>= sh
+	}
+	if n < 64 {
+		w &= 1<<uint(n) - 1
+	}
+	return w
+}
+
+// SpreadLanes moves the consecutive k-bit fields of x into consecutive
+// lanes of lane bits each (k <= lane, lane 4 or 8), zero-extending every
+// field. 1- and 2-bit fields spread into nibbles by four shift-or-mask
+// steps that halve the field groups at each step; fields as wide as
+// their lane are already in place; other widths move one field at a
+// time.
+//
+//desclint:hotpath called once per lane word by the DESC loader
+func SpreadLanes(x uint64, k, lane int) uint64 {
+	switch {
+	case k == lane:
+		return x
+	case k == 2 && lane == 4:
+		x = (x | x<<16) & 0x0000FFFF0000FFFF
+		x = (x | x<<8) & 0x00FF00FF00FF00FF
+		x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
+		return (x | x<<2) & 0x3333333333333333
+	case k == 1 && lane == 4:
+		x = (x | x<<24) & 0x000000FF000000FF
+		x = (x | x<<12) & 0x000F000F000F000F
+		x = (x | x<<6) & 0x0303030303030303
+		return (x | x<<3) & 0x1111111111111111
+	}
+	var w uint64
+	field := uint64(1)<<uint(k) - 1
+	for i := 0; i < 64/lane; i++ {
+		w |= (x >> uint(i*k) & field) << uint(i*lane)
+	}
+	return w
 }
 
 // StoreBits writes `count` wire-state bits into block at bit offset off,

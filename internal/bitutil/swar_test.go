@@ -168,23 +168,115 @@ func TestMaxByteMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestBytePopcountsMatchScalar(t *testing.T) {
+// laneWidths are the lane widths the segmented bus kernels use: every
+// segment width that divides a word.
+var laneWidths = []int{1, 2, 4, 8, 16, 32, 64}
+
+// laneAt is the scalar definition of lane i of k-bit lanes.
+func laneAt(x uint64, k, i int) uint64 {
+	if k == 64 {
+		return x
+	}
+	return x >> uint(i*k) & (1<<uint(k) - 1)
+}
+
+func TestLanePopcountsMatchScalar(t *testing.T) {
 	t.Parallel()
-	f := func(x uint64) bool {
-		pc := BytePopcounts(x)
-		for i := 0; i < 8; i++ {
-			if int(byteAt(pc, i)) != bits.OnesCount16(byteAt(x, i)) {
-				return false
+	for _, k := range laneWidths {
+		f := func(x uint64) bool {
+			pc := LanePopcounts(x, k)
+			for i := 0; i < 64/k; i++ {
+				if int(laneAt(pc, k, i)) != bits.OnesCount64(laneAt(x, k, i)) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Errorf("k=%d: %v", k, err)
+		}
+		for _, x := range []uint64{0, ^uint64(0), 0x8080808080808080, 0x0102040810204080} {
+			if !f(x) {
+				t.Errorf("LanePopcounts(%#x, %d) diverges from scalar popcounts", x, k)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+}
+
+func TestLaneZeroMaskAndFill(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(5))
+	for _, k := range laneWidths {
+		msb := LaneMSB(k)
+		if bits.OnesCount64(msb) != 64/k {
+			t.Fatalf("LaneMSB(%d) = %#x", k, msb)
+		}
+		for n := 0; n < 400; n++ {
+			// Sparse words so that zero lanes occur at every width.
+			x := rng.Uint64() & rng.Uint64() & rng.Uint64()
+			if n%3 == 0 {
+				x &= rng.Uint64() & rng.Uint64()
+			}
+			zm := LaneZeroMask(x, msb)
+			fill := LaneFill(zm, k)
+			for i := 0; i < 64/k; i++ {
+				top := uint(i*k + k - 1)
+				if zero := laneAt(x, k, i) == 0; zero != (zm>>top&1 == 1) {
+					t.Fatalf("LaneZeroMask(%#x) k=%d lane %d = %v", x, k, i, !zero)
+				}
+				want := uint64(0)
+				if laneAt(x, k, i) == 0 {
+					want = laneAt(^uint64(0), k, 0)
+				}
+				if laneAt(fill, k, i) != want {
+					t.Fatalf("LaneFill k=%d lane %d = %#x, want %#x", k, i, laneAt(fill, k, i), want)
+				}
+			}
+			if zm&^msb != 0 {
+				t.Fatalf("LaneZeroMask(%#x) k=%d sets non-MSB bits", x, k)
+			}
+		}
 	}
-	for _, x := range []uint64{0, ^uint64(0), 0x8080808080808080, 0x0102040810204080} {
-		if !f(x) {
-			t.Errorf("BytePopcounts(%#x) diverges from scalar popcounts", x)
+}
+
+func TestReadBitsMatchesChunk(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	block := make([]byte, 23)
+	rng.Read(block)
+	for off := 0; off < len(block)*8; off++ {
+		for n := 1; n <= 64 && off+n <= len(block)*8; n++ {
+			got := ReadBits(block, off, n)
+			var want uint64
+			for i := 0; i < n; i++ {
+				if Bit(block, off+i) {
+					want |= 1 << uint(i)
+				}
+			}
+			if got != want {
+				t.Fatalf("ReadBits(off=%d, n=%d) = %#x, want %#x", off, n, got, want)
+			}
+		}
+	}
+}
+
+func TestSpreadLanesMatchesScalar(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(13))
+	for _, lane := range []int{4, 8} {
+		for k := 1; k <= lane; k++ {
+			for n := 0; n < 200; n++ {
+				x := rng.Uint64()
+				if lanes := 64 / lane; lanes*k < 64 {
+					x &= 1<<uint(lanes*k) - 1
+				}
+				got := SpreadLanes(x, k, lane)
+				for i := 0; i < 64/lane; i++ {
+					if laneAt(got, lane, i) != laneAt(x>>uint(i*k), k, 0) {
+						t.Fatalf("SpreadLanes(%#x, %d, %d) lane %d = %#x", x, k, lane, i, laneAt(got, lane, i))
+					}
+				}
+			}
 		}
 	}
 }

@@ -71,44 +71,43 @@ func validateChunks(s link.Spec) error {
 // Transmitter/Receiver pair (cross-checked in tests) without simulating
 // individual cycles.
 //
-// Send is allocation-free in the steady state. With 4-bit chunks (16
-// lanes per uint64 word) or 8-bit chunks (8 lanes) and a wire count that
-// is a whole number of words, it runs the word-parallel kernel in
-// kernels.go: skip matches are detected by SWAR lane compares instead of
-// per-wire loops, a partial final round is restricted with lane masks,
-// and the adaptive estimator consults a packed best-value mirror. Other
-// geometries take the scalar path in sendRound. Both paths are pinned
-// against the frozen scalar oracle in reference_test.go and the
-// cycle-accurate hardware model by the differential tests.
+// Send is allocation-free in the steady state and runs the word-parallel
+// kernel in kernels.go at every geometry: chunks of up to 4 bits travel in
+// the 4-bit lanes of uint64 words, wider ones in 8-bit lanes, and each
+// round starts a fresh word. Skip matches are detected by SWAR lane
+// compares instead of per-wire loops, a partial word is restricted with
+// lane masks, and the adaptive estimator consults a packed best-value
+// mirror. The kernel is pinned against the frozen scalar oracle in
+// reference_test.go and the cycle-accurate hardware model by the
+// differential tests.
 type Codec struct {
 	chunker *Chunker
-	policy  SkipPolicy
 	kind    SkipKind
 
-	// wordRound is the number of uint64 words per full round on the fast
-	// path, or 0 when this geometry takes the scalar path; laneBits is
-	// the chunk width the kernel packs (4 or 8).
-	wordRound int
+	// laneBits is the lane width chunks are packed into (4 or 8), and
+	// wordRound the number of uint64 words per round: a wire count that
+	// is not a whole number of words only shortens each round's last
+	// word. When rounds are whole words the lane words are the block's
+	// chunks in order, and fanout is the number of lane words each raw
+	// block word spreads into (1 when chunks fill their lanes); it is 0
+	// when a lane word's chunks do not tile a raw word.
 	laneBits  int
-	// words holds the current block's lane-packed chunks (fast path).
+	wordRound int
+	fanout    int
+	// words holds the current block's lane-packed chunks, round-major.
 	words []uint64
 	// lastWords is the lane-packed per-wire last-value store for
-	// SkipLast on the fast path; it carries the policy history that the
-	// scalar path keeps inside lastValueSkip.
+	// SkipLast: storing a round's words is the policy update.
 	lastWords []uint64
 	// bestWords is the lane-packed mirror of the adaptive estimator's
-	// per-wire best values for SkipAdaptive on the fast path. The
-	// authoritative frequency tables stay inside adaptive; the mirror is
-	// rewritten only on lanes where the observed value differed from the
-	// skip value, because observing the current best can never dethrone
-	// it.
+	// per-wire best values for SkipAdaptive. The authoritative frequency
+	// tables stay inside adaptive; the mirror is rewritten only on lanes
+	// where the observed value differed from the skip value, because
+	// observing the current best can never dethrone it.
 	bestWords []uint64
 	adaptive  *adaptiveSkip
 
-	// Scratch buffers reused across Send calls.
-	chunks    []uint16
-	roundVals []uint16
-	decoded   []byte
+	decoded []byte
 }
 
 // NewCodec builds a DESC codec for blocks of blockBits, chunks of chunkBits,
@@ -118,31 +117,30 @@ func NewCodec(blockBits, chunkBits, wires int, kind SkipKind) (*Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Codec{
-		chunker:   ch,
-		policy:    NewSkipPolicy(kind, wires),
-		kind:      kind,
-		roundVals: make([]uint16, wires),
+	c := &Codec{chunker: ch, kind: kind, laneBits: 8}
+	if chunkBits <= 4 {
+		c.laneBits = 4
 	}
-	// The word kernel covers 4-bit and 8-bit chunks whenever the wire
-	// count is a whole number of words, so every round starts
-	// word-aligned; a partial final round only shortens the last word,
-	// which the kernel restricts with lane masks. All skip kinds qualify:
-	// the adaptive estimator keeps its scalar frequency tables and the
-	// kernel drives them through a packed best-value mirror.
-	if (chunkBits == 4 || chunkBits == 8) && wires%(64/chunkBits) == 0 {
-		c.laneBits = chunkBits
-		c.wordRound = wires / (64 / chunkBits)
-		switch kind {
-		case SkipLast:
-			c.lastWords = make([]uint64, c.wordRound)
-		case SkipAdaptive:
-			c.bestWords = make([]uint64, c.wordRound)
-			c.adaptive = c.policy.(*adaptiveSkip)
-		case SkipNone, SkipZero:
-			// No per-wire history to mirror: the skip value is absent or
-			// the constant zero.
-		}
+	lanes := 64 / c.laneBits
+	c.wordRound = (wires + lanes - 1) / lanes
+	nWords := ch.Rounds() * c.wordRound
+	if wires%lanes == 0 && 64%(lanes*chunkBits) == 0 {
+		c.fanout = 64 / (lanes * chunkBits)
+		// A partial final raw word still spreads into fanout words.
+		nWords = max(nWords, (blockBits+63)/64*c.fanout)
+	}
+	c.words = make([]uint64, nWords)
+	switch kind {
+	case SkipLast:
+		c.lastWords = make([]uint64, c.wordRound)
+	case SkipAdaptive:
+		c.bestWords = make([]uint64, c.wordRound)
+		c.adaptive = newAdaptiveSkip(wires)
+	case SkipNone, SkipZero:
+		// No per-wire history: the skip value is absent or the
+		// constant zero.
+	default:
+		return nil, fmt.Errorf("core: unknown skip kind %d", int(kind))
 	}
 	return c, nil
 }
@@ -187,16 +185,9 @@ func (c *Codec) Send(block []byte) link.Cost {
 		panic(fmt.Sprintf("core: Send of %d-byte block on %d-byte link", len(block), c.BlockBytes()))
 	}
 	var cost link.Cost
-	if c.wordRound > 0 {
-		c.words = loadWords(c.words, block)
-		for r := 0; r < c.chunker.Rounds(); r++ {
-			cost.Add(c.sendRoundFast(r))
-		}
-	} else {
-		c.chunks = c.chunker.SplitAppend(c.chunks[:0], block)
-		for r := 0; r < c.chunker.Rounds(); r++ {
-			cost.Add(c.sendRound(r, c.chunks))
-		}
+	c.load(block)
+	for r := 0; r < c.chunker.Rounds(); r++ {
+		cost.Add(c.sendRoundFast(r))
 	}
 	if cap(c.decoded) < len(block) {
 		c.decoded = make([]byte, len(block))
@@ -206,50 +197,7 @@ func (c *Codec) Send(block []byte) link.Cost {
 	return cost
 }
 
-// sendRound is the scalar per-wire round encoder, used for geometries the
-// word kernel does not cover (chunk widths other than 4 and 8, ragged
-// wire counts).
-//
-//desclint:hotpath runs once per round on scalar geometries
-func (c *Codec) sendRound(round int, chunks []uint16) link.Cost {
-	var (
-		maxCount  = -1
-		unskipped = 0
-		inRound   = 0
-	)
-	for w := 0; w < c.chunker.Wires(); w++ {
-		i, ok := c.chunker.ChunkAt(round, w)
-		if !ok {
-			break
-		}
-		v := chunks[i]
-		inRound++
-		if s, skipping := c.policy.SkipValue(w); skipping {
-			if v != s {
-				unskipped++
-				if p := CountPos(v, s); p > maxCount {
-					maxCount = p
-				}
-			}
-		} else {
-			unskipped++
-			if int(v) > maxCount {
-				maxCount = int(v)
-			}
-		}
-		c.roundVals[w] = v
-	}
-	// Observe after computing the round so last-value skipping compares
-	// against the previous round, then advances.
-	for w := 0; w < inRound; w++ {
-		c.policy.Observe(w, c.roundVals[w])
-	}
-	_, skipping := c.policy.SkipValue(0)
-	return c.roundCost(maxCount, inRound, unskipped, skipping)
-}
-
-// roundCost assembles a round's link.Cost from its aggregates, identically
-// for the scalar and word-parallel paths.
+// roundCost assembles a round's link.Cost from its aggregates.
 func (c *Codec) roundCost(maxCount, inRound, unskipped int, skipping bool) link.Cost {
 	var cost link.Cost
 	if !skipping {
@@ -295,10 +243,12 @@ func (c *Codec) roundCost(maxCount, inRound, unskipped int, skipping bool) link.
 func (c *Codec) LastDecoded() []byte { return c.decoded }
 
 // Reset implements link.Link. Every packed kernel mirror must forget
-// history along with the policy so Reset equals a fresh instance on both
-// paths (the linktest conformance harness pins this for the registry).
+// history along with the adaptive tables so Reset equals a fresh instance
+// (the linktest conformance harness pins this for the registry).
 func (c *Codec) Reset() {
-	c.policy.Reset()
+	if c.adaptive != nil {
+		c.adaptive.Reset()
+	}
 	for i := range c.lastWords {
 		c.lastWords[i] = 0
 	}

@@ -2,7 +2,7 @@ package core
 
 // The differential harness: every geometry and skip kind is driven with
 // the same stateful traffic through three implementations — the fast
-// codec (word kernel or scalar fallback), the frozen scalar oracle from
+// codec (the lane kernel), the frozen scalar oracle from
 // reference_test.go, and, where tractable, the cycle-accurate
 // Transmitter/Receiver pair — and all three must agree on every
 // per-block cost and on lossless decode. This is the invariant that lets
@@ -19,9 +19,10 @@ import (
 
 var allKinds = []SkipKind{SkipNone, SkipZero, SkipLast, SkipAdaptive}
 
-// codecGeometries sweeps the fast word path (4- and 8-bit chunks, wire
-// counts in whole words, partial final rounds included) and the scalar
-// path (other chunk widths, ragged wire counts) side by side.
+// codecGeometries sweeps the lane kernel over raw word loads (4- and
+// 8-bit chunks, wire counts in whole words, partial final rounds
+// included) and spread or ragged loads (other chunk widths, ragged wire
+// counts) side by side.
 var codecGeometries = []struct {
 	blockBits, chunkBits, wires int
 }{
@@ -29,21 +30,23 @@ var codecGeometries = []struct {
 	{512, 4, 64},  // two rounds
 	{512, 4, 16},  // eight rounds, single word each
 	{64, 4, 16},   // the fuzz geometry
-	{512, 4, 48},  // fast: partial final round (128 chunks, 48 wires)
-	{512, 4, 80},  // fast: partial final round, multi-word tail
-	{512, 8, 64},  // fast: 8-bit chunks, byte lanes
-	{512, 8, 48},  // fast: 8-bit chunks with a partial final round
-	{96, 4, 16},   // fast: final round of 8 chunks, partial tail word
-	{96, 8, 8},    // fast: byte lanes with a partial tail word
-	{512, 4, 24},  // scalar: wires not a whole number of words
-	{512, 8, 28},  // scalar: ragged for byte lanes
-	{512, 2, 128}, // scalar: 2-bit chunks
-	{512, 1, 64},  // scalar: 1-bit chunks
+	{512, 4, 48},  // partial final round (128 chunks, 48 wires)
+	{512, 4, 80},  // partial final round, multi-word tail
+	{512, 8, 64},  // 8-bit chunks, byte lanes
+	{512, 8, 48},  // 8-bit chunks with a partial final round
+	{96, 4, 16},   // final round of 8 chunks, partial tail word
+	{96, 8, 8},    // byte lanes with a partial tail word
+	{512, 4, 24},  // wires not a whole number of words
+	{512, 8, 28},  // ragged for byte lanes
+	{512, 2, 128}, // 2-bit chunks spread into nibbles
+	{512, 1, 64},  // 1-bit chunks spread into nibbles
 	{8, 4, 2},     // the paper's Figure 3 example geometry
 	{512, 2, 64},  // the Figure 22/26 chunk sweeps' narrow widths
 	{512, 1, 32},
 	{512, 8, 256}, // byte lanes, one round of 64 chunks on 256 wires
 	{512, 2, 24},  // 2-bit chunks on a ragged wire count
+	{96, 2, 16},   // a partial raw word spreads into two lane words
+	{96, 1, 16},   // ... and into four
 }
 
 // adversarialBlocks are the corner patterns the skip variants
@@ -114,18 +117,19 @@ func TestCodecMatchesReference(t *testing.T) {
 
 // TestCodecMatchesTxRx holds the fast codec to the cycle-accurate
 // hardware model: identical per-block costs and exact decode, per kind,
-// across fast-path and scalar-path geometries.
+// across raw, spread and ragged lane loads.
 func TestCodecMatchesTxRx(t *testing.T) {
 	t.Parallel()
 	geometries := []struct {
 		blockBits, chunkBits, wires int
 	}{
-		{64, 4, 16},  // fast word path
-		{128, 4, 32}, // fast word path, one round
-		{64, 8, 8},   // fast: byte lanes
-		{96, 4, 16},  // fast: partial final round with a partial tail word
-		{64, 4, 8},   // scalar: ragged wire count
-		{64, 8, 4},   // scalar: ragged for byte lanes
+		{64, 4, 16},  // raw nibble words
+		{128, 4, 32}, // raw nibble words, one round
+		{64, 8, 8},   // byte lanes
+		{96, 4, 16},  // partial final round with a partial tail word
+		{64, 4, 8},   // ragged wire count
+		{64, 8, 4},   // ragged for byte lanes
+		{64, 2, 16},  // 2-bit chunks spread into nibbles
 	}
 	for _, g := range geometries {
 		for _, kind := range allKinds {
@@ -153,41 +157,44 @@ func TestCodecMatchesTxRx(t *testing.T) {
 	}
 }
 
-// TestCodecFastPathSelection pins which geometries run the word kernel, so
-// a refactor cannot silently demote the paper's design point to the scalar
-// path (or promote a geometry the kernel does not support).
+// TestCodecFastPathSelection pins the lane layout each geometry runs on,
+// so a refactor cannot silently move the paper's design point off the
+// raw word load, or pack a chunk width into the wrong lanes.
 func TestCodecFastPathSelection(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
 		blockBits, chunkBits, wires int
 		kind                        SkipKind
-		fast                        bool
+		laneBits, wordRound, fanout int
 	}{
-		{512, 4, 128, SkipZero, true},
-		{512, 4, 64, SkipLast, true},
-		{512, 4, 128, SkipNone, true},
-		{512, 4, 128, SkipAdaptive, true}, // adaptive via the bestWords mirror
-		{512, 4, 48, SkipZero, true},      // partial final round
-		{512, 8, 64, SkipZero, true},      // 8-bit chunks, byte lanes
-		{512, 8, 48, SkipLast, true},      // 8-bit chunks with a partial round
-		{512, 4, 24, SkipZero, false},     // ragged wire count (not whole words)
-		{512, 8, 28, SkipZero, false},     // ragged for byte lanes
-		{512, 2, 128, SkipZero, false},    // chunk width without a kernel
-		{512, 1, 64, SkipNone, false},     // chunk width without a kernel
+		{512, 4, 128, SkipZero, 4, 8, 1},
+		{512, 4, 64, SkipLast, 4, 4, 1},
+		{512, 4, 128, SkipNone, 4, 8, 1},
+		{512, 4, 128, SkipAdaptive, 4, 8, 1}, // adaptive via the bestWords mirror
+		{512, 4, 48, SkipZero, 4, 3, 1},      // partial final round
+		{512, 8, 64, SkipZero, 8, 8, 1},      // 8-bit chunks, byte lanes
+		{512, 8, 48, SkipLast, 8, 6, 1},      // 8-bit chunks with a partial round
+		{512, 4, 24, SkipZero, 4, 2, 0},      // ragged wire count: a short last word per round
+		{512, 8, 28, SkipZero, 8, 4, 0},      // ragged for byte lanes
+		{512, 2, 128, SkipZero, 4, 8, 2},     // 2-bit chunks: a raw word spreads into two
+		{512, 1, 64, SkipNone, 4, 4, 4},      // 1-bit chunks: a raw word spreads into four
+		{384, 3, 48, SkipLast, 4, 3, 0},      // 3-bit chunks: 48-bit lane words
+		{384, 6, 32, SkipZero, 8, 4, 0},      // 6-bit chunks: 48-bit lane words
 	}
 	for _, c := range cases {
 		codec, err := NewCodec(c.blockBits, c.chunkBits, c.wires, c.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := codec.wordRound > 0; got != c.fast {
-			t.Errorf("%d/%d/%d %v: fast path = %v, want %v",
-				c.blockBits, c.chunkBits, c.wires, c.kind, got, c.fast)
+		if codec.laneBits != c.laneBits || codec.wordRound != c.wordRound || codec.fanout != c.fanout {
+			t.Errorf("%d/%d/%d %v: lanes %d, words/round %d, fanout %d; want %d, %d, %d",
+				c.blockBits, c.chunkBits, c.wires, c.kind,
+				codec.laneBits, codec.wordRound, codec.fanout, c.laneBits, c.wordRound, c.fanout)
 		}
 	}
 }
 
-// TestCodecResetClearsKernelHistory: after Reset, the fast path's packed
+// TestCodecResetClearsKernelHistory: after Reset, the kernel's packed
 // history (the last-value store, the adaptive best-value mirror) must
 // forget exactly like the scalar policy, for every history-carrying kind
 // and lane width.
@@ -202,9 +209,6 @@ func TestCodecResetClearsKernelHistory(t *testing.T) {
 			ref, err := newReferenceCodec(512, chunkBits, 128, kind)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if fast.wordRound == 0 {
-				t.Fatalf("%v k=%d: geometry unexpectedly scalar", kind, chunkBits)
 			}
 			block := make([]byte, 64)
 			for i := range block {

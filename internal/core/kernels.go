@@ -7,33 +7,66 @@ import (
 	"desc/internal/link"
 )
 
-// This file is the word-parallel encode kernel for the DESC codec: with
-// 4-bit chunks a transfer round is whole uint64 words of 16 nibble lanes,
-// with 8-bit chunks whole words of 8 byte lanes, and the per-round
-// aggregates — how many chunks match the skip value, and the largest
-// count position among those that do not — fall out of SWAR lane
-// compares and popcounts. A partial final round only shortens the last
-// word (rounds always start word-aligned because the wire count is a
-// whole number of words), and a lane mask restricts the compares to the
-// chunks that exist; the padding lanes LoadWords zero-fills beyond the
-// block never enter any aggregate. The scalar implementation in
-// sendRound stays the source of truth for odd geometries, and
-// reference_test.go freezes the original scalar encoder as an oracle so
-// the kernel can never drift from it unnoticed.
+// This file is the word-parallel encode kernel of the DESC codec, the
+// only encode path at every geometry. Chunks of up to 4 bits sit in the
+// 16 nibble lanes of a uint64 word, wider chunks in its 8 byte lanes;
+// round r of a block fills the words [r*wordRound, (r+1)*wordRound), lane
+// l of word j carrying wire j*lanes+l. The per-round aggregates — how
+// many chunks match the skip value, and the largest count position among
+// those that do not — fall out of SWAR lane compares and popcounts.
+// CountPos depends only on the values, not on the chunk width, so narrow
+// chunks in wide lanes need no special case. A ragged wire count or a
+// partial final round only shortens a round's last word, and a lane mask
+// restricts the compares to the chunks that exist; padding lanes are
+// zero-filled and never enter any aggregate. reference_test.go freezes
+// the original scalar encoder as an oracle so the kernel can never drift
+// from it unnoticed.
 
-// loadWords packs block into lane-order uint64 words, reusing dst.
-func loadWords(dst []uint64, block []byte) []uint64 {
-	return bitutil.LoadWords(dst, block)
+// load packs block into c.words, one round per run of wordRound words.
+//
+//desclint:hotpath called once per block
+func (c *Codec) load(block []byte) {
+	k := c.chunker.ChunkBits()
+	if c.fanout > 0 {
+		// Rounds are whole words, so the lane words are the chunks in
+		// order: load the raw words and, for chunks narrower than
+		// their lanes, spread each in place from the back (raw word i
+		// becomes lane words i*fanout.., never below i).
+		raw := bitutil.LoadWords(c.words, block)
+		if c.fanout == 1 {
+			return
+		}
+		span := uint(64 / c.fanout)
+		for i := len(raw) - 1; i >= 0; i-- {
+			x := raw[i]
+			for j := c.fanout - 1; j >= 0; j-- {
+				c.words[i*c.fanout+j] = bitutil.SpreadLanes(x>>(uint(j)*span)&(1<<span-1), k, c.laneBits)
+			}
+		}
+		return
+	}
+	lanes := 64 / c.laneBits
+	wires, chunks := c.chunker.Wires(), c.chunker.NumChunks()
+	for r := 0; r < c.chunker.Rounds(); r++ {
+		for j := 0; j < c.wordRound; j++ {
+			first := r*wires + j*lanes // chunk index of lane 0
+			var w uint64
+			if n := min(lanes, wires-j*lanes, chunks-first); n > 0 {
+				w = bitutil.SpreadLanes(bitutil.ReadBits(block, first*k, n*k), k, c.laneBits)
+			}
+			c.words[r*c.wordRound+j] = w
+		}
+	}
 }
 
-// maxLane returns the largest chunk value in a packed word.
+// maxLane returns the largest chunk value in a round's packed words.
 //
 //desclint:hotpath
-func (c *Codec) maxLane(w uint64) int {
+func (c *Codec) maxLane(words []uint64) int {
 	if c.laneBits == 4 {
-		return int(bitutil.MaxNibble(w))
+		return int(bitutil.MaxNibble(words...))
 	}
-	return int(bitutil.MaxByte(w))
+	return int(bitutil.MaxByte(words...))
 }
 
 // zeroMask returns the lane-MSB mask of zero lanes in a packed word.
@@ -67,12 +100,11 @@ func (c *Codec) laneMask(n int) uint64 {
 	return bitutil.ByteLaneMask(n)
 }
 
-// sendRoundFast encodes one round word-parallel. It must agree with
-// sendRound bit-for-bit on every input; the differential tests enforce
-// this against both the scalar oracle and the cycle-accurate hardware
-// model.
+// sendRoundFast encodes one round word-parallel. The differential tests
+// hold it bit-for-bit to both the scalar oracle and the cycle-accurate
+// hardware model.
 //
-//desclint:hotpath runs once per round on word geometries
+//desclint:hotpath runs once per round
 func (c *Codec) sendRoundFast(round int) link.Cost {
 	lanes := 64 / c.laneBits
 	laneVal := uint16(1)<<uint(c.laneBits) - 1
@@ -95,11 +127,7 @@ func (c *Codec) sendRoundFast(round int) link.Cost {
 		// Every chunk toggles; only the largest value matters for the
 		// round window. Padding lanes are zero and cannot raise it.
 		unskipped = inRound
-		for _, w := range words {
-			if m := c.maxLane(w); m > maxCount {
-				maxCount = m
-			}
-		}
+		maxCount = c.maxLane(words)
 
 	case SkipZero:
 		// Zero chunks are skipped, so the count position of a
@@ -113,13 +141,10 @@ func (c *Codec) sendRoundFast(round int) link.Cost {
 				zm &= c.laneMask(tail)
 			}
 			skipped += bits.OnesCount64(zm)
-			if m := c.maxLane(w); m > maxCount {
-				maxCount = m
-			}
 		}
 		unskipped = inRound - skipped
-		if unskipped == 0 {
-			maxCount = -1 // no chunk transmitted; roundCost clamps
+		if unskipped > 0 {
+			maxCount = c.maxLane(words)
 		}
 
 	case SkipLast:
@@ -127,8 +152,8 @@ func (c *Codec) sendRoundFast(round int) link.Cost {
 		// SWAR compare finds the mismatching lanes; only those need
 		// the scalar CountPos, so skip-heavy traffic touches few
 		// lanes. Storing the new words *is* the policy update: the
-		// last-value history for fast-path codecs lives in lastWords,
-		// and idle lanes of a partial final word keep their history.
+		// last-value history lives in lastWords, and idle lanes of a
+		// partial final word keep their history.
 		for i, w := range words {
 			lw := c.lastWords[i]
 			if i == nWords-1 && tail < lanes {

@@ -24,6 +24,11 @@ type Generator struct {
 	// the realized zero marginal matches the profile target; calibrated
 	// at construction.
 	spillCorr float64
+	// The genBlock thresholds that depend only on the profile and
+	// spillCorr, set with it by setSpillCorr: the zero-chain entry
+	// draws of the low and high offset groups and the pattern draw
+	// conditional on a non-zero chunk.
+	p0Lo, p0Hi, psCond uint16
 
 	// id names the generator's (profile, seed) pair in the process-wide
 	// block cache; generators of equal pairs share it.
@@ -53,8 +58,45 @@ func NewGenerator(prof Profile, seed int64) *Generator {
 	}
 	g.zeroThresh = uint16(prof.ZeroChunkFrac * 65536)
 	g.sharedThresh = g.zeroThresh + uint16(g.pShared*65536)
-	g.spillCorr, g.id = spillCorrs.get(spillKey{prof, seed}, g.calibrateSpill)
+	var corr float64
+	corr, g.id = spillCorrs.get(spillKey{prof, seed}, g.calibrateSpill)
+	g.setSpillCorr(corr)
 	return g
+}
+
+// setSpillCorr sets the spill correction and the genBlock thresholds
+// derived from it. Markov zero chain: P(zero | prev zero) = zeroRunProb,
+// with the entry probability chosen so the stationary marginal equals
+// the profile's ZeroChunkFrac. Conditional on non-zero, the pattern
+// probability rescales to keep its marginal too.
+func (g *Generator) setSpillCorr(corr float64) {
+	g.spillCorr = corr
+	// Complement words turn zero chunks into 0xF, diluting the zero
+	// marginal; the draw probability compensates so the measured zero
+	// fraction still meets the profile target.
+	pz := g.prof.ZeroChunkFrac / (1 - wordComplProb)
+	if pz > 0.9 {
+		pz = 0.9
+	}
+	// Per-offset chain entry probabilities targeting the split zero
+	// marginals: p0 = pz(1-qz)/(1-pz) for each offset group.
+	// Zero runs spill across offset groups, lifting the realized
+	// marginal above the per-offset entry targets; the calibrated
+	// correction compensates.
+	pzLo, pzHi := zeroSplit(pz * corr)
+	entry := func(p float64) uint16 {
+		e := p * (1 - zeroRunProb) / (1 - p)
+		if e >= 1 {
+			return 65535
+		}
+		return uint16(e * 65536)
+	}
+	g.p0Lo, g.p0Hi = entry(pzLo), entry(pzHi)
+	psCondf := float64(g.sharedThresh-g.zeroThresh) / 65536 / (1 - pz)
+	g.psCond = uint16(65535)
+	if psCondf < 1 {
+		g.psCond = uint16(psCondf * 65536)
+	}
 }
 
 // spillKey identifies a generator's content: calibrateSpill and every
@@ -136,7 +178,7 @@ func (m *spillMemo) find(k spillKey) (spillEntry, bool) {
 // through spillCorrs, so it runs once per distinct (profile, seed).
 func (g *Generator) calibrateSpill() float64 {
 	measure := func(corr float64) float64 {
-		g.spillCorr = corr
+		g.setSpillCorr(corr)
 		zeros, total := 0, 0
 		var buf [64]byte
 		for i := 0; i < 240; i++ {
@@ -160,7 +202,7 @@ func (g *Generator) calibrateSpill() float64 {
 			hi = mid
 		}
 	}
-	g.spillCorr = (lo + hi) / 2
+	g.setSpillCorr((lo + hi) / 2)
 	return g.spillCorr
 }
 
@@ -344,37 +386,8 @@ func (g *Generator) genBlock(addr uint64, buf *[64]byte) {
 	const chunksPerBlock = 512 / chunkBits
 	const chunksPerWord = 64 / chunkBits
 
-	// Markov zero chain: P(zero | prev zero) = zeroRunProb, with the
-	// entry probability chosen so the stationary marginal equals the
-	// profile's ZeroChunkFrac. Conditional on non-zero, the pattern
-	// probability rescales to keep its marginal too.
-	// Complement words turn zero chunks into 0xF, diluting the zero
-	// marginal; the draw probability compensates so the measured zero
-	// fraction still meets the profile target.
-	pz := g.prof.ZeroChunkFrac / (1 - wordComplProb)
-	if pz > 0.9 {
-		pz = 0.9
-	}
 	qz := zeroRunThresh
-	// Per-offset chain entry probabilities targeting the split zero
-	// marginals: p0 = pz(1-qz)/(1-pz) for each offset group.
-	// Zero runs spill across offset groups, lifting the realized
-	// marginal above the per-offset entry targets; the calibrated
-	// correction compensates.
-	pzLo, pzHi := zeroSplit(pz * g.spillCorr)
-	entry := func(p float64) uint16 {
-		e := p * (1 - zeroRunProb) / (1 - p)
-		if e >= 1 {
-			return 65535
-		}
-		return uint16(e * 65536)
-	}
-	p0Lo, p0Hi := entry(pzLo), entry(pzHi)
-	psCondf := float64(g.sharedThresh-g.zeroThresh) / 65536 / (1 - pz)
-	psCond := uint16(65535)
-	if psCondf < 1 {
-		psCond = uint16(psCondf * 65536)
-	}
+	p0Lo, p0Hi, psCond := g.p0Lo, g.p0Hi, g.psCond
 
 	prevZero := false
 	for c := 0; c < chunksPerBlock; c++ {
