@@ -209,17 +209,16 @@ func (l *BusInvert) Send(block []byte) link.Cost {
 
 // sendBeat encodes the beat in scratch, one lane group at a time: one
 // LanePopcounts yields every segment's Hamming distance to the wires and
-// one LaneZeroMask its all-zero segments. The mode decisions, which read
-// the persistent control levels, stay per segment, but they only set
-// lane bits: the data wires then drive as two lane-filled masks, and
-// data and control flips are popcounts of the old levels against the
+// one LaneZeroMask its all-zero segments. The mode decisions compare
+// those distances with thresholds lane-wise and combine them with the
+// packed control levels, the data wires drive as two lane-filled masks,
+// and data and control flips are popcounts of the old levels against the
 // new. The refBusInvert oracle pins it bit for bit.
 //
 //desclint:hotpath runs once per beat
 func (l *BusInvert) sendBeat() (dataFlips, ctrlFlips uint64) {
 	g := &l.lanes
 	k := g.laneBits
-	laneOnes := uint64(1)<<uint(k) - 1
 	for grp, valid := range g.valid {
 		data := l.scratch[grp*g.segWords : (grp+1)*g.segWords]
 		state := l.state[grp*g.segWords : (grp+1)*g.segWords]
@@ -231,49 +230,32 @@ func (l *BusInvert) sendBeat() (dataFlips, ctrlFlips uint64) {
 		if l.zero != nil {
 			zero = l.zero[grp]
 		}
+		// Inverting beats normal drive when hdInv plus the invert
+		// wire's flip undercuts hd plus its flip, i.e. when
+		// hd + inv >= flipAt: one distance threshold per invert level.
+		flipAt := (l.segBits+1)/2 + 1
+		beatsNormal := g.atLeast(pc, flipAt) | inv&g.atLeast(pc, flipAt-1)
 		var invLanes, skipLanes uint64
-		for m := valid; m != 0; m &= m - 1 {
-			top := m & -m
-			lane := bits.TrailingZeros64(m) + 1 - k
-			hd := int(pc >> uint(lane) & laneOnes)
-			hdInv := l.segBits - hd
-			switch l.mode {
-			case InvertOnly:
-				costN, costI := hd, hdInv
-				if inv&top != 0 {
-					costN++
-				} else {
-					costI++
-				}
-				if costI < costN {
-					invLanes |= top
-				}
-			case InvertZeroSkip:
-				// Driving the zero indicator low costs one flip if
-				// it is high; raising it costs one if it is low.
-				zeroHigh := b2i(zero&top != 0)
-				invHigh := b2i(inv&top != 0)
-				costN := hd + invHigh + zeroHigh
-				costI := hdInv + 1 - invHigh + zeroHigh
-				switch costS := 1 - zeroHigh; {
-				case zm&top != 0 && costS <= costN && costS <= costI:
-					skipLanes |= top
-				case costI < costN:
-					invLanes |= top
-				}
-			default: // InvertEncodedZeroSkip
-				// The mode field is shared, so the per-segment
-				// decision minimizes data flips only.
-				mode := modeNormal
-				switch {
-				case zm&top != 0:
-					mode = modeSkip
-					skipLanes |= top
-				case hdInv < hd:
-					mode = modeInvert
-					invLanes |= top
-				}
-				l.modes[grp*g.lanes+lane/k] = mode
+		switch l.mode {
+		case InvertOnly:
+			invLanes = beatsNormal & valid
+		case InvertZeroSkip:
+			// Skipping costs the indicator's rise (none if it is
+			// high already), so an all-zero segment is skipped
+			// unless normal or inverted drive is free with the
+			// indicator low: no distance and the invert wire low,
+			// or every wire differs and the invert wire high.
+			free := ^zero & (^inv&^g.atLeast(pc, 1) | inv&g.atLeast(pc, l.segBits))
+			skipLanes = zm &^ free
+			invLanes = beatsNormal & valid &^ skipLanes
+		default: // InvertEncodedZeroSkip
+			// The mode field is shared, so the per-segment decision
+			// minimizes data flips only: invert when hdInv < hd.
+			skipLanes = zm
+			invLanes = g.atLeast(pc, l.segBits/2+1) & valid &^ skipLanes
+			for m := valid; m != 0; m &= m - 1 {
+				top := bits.TrailingZeros64(m)
+				l.modes[grp*g.lanes+top/k] = int(invLanes>>uint(top)&1) + 2*int(skipLanes>>uint(top)&1)
 			}
 		}
 		// Drive: skipped segments keep their levels, inverted ones take
@@ -296,14 +278,6 @@ func (l *BusInvert) sendBeat() (dataFlips, ctrlFlips uint64) {
 		}
 	}
 	return dataFlips, ctrlFlips
-}
-
-// b2i returns 1 for true and 0 for false.
-func b2i(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // driveModeField binary-encodes the base-3 mode vector onto the mode wires

@@ -16,6 +16,7 @@ import (
 // word per group, a segment's level in the top bit of its lane, so
 // LaneFill turns a set of levels into a data mask directly.
 type segLanes struct {
+	segBits  int
 	laneBits int // lane width: min(segBits, 64)
 	lanes    int // segments per group
 	segWords int // words per group
@@ -27,7 +28,7 @@ type segLanes struct {
 }
 
 func newSegLanes(wires, segBits int) segLanes {
-	g := segLanes{laneBits: min(segBits, 64), segWords: max(segBits/64, 1)}
+	g := segLanes{segBits: segBits, laneBits: min(segBits, 64), segWords: max(segBits/64, 1)}
 	g.lanes = 64 / g.laneBits
 	g.msb = bitutil.LaneMSB(g.laneBits)
 	segs := wires / segBits
@@ -71,4 +72,26 @@ func (g *segLanes) distances(data, state []uint64) uint64 {
 		hd += uint64(bits.OnesCount64(d ^ state[j]))
 	}
 	return hd
+}
+
+// atLeast returns the lane-MSB mask of the lanes of hd, per-lane Hamming
+// distances from distances, that are at least c.
+//
+//desclint:hotpath runs a few times per lane group per beat
+func (g *segLanes) atLeast(hd uint64, c int) uint64 {
+	switch {
+	case c <= 0:
+		return g.msb
+	case c > g.segBits:
+		return 0
+	case g.laneBits >= 4:
+		// A distance of at most k < 2^(k-1) leaves each lane's top bit
+		// free: (hd | top) - c keeps the top bit iff hd >= c, and no
+		// borrow crosses lanes.
+		return ((hd | g.msb) - uint64(c)*(g.msb>>uint(g.laneBits-1))) & g.msb
+	case c == 1:
+		return g.msb &^ bitutil.LaneZeroMask(hd, g.msb)
+	default: // 2-bit lanes and c == 2: a distance of 2 is the top bit
+		return hd & g.msb
+	}
 }
