@@ -162,8 +162,8 @@ func BenchmarkSendDESCZeroChunk2Wires64(b *testing.B) {
 	benchmarkSchemeGeom(b, "desc-zero", 64, 2, 8)
 }
 
-// The byte-lane variants pin the 8-bit-chunk word kernel, the other half
-// of the fast-path gate.
+// The byte-lane variants pin the 8-bit-chunk lanes, the other lane width
+// of the DESC kernel.
 func BenchmarkSendDESCZeroBytes(b *testing.B) { benchmarkSchemeGeom(b, "desc-zero", 64, 8, 8) }
 func BenchmarkSendDESCAdaptiveBytes(b *testing.B) {
 	benchmarkSchemeGeom(b, "desc-adaptive", 64, 8, 8)

@@ -64,15 +64,7 @@ func PutChunk(block []byte, off, k int, v uint16) {
 // Chunks splits block into contiguous k-bit chunks, in bit order. The block
 // size in bits must be a multiple of k.
 func Chunks(block []byte, k int) []uint16 {
-	nbits := len(block) * 8
-	if nbits%k != 0 {
-		panic(fmt.Sprintf("bitutil: block of %d bits is not a multiple of chunk width %d", nbits, k))
-	}
-	out := make([]uint16, nbits/k)
-	for i := range out {
-		out[i] = Chunk(block, i*k, k)
-	}
-	return out
+	return AppendChunks(nil, block, k)
 }
 
 // FromChunks reassembles a block from contiguous k-bit chunks.

@@ -30,7 +30,7 @@ const (
 // dst's backing array when it is large enough. A partial final word is
 // zero-padded.
 //
-//desclint:hotpath called once per block on word geometries
+//desclint:hotpath called once per block by the DESC codec
 func LoadWords(dst []uint64, block []byte) []uint64 {
 	n := (len(block) + 7) / 8
 	if cap(dst) < n {
@@ -231,7 +231,7 @@ func MaxByte(xs ...uint64) uint16 {
 // written; words must cover the block, and bits beyond the block in a
 // partial final word are ignored.
 //
-//desclint:hotpath called once per decoded block on word geometries
+//desclint:hotpath called once per decoded block
 func StoreWords(block []byte, words []uint64) {
 	if need := (len(block) + 7) / 8; len(words) < need {
 		panic(fmt.Sprintf("bitutil: StoreWords of %d words into %d-byte block", len(words), len(block)))
@@ -405,7 +405,7 @@ func StoreBits(block []byte, src []uint64, off, count int) {
 // and returns the extended slice: the allocation-free form of Chunks. The
 // block size in bits must be a multiple of k.
 //
-//desclint:hotpath scalar-geometry chunk split
+//desclint:hotpath chunk split of the cycle-accurate model and the oracles
 func AppendChunks(dst []uint16, block []byte, k int) []uint16 {
 	nbits := len(block) * 8
 	if k < 1 || k > 16 {

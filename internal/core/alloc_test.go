@@ -1,8 +1,8 @@
 package core
 
 // Allocation regression tests: the experiment sweeps call Send billions of
-// times, so the steady state must not allocate — on the word-parallel fast
-// path, on the scalar fallback, and for every skip kind. A regression here
+// times, so the steady state must not allocate — for every lane load form
+// (raw, spread in place, ragged) and every skip kind. A regression here
 // is a performance bug even when every cost still matches the oracle.
 
 import (
@@ -32,8 +32,9 @@ func TestCodecSendZeroAllocs(t *testing.T) {
 		{"word-kernel-bytes", 512, 8, 64},
 		{"word-kernel-partial-round", 512, 4, 48},
 		{"word-kernel-partial-word", 96, 4, 16},
-		{"scalar-ragged", 512, 4, 24},
-		{"scalar-narrow-chunks", 512, 2, 64},
+		{"ragged", 512, 4, 24},
+		{"spread-narrow-chunks", 512, 2, 64},
+		{"ragged-spread", 384, 3, 48},
 	}
 	for _, g := range geometries {
 		for _, kind := range allKinds {

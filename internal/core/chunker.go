@@ -68,16 +68,6 @@ func (c *Chunker) Split(block []byte) []uint16 {
 	return bitutil.Chunks(block, c.chunkBits)
 }
 
-// SplitAppend appends the block's chunks to dst in chunk-index order and
-// returns the extended slice. It is the allocation-free form of Split for
-// hot paths that reuse a scratch buffer across blocks.
-func (c *Chunker) SplitAppend(dst []uint16, block []byte) []uint16 {
-	if len(block)*8 != c.blockBits {
-		panic(fmt.Sprintf("core: block of %d bits, chunker configured for %d", len(block)*8, c.blockBits))
-	}
-	return bitutil.AppendChunks(dst, block, c.chunkBits)
-}
-
 // Join reassembles a block from chunks in chunk-index order.
 func (c *Chunker) Join(chunks []uint16) []byte {
 	if len(chunks) != c.numChunks {

@@ -87,13 +87,11 @@ type Codec struct {
 	// laneBits is the lane width chunks are packed into (4 or 8), and
 	// wordRound the number of uint64 words per round: a wire count that
 	// is not a whole number of words only shortens each round's last
-	// word. When rounds are whole words the lane words are the block's
-	// chunks in order, and fanout is the number of lane words each raw
-	// block word spreads into (1 when chunks fill their lanes); it is 0
-	// when a lane word's chunks do not tile a raw word.
+	// word. rawLoad reports that chunks fill their lanes and rounds are
+	// whole words, so the block loads as raw words.
 	laneBits  int
 	wordRound int
-	fanout    int
+	rawLoad   bool
 	// words holds the current block's lane-packed chunks, round-major.
 	words []uint64
 	// lastWords is the lane-packed per-wire last-value store for
@@ -123,13 +121,8 @@ func NewCodec(blockBits, chunkBits, wires int, kind SkipKind) (*Codec, error) {
 	}
 	lanes := 64 / c.laneBits
 	c.wordRound = (wires + lanes - 1) / lanes
-	nWords := ch.Rounds() * c.wordRound
-	if wires%lanes == 0 && 64%(lanes*chunkBits) == 0 {
-		c.fanout = 64 / (lanes * chunkBits)
-		// A partial final raw word still spreads into fanout words.
-		nWords = max(nWords, (blockBits+63)/64*c.fanout)
-	}
-	c.words = make([]uint64, nWords)
+	c.rawLoad = chunkBits == c.laneBits && wires%lanes == 0
+	c.words = make([]uint64, ch.Rounds()*c.wordRound)
 	switch kind {
 	case SkipLast:
 		c.lastWords = make([]uint64, c.wordRound)

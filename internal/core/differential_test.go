@@ -45,8 +45,7 @@ var codecGeometries = []struct {
 	{512, 1, 32},
 	{512, 8, 256}, // byte lanes, one round of 64 chunks on 256 wires
 	{512, 2, 24},  // 2-bit chunks on a ragged wire count
-	{96, 2, 16},   // a partial raw word spreads into two lane words
-	{96, 1, 16},   // ... and into four
+	{96, 2, 16},   // 2-bit chunks with a partial final round
 }
 
 // adversarialBlocks are the corner patterns the skip variants
@@ -165,31 +164,32 @@ func TestCodecFastPathSelection(t *testing.T) {
 	cases := []struct {
 		blockBits, chunkBits, wires int
 		kind                        SkipKind
-		laneBits, wordRound, fanout int
+		laneBits, wordRound         int
+		raw                         bool
 	}{
-		{512, 4, 128, SkipZero, 4, 8, 1},
-		{512, 4, 64, SkipLast, 4, 4, 1},
-		{512, 4, 128, SkipNone, 4, 8, 1},
-		{512, 4, 128, SkipAdaptive, 4, 8, 1}, // adaptive via the bestWords mirror
-		{512, 4, 48, SkipZero, 4, 3, 1},      // partial final round
-		{512, 8, 64, SkipZero, 8, 8, 1},      // 8-bit chunks, byte lanes
-		{512, 8, 48, SkipLast, 8, 6, 1},      // 8-bit chunks with a partial round
-		{512, 4, 24, SkipZero, 4, 2, 0},      // ragged wire count: a short last word per round
-		{512, 8, 28, SkipZero, 8, 4, 0},      // ragged for byte lanes
-		{512, 2, 128, SkipZero, 4, 8, 2},     // 2-bit chunks: a raw word spreads into two
-		{512, 1, 64, SkipNone, 4, 4, 4},      // 1-bit chunks: a raw word spreads into four
-		{384, 3, 48, SkipLast, 4, 3, 0},      // 3-bit chunks: 48-bit lane words
-		{384, 6, 32, SkipZero, 8, 4, 0},      // 6-bit chunks: 48-bit lane words
+		{512, 4, 128, SkipZero, 4, 8, true},
+		{512, 4, 64, SkipLast, 4, 4, true},
+		{512, 4, 128, SkipNone, 4, 8, true},
+		{512, 4, 128, SkipAdaptive, 4, 8, true}, // adaptive via the bestWords mirror
+		{512, 4, 48, SkipZero, 4, 3, true},      // partial final round
+		{512, 8, 64, SkipZero, 8, 8, true},      // 8-bit chunks, byte lanes
+		{512, 8, 48, SkipLast, 8, 6, true},      // 8-bit chunks with a partial round
+		{512, 4, 24, SkipZero, 4, 2, false},     // ragged wire count: a short last word per round
+		{512, 8, 28, SkipZero, 8, 4, false},     // ragged for byte lanes
+		{512, 2, 128, SkipZero, 4, 8, false},    // 2-bit chunks spread into nibble lanes
+		{512, 1, 64, SkipNone, 4, 4, false},     // 1-bit chunks spread into nibble lanes
+		{384, 3, 48, SkipLast, 4, 3, false},     // 3-bit chunks: 48-bit lane words
+		{384, 6, 32, SkipZero, 8, 4, false},     // 6-bit chunks: 48-bit lane words
 	}
 	for _, c := range cases {
 		codec, err := NewCodec(c.blockBits, c.chunkBits, c.wires, c.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if codec.laneBits != c.laneBits || codec.wordRound != c.wordRound || codec.fanout != c.fanout {
-			t.Errorf("%d/%d/%d %v: lanes %d, words/round %d, fanout %d; want %d, %d, %d",
+		if codec.laneBits != c.laneBits || codec.wordRound != c.wordRound || codec.rawLoad != c.raw {
+			t.Errorf("%d/%d/%d %v: lanes %d, words/round %d, raw %v; want %d, %d, %v",
 				c.blockBits, c.chunkBits, c.wires, c.kind,
-				codec.laneBits, codec.wordRound, codec.fanout, c.laneBits, c.wordRound, c.fanout)
+				codec.laneBits, codec.wordRound, codec.rawLoad, c.laneBits, c.wordRound, c.raw)
 		}
 	}
 }

@@ -26,26 +26,13 @@ import (
 //
 //desclint:hotpath called once per block
 func (c *Codec) load(block []byte) {
-	k := c.chunker.ChunkBits()
-	if c.fanout > 0 {
-		// Rounds are whole words, so the lane words are the chunks in
-		// order: load the raw words and, for chunks narrower than
-		// their lanes, spread each in place from the back (raw word i
-		// becomes lane words i*fanout.., never below i).
-		raw := bitutil.LoadWords(c.words, block)
-		if c.fanout == 1 {
-			return
-		}
-		span := uint(64 / c.fanout)
-		for i := len(raw) - 1; i >= 0; i-- {
-			x := raw[i]
-			for j := c.fanout - 1; j >= 0; j-- {
-				c.words[i*c.fanout+j] = bitutil.SpreadLanes(x>>(uint(j)*span)&(1<<span-1), k, c.laneBits)
-			}
-		}
+	if c.rawLoad {
+		// Chunks fill their lanes and rounds are whole words: the
+		// round-major layout is the block itself.
+		bitutil.LoadWords(c.words, block)
 		return
 	}
-	lanes := 64 / c.laneBits
+	k, lanes := c.chunker.ChunkBits(), 64/c.laneBits
 	wires, chunks := c.chunker.Wires(), c.chunker.NumChunks()
 	for r := 0; r < c.chunker.Rounds(); r++ {
 		for j := 0; j < c.wordRound; j++ {
