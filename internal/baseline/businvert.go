@@ -255,7 +255,7 @@ func (l *BusInvert) sendBeat() (dataFlips, ctrlFlips uint64) {
 			invLanes = g.atLeast(pc, l.segBits/2+1) & valid &^ skipLanes
 			for m := valid; m != 0; m &= m - 1 {
 				top := bits.TrailingZeros64(m)
-				l.modes[grp*g.lanes+top/k] = int(invLanes>>uint(top)&1) + 2*int(skipLanes>>uint(top)&1)
+				l.modes[grp*g.lanes+top/k] = modeInvert*int(invLanes>>uint(top)&1) + modeSkip*int(skipLanes>>uint(top)&1)
 			}
 		}
 		// Drive: skipped segments keep their levels, inverted ones take
