@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLWCDecode          -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lwc
 	$(GO) test -fuzz=FuzzFPFVsReference     -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/fpf
 	$(GO) test -fuzz=FuzzLWCVsReference     -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lwc
+	$(GO) test -fuzz=FuzzEncodeVsReference  -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lowweight
 	$(GO) test -fuzz=FuzzServeEncodeRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzBankSchedVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/cachesim
 	$(GO) test -fuzz=FuzzSimulateSpec       -fuzztime=$(FUZZTIME) -run '^$$' ./internal/exp

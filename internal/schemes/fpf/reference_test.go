@@ -11,7 +11,7 @@ import (
 // TestMatchesReference holds the word-parallel Send to the frozen
 // bit-serial reference at every segment width, on one to five segments
 // (so beats that are not byte aligned and partial final beats occur)
-// and at two block sizes.
+// and at two block sizes, and at the segment sweep's wire counts.
 func TestMatchesReference(t *testing.T) {
 	for k := 2; k <= 64; k += 2 {
 		for _, segs := range []int{1, 2, 3, 5} {
@@ -22,6 +22,17 @@ func TestMatchesReference(t *testing.T) {
 				}
 				reference.Compare(t, l, false, blockBits, k, linktest.Traffic(blockBits))
 			}
+		}
+	}
+	// The segment sweep's (Figure 15) shapes: many segments per beat on
+	// 64 and 128 wires, several whole-word beats per block.
+	for _, k := range []int{4, 8, 16, 32, 64} {
+		for _, wires := range []int{64, 128} {
+			l, err := New(512, wires, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reference.Compare(t, l, false, 512, k, linktest.Traffic(512))
 		}
 	}
 }
