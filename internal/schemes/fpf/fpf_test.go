@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"desc/internal/link"
+	"desc/internal/schemes/lowweight"
 )
 
-func newLink(t testing.TB, blockBits, wires, seg int) *FPF {
+func newLink(t testing.TB, blockBits, wires, seg int) *lowweight.Link {
 	t.Helper()
 	l, err := New(blockBits, wires, seg)
 	if err != nil {

@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"desc/internal/link"
+	"desc/internal/schemes/lowweight"
 )
 
-func newLink(t testing.TB, blockBits, wires, seg int) *LWC {
+func newLink(t testing.TB, blockBits, wires, seg int) *lowweight.Link {
 	t.Helper()
 	l, err := New(blockBits, wires, seg)
 	if err != nil {
@@ -58,13 +59,17 @@ func TestRoundTrip(t *testing.T) {
 func TestFlipGuarantee(t *testing.T) {
 	const seg = 8
 	l := newLink(t, 64, 64, seg) // one beat per Send isolates the bound
+	code, err := lowweight.New(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(6))
 	b := make([]byte, 8)
 	for i := 0; i < 500; i++ {
 		rng.Read(b)
 		c := l.Send(b)
 		total := c.Flips.Data + c.Flips.Control
-		if max := uint64(l.Segments() * l.code.MaxWeight()); total > max {
+		if max := uint64(l.Segments() * code.MaxWeight()); total > max {
 			t.Fatalf("send %d: %d flips > guaranteed bound %d", i, total, max)
 		}
 	}
