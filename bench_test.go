@@ -180,13 +180,17 @@ func BenchmarkSendBICZeroSkipSeg4(b *testing.B) {
 }
 func BenchmarkSendDZCSeg4(b *testing.B) { benchmarkSchemeGeom(b, "dzc", 64, 4, 4) }
 
-// The segment-width sweep's other literature-codec and dense-mode-field
-// shapes: table lookups (fpf at 4 bits, lwc at 16), the wide walks (fpf
-// and lwc at 64, one segment plus its spare wires) and the 16-segment
-// base-3 mode field.
+// The segment-width sweep's (Figure 15) literature-codec widths, each
+// for fpf and lwc (8 bits is BenchmarkSendFPF/LWC): byte-table widths
+// (4), segment-table widths (16), byte-group widths (32, and 64 with one
+// segment per beat), and the 16-segment base-3 mode field.
 func BenchmarkSendFPFSeg4(b *testing.B)          { benchmarkSchemeGeom(b, "fpf", 64, 4, 4) }
+func BenchmarkSendFPFSeg16(b *testing.B)         { benchmarkSchemeGeom(b, "fpf", 64, 4, 16) }
+func BenchmarkSendFPFSeg32(b *testing.B)         { benchmarkSchemeGeom(b, "fpf", 64, 4, 32) }
 func BenchmarkSendFPFSeg64(b *testing.B)         { benchmarkSchemeGeom(b, "fpf", 64, 4, 64) }
+func BenchmarkSendLWCSeg4(b *testing.B)          { benchmarkSchemeGeom(b, "lwc", 64, 4, 4) }
 func BenchmarkSendLWCSeg16(b *testing.B)         { benchmarkSchemeGeom(b, "lwc", 64, 4, 16) }
+func BenchmarkSendLWCSeg32(b *testing.B)         { benchmarkSchemeGeom(b, "lwc", 64, 4, 32) }
 func BenchmarkSendLWCSeg64(b *testing.B)         { benchmarkSchemeGeom(b, "lwc", 64, 4, 64) }
 func BenchmarkSendBICEncodedZSSeg4(b *testing.B) { benchmarkSchemeGeom(b, "bic-ezs", 64, 4, 4) }
 
