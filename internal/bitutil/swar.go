@@ -322,11 +322,14 @@ func LoadBits(dst []uint64, block []byte, off, count int) {
 
 // ReadBits returns the n <= 64 bits of block starting at bit offset off,
 // in the repository's bit order; the field must lie inside the block. It
-// is one unaligned word load away from the block's end and byte loads at
-// its tail.
+// is ReadWordBits where that applies, a ninth byte for a wide field that
+// straddles a word, and byte loads at the block's tail.
 //
 //desclint:hotpath called once per lane word by the DESC loader
 func ReadBits(block []byte, off, n int) uint64 {
+	if WordBits(block, off, n) {
+		return ReadWordBits(block, off, n)
+	}
 	i, sh := off>>3, uint(off&7)
 	var w uint64
 	if i+8 <= len(block) {
@@ -348,10 +351,9 @@ func ReadBits(block []byte, off, n int) uint64 {
 
 // SpreadLanes moves the consecutive k-bit fields of x into consecutive
 // lanes of lane bits each (k <= lane, lane 4 or 8), zero-extending every
-// field. 1- and 2-bit fields spread into nibbles by four shift-or-mask
-// steps that halve the field groups at each step; fields as wide as
-// their lane are already in place; other widths move one field at a
-// time.
+// field. 1- and 2-bit fields spread into nibbles by SpreadBitsToNibbles
+// and SpreadPairsToNibbles; fields as wide as their lane are already in
+// place; other widths move one field at a time.
 //
 //desclint:hotpath called once per lane word by the DESC loader
 func SpreadLanes(x uint64, k, lane int) uint64 {
@@ -359,15 +361,9 @@ func SpreadLanes(x uint64, k, lane int) uint64 {
 	case k == lane:
 		return x
 	case k == 2 && lane == 4:
-		x = (x | x<<16) & 0x0000FFFF0000FFFF
-		x = (x | x<<8) & 0x00FF00FF00FF00FF
-		x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
-		return (x | x<<2) & 0x3333333333333333
+		return SpreadPairsToNibbles(x)
 	case k == 1 && lane == 4:
-		x = (x | x<<24) & 0x000000FF000000FF
-		x = (x | x<<12) & 0x000F000F000F000F
-		x = (x | x<<6) & 0x0303030303030303
-		return (x | x<<3) & 0x1111111111111111
+		return SpreadBitsToNibbles(x)
 	}
 	var w uint64
 	field := uint64(1)<<uint(k) - 1
@@ -375,6 +371,45 @@ func SpreadLanes(x uint64, k, lane int) uint64 {
 		w |= (x >> uint(i*k) & field) << uint(i*lane)
 	}
 	return w
+}
+
+// WordBits reports whether ReadWordBits can read the n-bit field at bit
+// offset off of block: its field lies in the 8 bytes from off's byte.
+func WordBits(block []byte, off, n int) bool {
+	return off>>3+8 <= len(block) && off&7+n <= 64
+}
+
+// ReadWordBits is ReadBits for a field WordBits accepts: one unaligned
+// word load, small enough to inline.
+//
+//desclint:hotpath called once per lane word by the DESC loader
+func ReadWordBits(block []byte, off, n int) uint64 {
+	w := binary.LittleEndian.Uint64(block[off>>3:]) >> uint(off&7)
+	if n < 64 {
+		w &= 1<<uint(n) - 1
+	}
+	return w
+}
+
+// SpreadPairsToNibbles is SpreadLanes of 2-bit fields into nibble lanes:
+// four shift-or-mask steps that halve the field groups at each step.
+//
+//desclint:hotpath called once per lane word by the DESC loader
+func SpreadPairsToNibbles(x uint64) uint64 {
+	x = (x | x<<16) & 0x0000FFFF0000FFFF
+	x = (x | x<<8) & 0x00FF00FF00FF00FF
+	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
+	return (x | x<<2) & 0x3333333333333333
+}
+
+// SpreadBitsToNibbles is SpreadLanes of 1-bit fields into nibble lanes.
+//
+//desclint:hotpath called once per lane word by the DESC loader
+func SpreadBitsToNibbles(x uint64) uint64 {
+	x = (x | x<<24) & 0x000000FF000000FF
+	x = (x | x<<12) & 0x000F000F000F000F
+	x = (x | x<<6) & 0x0303030303030303
+	return (x | x<<3) & 0x1111111111111111
 }
 
 // StoreBits writes `count` wire-state bits into block at bit offset off,

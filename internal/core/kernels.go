@@ -39,7 +39,23 @@ func (c *Codec) load(block []byte) {
 			first := r*wires + j*lanes // chunk index of lane 0
 			var w uint64
 			if n := min(lanes, wires-j*lanes, chunks-first); n > 0 {
-				w = bitutil.SpreadLanes(bitutil.ReadBits(block, first*k, n*k), k, c.laneBits)
+				// The word read and the nibble spreads of 1- and
+				// 2-bit chunks inline.
+				if off := first * k; bitutil.WordBits(block, off, n*k) {
+					w = bitutil.ReadWordBits(block, off, n*k)
+				} else {
+					w = bitutil.ReadBits(block, off, n*k)
+				}
+				switch {
+				case c.laneBits == 8:
+					w = bitutil.SpreadLanes(w, k, 8)
+				case k == 2:
+					w = bitutil.SpreadPairsToNibbles(w)
+				case k == 1:
+					w = bitutil.SpreadBitsToNibbles(w)
+				default:
+					w = bitutil.SpreadLanes(w, k, 4)
+				}
 			}
 			c.words[r*c.wordRound+j] = w
 		}
