@@ -10,7 +10,7 @@ FUZZTIME ?= 30s
 # Worker-pool size for results-quick (0 = GOMAXPROCS).
 JOBS ?= 0
 
-.PHONY: all build test race rerun lint lint-json lint-baseline vet perfbench-check selfcheck fuzz bench bench-quick results-quick results-cached serve-smoke verify clean
+.PHONY: all build test race rerun lint lint-json lint-baseline vet perfbench-check selfcheck fuzz bench bench-quick bench-ab results-quick results-cached serve-smoke verify clean
 
 all: build
 
@@ -70,6 +70,7 @@ selfcheck:
 fuzz:
 	$(GO) test -fuzz=FuzzChannelRoundTrip   -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzCountPosInverse    -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzLaneMaxVsScalar    -fuzztime=$(FUZZTIME) -run '^$$' ./internal/bitutil
 	$(GO) test -fuzz=FuzzSchemesDecode      -fuzztime=$(FUZZTIME) -run '^$$' ./internal/baseline
 	$(GO) test -fuzz=FuzzSECDEDSingleError  -fuzztime=$(FUZZTIME) -run '^$$' ./internal/ecc
 	$(GO) test -fuzz=FuzzInterleaverWireError -fuzztime=$(FUZZTIME) -run '^$$' ./internal/ecc
@@ -91,11 +92,26 @@ bench:
 
 ## bench-quick: the Send hot-path, per-experiment figure (fresh runner,
 ## sims/op), runner cold/warm-disk-cache, simulator set-up, simulator
-## throughput and hierarchy per-access (ns/access) benchmarks with
+## throughput, hierarchy per-access (ns/access) and DESC lane-max fold
+## (MaxNibble/MaxByte at 2- and 8-word rounds) benchmarks with
 ## allocation counts, written to bench-quick.txt (CI uploads it as an
 ## artifact so every PR carries a ns/op and allocs/op record)
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|Setup|SimulatorThroughput|HierarchyAccess' -benchtime 100ms -benchmem . ./internal/cachesim | tee bench-quick.txt
+	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|Setup|SimulatorThroughput|HierarchyAccess|MaxNibble|MaxByte' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil | tee bench-quick.txt
+
+## bench-ab: isolated A/B of go test benchmarks: builds the test binary
+## of BASE (a git revision, exported into the ignored .bench_build/) and
+## of the working tree, alternates them RUNS times and prints each
+## benchmark's medians, quartiles and win count, e.g.
+## `make bench-ab BASE=HEAD~1 BENCH=SendDESC RUNS=10` (PKG=./internal/bitutil
+## for the lane-max folds; BENCHTIME per run, default 300ms)
+bench-ab: RUNS ?= 10
+bench-ab: PKG ?= .
+bench-ab: BENCHTIME ?= 300ms
+bench-ab:
+	@if [ -z "$(BASE)" ] || [ -z "$(BENCH)" ]; then \
+		echo "usage: make bench-ab BASE=<rev> BENCH=<regex> [RUNS=10] [PKG=.] [BENCHTIME=300ms]" >&2; exit 2; fi
+	bash scripts/bench-ab.sh '$(BASE)' '$(BENCH)' $(RUNS) $(PKG) $(BENCHTIME)
 
 ## results-quick: regenerate the quick result set on the parallel runner,
 ## emitting the JSON run report alongside it (tune with JOBS=N; pin the

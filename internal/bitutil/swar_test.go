@@ -1,11 +1,15 @@
 package bitutil
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The lane-MSB masks of the nibble and byte lanes of the DESC kernels.
+var nibbleMSB, byteMSB = LaneMSB(4), LaneMSB(8)
 
 // nibbleAt is the scalar definition every SWAR kernel is checked against.
 func nibbleAt(x uint64, i int) uint16 {
@@ -58,42 +62,88 @@ func TestNibbleMasksMatchScalar(t *testing.T) {
 	}
 	for _, x := range words {
 		y := words[int(x%uint64(len(words)))]
-		zm, neq := NibbleZeroMask(x), NibbleNeqMask(x, y)
+		zm, neq := LaneZeroMask(x, nibbleMSB), LaneNeqMask(x, y, nibbleMSB)
 		for i := 0; i < 16; i++ {
 			bit := uint64(8) << (4 * uint(i))
 			if (nibbleAt(x, i) == 0) != (zm&bit != 0) {
-				t.Fatalf("NibbleZeroMask(%#x) wrong at nibble %d", x, i)
+				t.Fatalf("LaneZeroMask(%#x, nibbles) wrong at nibble %d", x, i)
 			}
 			if (nibbleAt(x, i) != nibbleAt(y, i)) != (neq&bit != 0) {
-				t.Fatalf("NibbleNeqMask(%#x, %#x) wrong at nibble %d", x, y, i)
+				t.Fatalf("LaneNeqMask(%#x, %#x, nibbles) wrong at nibble %d", x, y, i)
 			}
 		}
-		if zm&^uint64(NibbleMSB) != 0 || neq&^uint64(NibbleMSB) != 0 {
+		if zm&^nibbleMSB != 0 || neq&^nibbleMSB != 0 {
 			t.Fatalf("mask for %#x sets bits outside nibble MSBs", x)
 		}
 	}
 }
 
+// scalarLaneMax is the scalar maximum over every k-bit lane of xs.
+func scalarLaneMax(xs []uint64, k int) uint16 {
+	var m uint16
+	for _, x := range xs {
+		for i := 0; i < 64/k; i++ {
+			m = max(m, uint16(laneAt(x, k, i)))
+		}
+	}
+	return m
+}
+
+// boundedWords returns n words of k-bit lanes in which each word draws
+// its lanes from [0, b] for its own random bound b, so the maximum moves
+// between the words (a fold that drops a word shows).
+func boundedWords(rng *rand.Rand, n, k int) []uint64 {
+	xs := make([]uint64, n)
+	for i := range xs {
+		b := rng.Intn(1 << uint(k))
+		for l := 0; l < 64/k; l++ {
+			xs[i] |= uint64(rng.Intn(b+1)) << uint(l*k)
+		}
+	}
+	return xs
+}
+
+// checkLaneMax holds MaxNibble (k = 4) or MaxByte (k = 8) to the scalar
+// maximum on 1 to 16 words: random words, bounded words, a single peak
+// in every word position, and the corners the generator may miss.
+func checkLaneMax(t *testing.T, k int, fold func(...uint64) uint16) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(k)))
+	check := func(xs []uint64) {
+		t.Helper()
+		if got, want := fold(xs...), scalarLaneMax(xs, k); got != want {
+			t.Fatalf("k=%d fold of %d words %#x = %d, want %d", k, len(xs), xs, got, want)
+		}
+	}
+	for n := 1; n <= 16; n++ {
+		for rep := 0; rep < 300; rep++ {
+			xs := boundedWords(rng, n, k)
+			if rep%10 == 0 {
+				for i := range xs {
+					xs[i] = rng.Uint64()
+				}
+			}
+			check(xs)
+		}
+		for at := 0; at < n; at++ {
+			xs := boundedWords(rng, n, k)
+			for i := range xs {
+				xs[i] &^= LaneMSB(k) // lanes < 2^(k-1), below the peak
+			}
+			xs[at] |= uint64(1<<uint(k)-1) << uint(rng.Intn(64/k)*k)
+			check(xs)
+		}
+	}
+	for _, x := range []uint64{0, ^uint64(0), 1, 0xF, 0x80, 0xFF, 1 << 60, uint64(0xF) << 60,
+		uint64(0x80) << 56, uint64(0xFF) << 56, 0x8080808080808080, 0x7F807F807F807F80} {
+		check([]uint64{x})
+		check([]uint64{0, 0, 0, 0, 0, x, 0, 0})
+	}
+}
+
 func TestMaxNibbleMatchesScalar(t *testing.T) {
 	t.Parallel()
-	f := func(x uint64) bool {
-		var want uint16
-		for i := 0; i < 16; i++ {
-			if v := nibbleAt(x, i); v > want {
-				want = v
-			}
-		}
-		return MaxNibble(x) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-	// Corners the generator may miss.
-	for _, x := range []uint64{0, ^uint64(0), 1, 1 << 60, 0xF, uint64(0xF) << 60} {
-		if !f(x) {
-			t.Errorf("MaxNibble(%#x) diverges from scalar max", x)
-		}
-	}
+	checkLaneMax(t, 4, MaxNibble)
 }
 
 func TestNibbleNeqMaskIteration(t *testing.T) {
@@ -102,7 +152,7 @@ func TestNibbleNeqMaskIteration(t *testing.T) {
 	// differing lanes, in ascending order.
 	x, y := uint64(0x00A0_0500_0000_0031), uint64(0x00A0_0000_0000_0030)
 	var lanes []int
-	for m := NibbleNeqMask(x, y); m != 0; m &= m - 1 {
+	for m := LaneNeqMask(x, y, nibbleMSB); m != 0; m &= m - 1 {
 		lanes = append(lanes, bits.TrailingZeros64(m)>>2)
 	}
 	want := []int{0, 10}
@@ -130,17 +180,17 @@ func TestByteMasksMatchScalar(t *testing.T) {
 	}
 	for _, x := range words {
 		y := words[int(x%uint64(len(words)))]
-		zm, neq := ByteZeroMask(x), ByteNeqMask(x, y)
+		zm, neq := LaneZeroMask(x, byteMSB), LaneNeqMask(x, y, byteMSB)
 		for i := 0; i < 8; i++ {
 			bit := uint64(0x80) << (8 * uint(i))
 			if (byteAt(x, i) == 0) != (zm&bit != 0) {
-				t.Fatalf("ByteZeroMask(%#x) wrong at byte %d", x, i)
+				t.Fatalf("LaneZeroMask(%#x, bytes) wrong at byte %d", x, i)
 			}
 			if (byteAt(x, i) != byteAt(y, i)) != (neq&bit != 0) {
-				t.Fatalf("ByteNeqMask(%#x, %#x) wrong at byte %d", x, y, i)
+				t.Fatalf("LaneNeqMask(%#x, %#x, bytes) wrong at byte %d", x, y, i)
 			}
 		}
-		if zm&^uint64(ByteMSB) != 0 || neq&^uint64(ByteMSB) != 0 {
+		if zm&^byteMSB != 0 || neq&^byteMSB != 0 {
 			t.Fatalf("mask for %#x sets bits outside byte MSBs", x)
 		}
 	}
@@ -148,24 +198,32 @@ func TestByteMasksMatchScalar(t *testing.T) {
 
 func TestMaxByteMatchesScalar(t *testing.T) {
 	t.Parallel()
-	f := func(x uint64) bool {
-		var want uint16
-		for i := 0; i < 8; i++ {
-			if v := byteAt(x, i); v > want {
-				want = v
+	checkLaneMax(t, 8, MaxByte)
+}
+
+// FuzzLaneMaxVsScalar holds MaxNibble and MaxByte to the scalar maximum
+// on the words of arbitrary data, each word shifted right by a per-word
+// amount from shifts so that word maxima differ.
+func FuzzLaneMaxVsScalar(f *testing.F) {
+	peak := make([]byte, 64)
+	peak[5*8+3] = 0x70
+	f.Add(peak, []byte{0})
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x0F}, []byte{60, 0})
+	f.Add(make([]byte, 128), []byte{})
+	f.Fuzz(func(t *testing.T, data, shifts []byte) {
+		xs := LoadWords(nil, data)
+		for i := range xs {
+			if i < len(shifts) {
+				xs[i] >>= shifts[i] & 63
 			}
 		}
-		return MaxByte(x) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-	// Corners: full-range bytes (>= 0x80) in every position, ties, zero.
-	for _, x := range []uint64{0, ^uint64(0), 0x80, uint64(0x80) << 56, 0xFF, uint64(0xFF) << 56, 0x8080808080808080, 0x7F807F807F807F80} {
-		if !f(x) {
-			t.Errorf("MaxByte(%#x) diverges from scalar max", x)
+		if got, want := MaxNibble(xs...), scalarLaneMax(xs, 4); got != want {
+			t.Fatalf("MaxNibble(%#x) = %d, want %d", xs, got, want)
 		}
-	}
+		if got, want := MaxByte(xs...), scalarLaneMax(xs, 8); got != want {
+			t.Fatalf("MaxByte(%#x) = %d, want %d", xs, got, want)
+		}
+	})
 }
 
 // laneWidths are the lane widths the segmented bus kernels use: every
@@ -239,6 +297,32 @@ func TestLaneZeroMaskAndFill(t *testing.T) {
 	}
 }
 
+func TestLaneLessMaskMatchesScalar(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(17))
+	for _, k := range laneWidths {
+		msb := LaneMSB(k)
+		for n := 0; n < 400; n++ {
+			x, y := rng.Uint64(), rng.Uint64()
+			if n%2 == 0 {
+				// Equal top bits and few differing low bits, so
+				// the borrow compare decides most lanes.
+				y = x ^ rng.Uint64()&rng.Uint64()&rng.Uint64()&^msb
+			}
+			lt := LaneLessMask(x, y, msb)
+			for i := 0; i < 64/k; i++ {
+				top := uint(i*k + k - 1)
+				if want := laneAt(x, k, i) < laneAt(y, k, i); want != (lt>>top&1 == 1) {
+					t.Fatalf("LaneLessMask(%#x, %#x) k=%d lane %d = %v, want %v", x, y, k, i, !want, want)
+				}
+			}
+			if lt&^msb != 0 {
+				t.Fatalf("LaneLessMask(%#x, %#x) k=%d sets non-MSB bits", x, y, k)
+			}
+		}
+	}
+}
+
 func TestReadBitsMatchesChunk(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
@@ -276,34 +360,6 @@ func TestSpreadLanesMatchesScalar(t *testing.T) {
 						t.Fatalf("SpreadLanes(%#x, %d, %d) lane %d = %#x", x, k, lane, i, laneAt(got, lane, i))
 					}
 				}
-			}
-		}
-	}
-}
-
-func TestLaneMasks(t *testing.T) {
-	t.Parallel()
-	for n := 0; n <= 17; n++ {
-		m := NibbleLaneMask(n)
-		for i := 0; i < 16; i++ {
-			want := uint16(0)
-			if i < n {
-				want = 0xF
-			}
-			if nibbleAt(m, i) != want {
-				t.Fatalf("NibbleLaneMask(%d) nibble %d = %#x", n, i, nibbleAt(m, i))
-			}
-		}
-	}
-	for n := 0; n <= 9; n++ {
-		m := ByteLaneMask(n)
-		for i := 0; i < 8; i++ {
-			want := uint16(0)
-			if i < n {
-				want = 0xFF
-			}
-			if byteAt(m, i) != want {
-				t.Fatalf("ByteLaneMask(%d) byte %d = %#x", n, i, byteAt(m, i))
 			}
 		}
 	}
@@ -544,3 +600,29 @@ func TestAppendChunksPanics(t *testing.T) {
 		}()
 	}
 }
+
+// laneMaxSink keeps the benchmarked folds from being optimized away.
+var laneMaxSink uint16
+
+// benchmarkLaneMax times fold over rounds of n words, the 2-word
+// (64-wire) and 8-word (128-wire design point) DESC rounds.
+func benchmarkLaneMax(b *testing.B, k int, fold func(...uint64) uint16) {
+	for _, n := range []int{2, 8} {
+		b.Run(fmt.Sprintf("words=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var rounds [64][]uint64
+			for i := range rounds {
+				rounds[i] = boundedWords(rng, n, k)
+			}
+			b.ResetTimer()
+			var m uint16
+			for i := 0; i < b.N; i++ {
+				m |= fold(rounds[i%len(rounds)]...)
+			}
+			laneMaxSink = m
+		})
+	}
+}
+
+func BenchmarkMaxNibble(b *testing.B) { benchmarkLaneMax(b, 4, MaxNibble) }
+func BenchmarkMaxByte(b *testing.B)   { benchmarkLaneMax(b, 8, MaxByte) }

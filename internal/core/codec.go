@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"desc/internal/bitutil"
 	"desc/internal/bus"
 	"desc/internal/link"
 )
@@ -92,8 +93,18 @@ type Codec struct {
 	laneBits  int
 	wordRound int
 	rawLoad   bool
+	// lanes is the number of lanes per word, msb the word with every
+	// lane's top bit set and msbShift that bit's position in a lane.
+	lanes    int
+	msb      uint64
+	msbShift uint
+	// full and final are the word layouts of a whole round and of the
+	// block's final round, which may be partial.
+	full, final roundGeom
 	// words holds the current block's lane-packed chunks, round-major.
 	words []uint64
+	// pos holds a round's count positions for SkipLast and SkipAdaptive.
+	pos []uint64
 	// lastWords is the lane-packed per-wire last-value store for
 	// SkipLast: storing a round's words is the policy update.
 	lastWords []uint64
@@ -120,14 +131,21 @@ func NewCodec(blockBits, chunkBits, wires int, kind SkipKind) (*Codec, error) {
 		c.laneBits = 4
 	}
 	lanes := 64 / c.laneBits
+	c.lanes = lanes
+	c.msb = bitutil.LaneMSB(c.laneBits)
+	c.msbShift = uint(c.laneBits - 1)
 	c.wordRound = (wires + lanes - 1) / lanes
 	c.rawLoad = chunkBits == c.laneBits && wires%lanes == 0
+	c.full = newRoundGeom(min(wires, ch.NumChunks()), lanes, c.laneBits)
+	c.final = newRoundGeom(ch.NumChunks()-(ch.Rounds()-1)*wires, lanes, c.laneBits)
 	c.words = make([]uint64, ch.Rounds()*c.wordRound)
 	switch kind {
 	case SkipLast:
 		c.lastWords = make([]uint64, c.wordRound)
+		c.pos = make([]uint64, c.wordRound)
 	case SkipAdaptive:
 		c.bestWords = make([]uint64, c.wordRound)
+		c.pos = make([]uint64, c.wordRound)
 		c.adaptive = newAdaptiveSkip(wires)
 	case SkipNone, SkipZero:
 		// No per-wire history: the skip value is absent or the
