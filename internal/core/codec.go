@@ -208,7 +208,9 @@ func (c *Codec) Send(block []byte) link.Cost {
 	return cost
 }
 
-// roundCost assembles a round's link.Cost from its aggregates.
+// roundCost assembles a round's link.Cost from its aggregates. maxCount
+// is never negative: sendRoundFast starts it at 0 and every round holds
+// at least one chunk (TestRoundCostNeverNegative).
 func (c *Codec) roundCost(maxCount, inRound, unskipped int, skipping bool) link.Cost {
 	var cost link.Cost
 	if !skipping {
@@ -230,12 +232,6 @@ func (c *Codec) roundCost(maxCount, inRound, unskipped int, skipping bool) link.
 			if cycles < 2 {
 				cycles = 2
 			}
-		} else if cycles < 0 {
-			// An entirely empty round (no chunk transmitted, none
-			// skipped) has maxCount == -1; clamp so the occupancy can
-			// never go negative. No current geometry produces empty
-			// rounds, but the clamp keeps the cost algebra total.
-			cycles = 0
 		}
 		cost.Cycles = int64(cycles)
 		cost.Flips.Data = uint64(unskipped)

@@ -268,20 +268,35 @@ func TestCodecReset(t *testing.T) {
 	}
 }
 
-// TestRoundCostNeverNegative: an entirely empty round (maxCount == -1
-// with nothing skipped) must clamp to zero cycles instead of going
-// negative. No current geometry produces empty rounds — this regression
-// test keeps the decode/partial-round refactors from ever exposing one
-// as a negative occupancy.
+// TestRoundCostNeverNegative: roundCost has no clamp for an empty round,
+// so for every geometry NewCodec accepts (chunk widths 1–8, blocks up to
+// 128 bytes, 1–160 wires) the whole round and the final round must each
+// hold at least one chunk, and the cheapest round either can produce
+// (maxCount 0, every chunk skipped or none) must cost no negative time.
 func TestRoundCostNeverNegative(t *testing.T) {
 	t.Parallel()
-	c, err := NewCodec(512, 4, 128, SkipZero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, skipping := range []bool{false, true} {
-		if cost := c.roundCost(-1, 0, 0, skipping); cost.Cycles < 0 {
-			t.Errorf("empty round (skipping=%v) costed %d cycles, want >= 0", skipping, cost.Cycles)
+	for chunkBits := 1; chunkBits <= 8; chunkBits++ {
+		for blockBits := chunkBits; blockBits <= 1024; blockBits += chunkBits {
+			for wires := 1; wires <= 160; wires++ {
+				c, err := NewCodec(blockBits, chunkBits, wires, SkipZero)
+				if err != nil {
+					continue
+				}
+				for _, g := range []roundGeom{c.full, c.final} {
+					if g.chunks < 1 || g.chunks > wires {
+						t.Fatalf("%d/%d/%d: a round holds %d chunks, want 1..%d",
+							blockBits, chunkBits, wires, g.chunks, wires)
+					}
+					for _, unskipped := range []int{0, g.chunks} {
+						for _, skipping := range []bool{false, true} {
+							if cost := c.roundCost(0, g.chunks, unskipped, skipping); cost.Cycles < 0 {
+								t.Fatalf("%d/%d/%d: round of %d chunks (%d unskipped, skipping=%v) costed %d cycles",
+									blockBits, chunkBits, wires, g.chunks, unskipped, skipping, cost.Cycles)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

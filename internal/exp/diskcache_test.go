@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -79,27 +80,35 @@ func TestDiskCacheWarmExecuteRunsNothing(t *testing.T) {
 }
 
 // TestDiskCacheCorruptEntryRecomputed: truncated, checksum-corrupt, and
-// wrong-version entries must be silently recomputed — never fatal, never
-// served stale — and the recompute must repair the entry on disk.
+// wrong-version entries, and version-1 JSON records, must be silently
+// recomputed — never fatal, never served stale, always counted corrupt
+// — and the recompute must repair the entry on disk.
 func TestDiskCacheCorruptEntryRecomputed(t *testing.T) {
 	mutations := []struct {
-		name   string
-		mutate func([]byte) []byte
+		name string
+		// mutate derives the planted entry from the valid one, the
+		// entry's key digest and the run's result.
+		mutate func(entry []byte, digest string, res RunResult) []byte
 	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"checksum-corrupt", func(b []byte) []byte {
+		{"truncated", func(b []byte, _ string, _ RunResult) []byte { return b[:len(b)/2] }},
+		{"checksum-corrupt", func(b []byte, _ string, _ RunResult) []byte {
 			out := append([]byte(nil), b...)
 			out[len(out)-2] ^= 0x40
 			return out
 		}},
-		{"wrong-version", func(b []byte) []byte {
+		{"wrong-version", func(b []byte, _ string, _ RunResult) []byte {
 			return bytes.Replace(b, []byte("desc-runcache 1 "), []byte("desc-runcache 9 "), 1)
 		}},
-		{"payload-not-json", func(b []byte) []byte {
+		{"payload-not-json", func(b []byte, _ string, _ RunResult) []byte {
 			nl := bytes.IndexByte(b, '\n')
 			// Keep a valid envelope over garbage: exercises the exp-layer
 			// decode rejection, not just the store checksum.
-			return append([]byte(nil), encodeEnvelope(bytes.Repeat([]byte("x"), nl))...)
+			return encodeEnvelope(bytes.Repeat([]byte("x"), nl))
+		}},
+		{"legacy-json-v1", func(_ []byte, digest string, res RunResult) []byte {
+			// A checksum-valid entry as the JSON cache wrote it: it must
+			// be recomputed once and rewritten as a binary record.
+			return encodeEnvelope(legacyJSONPayload(digest, res))
 		}},
 	}
 	for _, m := range mutations {
@@ -114,18 +123,19 @@ func TestDiskCacheCorruptEntryRecomputed(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			key := r1.key(spec, prof.Name)
-			path := entryPath(dir, key.digest())
+			digest := r1.key(spec, prof.Name).digest()
+			path := entryPath(dir, digest)
 			valid, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, m.mutate(valid), 0o644); err != nil {
+			if err := os.WriteFile(path, m.mutate(valid, digest, want), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
 			obs := newCountingObserver()
-			r2 := mustRunner(tiny(), WithObserver(obs), DiskCache(openStore(t, dir)))
+			store := openStore(t, dir)
+			r2 := mustRunner(tiny(), WithObserver(obs), DiskCache(store))
 			got, err := r2.RunOne(context.Background(), spec, prof)
 			if err != nil {
 				t.Fatalf("corrupt cache entry surfaced as an error: %v", err)
@@ -135,6 +145,9 @@ func TestDiskCacheCorruptEntryRecomputed(t *testing.T) {
 			}
 			if obs.totalStarted() != 1 {
 				t.Fatalf("corrupt entry did not trigger a recompute (started %d)", obs.totalStarted())
+			}
+			if c := store.Stats().Corrupt; c != 1 {
+				t.Errorf("corrupt entry counted %d times in runcache/corrupt, want 1", c)
 			}
 			repaired, err := os.ReadFile(path)
 			if err != nil {
@@ -147,13 +160,87 @@ func TestDiskCacheCorruptEntryRecomputed(t *testing.T) {
 	}
 }
 
-// encodeEnvelope mirrors the runcache envelope for the payload-not-json
-// mutation above: a checksum-valid entry wrapping a payload the exp
-// layer must still reject.
+// encodeEnvelope mirrors the runcache envelope for the payload mutations
+// above: a checksum-valid entry wrapping a payload the exp layer must
+// still reject.
 func encodeEnvelope(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	header := fmt.Sprintf("desc-runcache 1 sha256:%x %d\n", sum, len(payload))
 	return append([]byte(header), payload...)
+}
+
+// legacyJSONPayload is the version-1 payload the JSON cache wrote for a
+// run: the record's version, key digest and result, marshaled by
+// encoding/json in struct order. Marshal fails only on a NaN or
+// infinite field, which no finished run holds.
+func legacyJSONPayload(digest string, res RunResult) []byte {
+	b, err := json.Marshal(struct {
+		Version int       `json:"version"`
+		Key     string    `json:"key"`
+		Result  RunResult `json:"result"`
+	}{1, digest, res})
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestDiskRecordCoversEveryField perturbs every leaf field of RunResult
+// and the structs it embeds (found by reflection, so a newly added field
+// fails this test until putResult and getResult carry it) and requires
+// each perturbation to decode back to an equal RunResult and to encode
+// to a payload no other perturbation shares.
+func TestDiskRecordCoversEveryField(t *testing.T) {
+	digest := runKey{spec: BinaryBase(), bench: "Art", seed: 1, instr: 100}.digest()
+	seen := map[string]string{}
+	check := func(field string, res RunResult) {
+		payload, err := encodeResult(digest, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := decodeResult(digest, payload); !ok {
+			t.Errorf("%s: the record of a perturbed result does not decode", field)
+		} else if got != res {
+			t.Errorf("%s: the record does not carry the field\nput: %+v\ngot: %+v", field, res, got)
+		}
+		if prev, dup := seen[string(payload)]; dup {
+			t.Errorf("fields %s and %s encode to the same payload: the record does not cover them", prev, field)
+		}
+		seen[string(payload)] = field
+	}
+
+	base := RunResult{Bench: "Art"}
+	check("the unperturbed result", base)
+	leaves := 0
+	var walk func(path string, typ reflect.Type, index []int)
+	walk = func(path string, typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, idx := path+"."+f.Name, append(append([]int(nil), index...), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(name, f.Type, idx)
+				continue
+			}
+			res := base
+			fv := reflect.ValueOf(&res).Elem().FieldByIndex(idx)
+			switch f.Type.Kind() {
+			case reflect.String:
+				fv.SetString("perturbed")
+			case reflect.Uint64:
+				fv.SetUint(fv.Uint() + 7)
+			case reflect.Float64:
+				fv.SetFloat(fv.Float() + 1.5)
+			default:
+				t.Fatalf("RunResult%s has kind %s; teach this test and the disk record about it", name, f.Type.Kind())
+			}
+			leaves++
+			check("RunResult"+name, res)
+		}
+	}
+	walk("", reflect.TypeOf(base), nil)
+	if want := diskNumericFields + 1; leaves != want {
+		t.Errorf("RunResult has %d leaf fields; the record carries %d", leaves, want)
+	}
 }
 
 // TestRunKeyEqualKeysEqualDigest: content addressing must be a function

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -61,4 +62,40 @@ func FuzzSimulateSpec(f *testing.F) {
 
 func knownClass(c wiremodel.DeviceClass) bool {
 	return c == wiremodel.HP || c == wiremodel.LOP || c == wiremodel.LSTP
+}
+
+// FuzzDecodeResult feeds arbitrary payloads to the disk record decoder.
+// It must never panic, and any payload it accepts must re-encode byte
+// for byte: the record is canonical, so entries and shard merges stay
+// byte-identical.
+func FuzzDecodeResult(f *testing.F) {
+	digest := runKey{spec: DESCZero(), bench: "Art", seed: 1, instr: 100}.digest()
+	res := RunResult{Bench: "Art", Cycles: 1234, AvgHit: 21.5, AreaMM2: 3.25, LeakageW: 0.125}
+	res.Breakdown.L2HTreeJ = 1e-6
+	res.Sim.Cycles = 1234
+	res.Sim.Hierarchy.L2Hits = 99
+	res.Sim.AvgHitLatencyCycles = 21.5
+	valid, err := encodeResult(digest, res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, n := range []int{0, len(diskMagic), diskFixedLen - 1, diskFixedLen, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	f.Add(legacyJSONPayload(digest, res))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, ok := decodeResult(digest, payload)
+		if !ok {
+			return
+		}
+		again, err := encodeResult(digest, got)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload re-encodes differently\npayload: %x\nagain:   %x", payload, again)
+		}
+	})
 }
