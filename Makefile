@@ -27,7 +27,7 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 ## rerun: run the packages that keep process-wide state (the link
-## registry, the workload block cache, spill memo and stream record) twice
+## registry, the workload block cache and spill memo) twice
 ## in one process, so a test that only passes on a fresh process fails
 rerun:
 	$(GO) test -count=2 ./internal/link/... ./internal/baseline/... ./internal/schemes/... ./internal/workload/... ./internal/cpusim/...
@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBankSchedVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/cachesim
 	$(GO) test -fuzz=FuzzSimulateSpec       -fuzztime=$(FUZZTIME) -run '^$$' ./internal/exp
 	$(GO) test -fuzz=FuzzDecodeResult       -fuzztime=$(FUZZTIME) -run '^$$' ./internal/exp
+	$(GO) test -fuzz=FuzzTraceReader        -fuzztime=$(FUZZTIME) -run '^$$' ./internal/trace
 
 ## bench: repository benchmarks (reduced-scale experiment sweeps)
 bench:

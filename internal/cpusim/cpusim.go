@@ -120,15 +120,21 @@ type StreamSource interface {
 	Stream(ctx, nctx int) AccessSource
 }
 
-// Streams adapts a workload generator to StreamSource: context ctx of
-// nctx reads the generator's stream for that context.
-func Streams(gen *workload.Generator) StreamSource { return generatorSource{gen} }
+// Streams adapts a workload generator, or a workload.SharedStreams record
+// of its streams, to StreamSource: context ctx of nctx reads the stream
+// src returns for that context.
+func Streams(src workloadStreams) StreamSource { return workloadSource{src} }
 
-type generatorSource struct {
-	g *workload.Generator
+// workloadStreams is what Streams adapts.
+type workloadStreams interface {
+	Stream(ctx, nctx int) *workload.Stream
 }
 
-func (s generatorSource) Stream(ctx, nctx int) AccessSource { return s.g.Stream(ctx, nctx) }
+type workloadSource struct {
+	src workloadStreams
+}
+
+func (s workloadSource) Stream(ctx, nctx int) AccessSource { return s.src.Stream(ctx, nctx) }
 
 // hwContext is one hardware thread's execution state.
 type hwContext struct {

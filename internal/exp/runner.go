@@ -236,34 +236,43 @@ func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Prof
 	r.calls[key] = c
 	r.mu.Unlock()
 
-	r.compute(ctx, key, c, spec, prof)
+	if !r.diskHit(key, c) {
+		r.simulate(ctx, key, c, prof, nil)
+	}
+	r.publish(key, c)
 	return c.res, c.err
 }
 
-// compute simulates key's run inside a worker slot and publishes the
-// outcome on c. On error (including cancellation) the entry is evicted
-// before done closes, so the cache never serves a failure.
-func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSpec, prof workload.Profile) {
-	defer func() {
-		if c.err != nil {
-			r.mu.Lock()
-			delete(r.calls, key)
-			r.mu.Unlock()
-		}
-		close(c.done)
-	}()
-
-	// Disk consult happens inside the singleflight (one reader per key)
-	// but outside the worker semaphore: a hit is a file read and must
-	// not queue behind in-flight simulations.
-	if r.disk != nil {
-		if res, ok := r.diskGet(key); ok {
-			r.mx.diskHits.Inc()
-			c.res = res
-			return
-		}
+// diskHit fills c from the disk cache and reports whether key was there.
+// Callers consult it outside the worker semaphore: a hit is a file read
+// and must not queue behind in-flight simulations.
+func (r *Runner) diskHit(key runKey, c *call) bool {
+	if r.disk == nil {
+		return false
 	}
+	res, ok := r.diskGet(key)
+	if ok {
+		r.mx.diskHits.Inc()
+		c.res = res
+	}
+	return ok
+}
 
+// publish closes c's computation. A failed entry (including a cancelled
+// one) is evicted before done closes, so the cache never serves a failure.
+func (r *Runner) publish(key runKey, c *call) {
+	if c.err != nil {
+		r.mu.Lock()
+		delete(r.calls, key)
+		r.mu.Unlock()
+	}
+	close(c.done)
+}
+
+// simulate runs key's spec over prof in a worker slot and writes the
+// outcome to c and the disk cache. A run of an Execute group reads the
+// group's generator and stream record; any other run generates privately.
+func (r *Runner) simulate(ctx context.Context, key runKey, c *call, prof workload.Profile, grp *runGroup) {
 	select {
 	case r.sem <- struct{}{}:
 		defer func() { <-r.sem }()
@@ -274,12 +283,20 @@ func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSp
 	if c.err = ctx.Err(); c.err != nil {
 		return
 	}
+	d := Demand{Spec: key.spec, Bench: prof.Name}
 	r.mx.runsStarted.Inc()
 	if r.obs != nil {
-		r.obs.RunStarted(Demand{Spec: spec, Bench: prof.Name})
+		r.obs.RunStarted(d)
 	}
-	gen := workload.NewGenerator(prof, r.opt.Seed)
-	c.res, c.err = Simulate(ctx, spec, gen, cpusim.Streams(gen), r.opt.InstrPerContext, r.reg)
+	var gen *workload.Generator
+	var streams cpusim.StreamSource
+	if grp != nil {
+		gen, streams = grp.open(prof, r.opt.Seed)
+	} else {
+		gen = workload.NewGenerator(prof, r.opt.Seed)
+		streams = cpusim.Streams(gen)
+	}
+	c.res, c.err = Simulate(ctx, key.spec, gen, streams, r.opt.InstrPerContext, r.reg)
 	if c.err != nil {
 		r.mx.runsFailed.Inc()
 	} else {
@@ -289,8 +306,27 @@ func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSp
 		}
 	}
 	if r.obs != nil {
-		r.obs.RunDone(Demand{Spec: spec, Bench: prof.Name}, c.err)
+		r.obs.RunDone(d, c.err)
 	}
+}
+
+// runGroup is the runs of one benchmark that an Execute call simulates.
+// When there are two or more, they share one generator and one record of
+// its access streams, made by the first of them to start.
+type runGroup struct {
+	once    sync.Once
+	gen     *workload.Generator
+	streams cpusim.StreamSource
+}
+
+// open returns the group's generator and streams, making them on first
+// use.
+func (g *runGroup) open(prof workload.Profile, seed int64) (*workload.Generator, cpusim.StreamSource) {
+	g.once.Do(func() {
+		g.gen = workload.NewGenerator(prof, seed)
+		g.streams = cpusim.Streams(workload.NewSharedStreams(g.gen))
+	})
+	return g.gen, g.streams
 }
 
 // Execute simulates every demanded run that is not already cached,
@@ -305,10 +341,21 @@ func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSp
 // occurrence demand order, before any cache state is consulted, so the
 // partition is a pure function of the demand list — and then executes
 // only the entries at plan positions ≡ i (mod n).
+//
+// Execute consults the disk cache for every run at once, then dispatches
+// the runs left to simulate one benchmark group at a time: groups in order
+// of first appearance, runs in plan order within a group, each taken by
+// the next free of at most jobs workers. The runs of a group with two or
+// more share one stream record, so a sweep generates each access stream
+// once. A group is open from its first run's start to its last run's end,
+// and in-order dispatch keeps at most jobs groups open, so at most jobs
+// records are alive: each goes when its group's last run drops it.
 func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 	type job struct {
-		demand Demand
-		prof   workload.Profile
+		key  runKey
+		c    *call
+		prof workload.Profile
+		grp  *runGroup
 	}
 	seen := map[runKey]bool{}
 	var jobs []job
@@ -328,32 +375,81 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 			r.mx.shardSkips.Inc()
 			continue
 		}
-		r.mu.Lock()
-		_, cached := r.calls[key]
-		r.mu.Unlock()
-		if cached {
+		jobs = append(jobs, job{key: key, prof: prof})
+	}
+	// Claim every uncached run, so concurrent RunOne calls join it.
+	claimed := jobs[:0]
+	r.mu.Lock()
+	for _, j := range jobs {
+		if _, cached := r.calls[j.key]; cached {
 			r.mx.dedupSkips.Inc()
 			continue
 		}
-		jobs = append(jobs, job{demand: d, prof: prof})
+		j.c = &call{done: make(chan struct{})}
+		r.calls[j.key] = j.c
+		claimed = append(claimed, j)
 	}
+	r.mu.Unlock()
+	jobs = claimed
 	if r.obs != nil {
 		r.obs.ExecutePlanned(len(jobs))
 	}
 
-	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	hit := make([]bool, len(jobs))
+	if r.disk != nil {
+		for i := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				j := &jobs[i]
+				if hit[i] = r.diskHit(j.key, j.c); hit[i] {
+					r.publish(j.key, j.c)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	// Queue each group's runs together, groups in order of first
+	// appearance; the workers take them in queue order.
+	groups := map[string][]*job{}
+	var benches []string
+	for i := range jobs {
+		if j := &jobs[i]; !hit[i] {
+			if groups[j.prof.Name] == nil {
+				benches = append(benches, j.prof.Name)
+			}
+			groups[j.prof.Name] = append(groups[j.prof.Name], j)
+		}
+	}
+	queue := make(chan *job, len(jobs))
+	for _, b := range benches {
+		var grp *runGroup
+		if len(groups[b]) > 1 {
+			grp = &runGroup{}
+		}
+		for _, j := range groups[b] {
+			j.grp = grp
+			queue <- j
+		}
+	}
+	close(queue)
+	for w := min(r.jobs, len(queue)); w > 0; w-- {
 		wg.Add(1)
-		go func(i int, j job) {
+		go func() {
 			defer wg.Done()
-			_, errs[i] = r.RunOne(ctx, j.demand.Spec, j.prof)
-		}(i, j)
+			for j := range queue {
+				r.simulate(ctx, j.key, j.c, j.prof, j.grp)
+				r.publish(j.key, j.c)
+				j.grp = nil // a group's record goes with its last run
+			}
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, j := range jobs {
+		if j.c.err != nil {
+			return j.c.err
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"desc/internal/cpusim"
 	"desc/internal/workload"
 )
 
@@ -175,8 +176,8 @@ func TestRunnerDeterminismAcrossJobs(t *testing.T) {
 
 // TestRunnerParallelSweepSharesCalibration runs a sweep of several specs
 // over two benchmarks on Jobs(4), at a seed no other test uses, so the
-// workers build generators for the same (profile, seed) concurrently and
-// race on the process-wide spill-calibration memo (run it under -race).
+// workers build the two groups' generators concurrently and race on the
+// process-wide spill-calibration memo (run it under -race).
 // Every result must equal the same run on a serial Runner, which then
 // finds the calibrations memoized.
 func TestRunnerParallelSweepSharesCalibration(t *testing.T) {
@@ -210,6 +211,114 @@ func TestRunnerParallelSweepSharesCalibration(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s/%s: Jobs(4) result differs from serial:\n got %+v\nwant %+v", d.Spec, d.Bench, got, want)
+		}
+	}
+}
+
+// TestExecuteSharedStreamsMatchPrivate: the runs of a benchmark group that
+// Execute simulates over one shared stream record, at one and at four
+// workers, give exactly the results RunOne gives on a fresh Runner, where
+// every run generates its streams privately. The groups mix in-order (32
+// contexts) and out-of-order (one context) runs, so one record holds
+// streams of two context counts; one benchmark has a single run and no
+// record.
+func TestExecuteSharedStreamsMatchPrivate(t *testing.T) {
+	opt := Options{Quick: true, InstrPerContext: 400, Seed: 2603}
+	ooo := DESCZero()
+	ooo.Kind = cpusim.OutOfOrder
+	var demands []Demand
+	for _, s := range []SystemSpec{BinaryBase(), DESCZero(), ooo} {
+		for _, p := range workload.Parallel()[:2] {
+			demands = append(demands, Demand{Spec: s, Bench: p.Name})
+		}
+	}
+	demands = append(demands, Demand{Spec: DESCZero(), Bench: workload.Parallel()[2].Name})
+	private := mustRunner(opt, Jobs(1))
+	for _, jobs := range []int{1, 4} {
+		r := mustRunner(opt, Jobs(jobs))
+		if err := r.Execute(context.Background(), demands); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range demands {
+			prof, _ := workload.ByName(d.Bench)
+			got, err := r.RunOne(context.Background(), d.Spec, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := private.RunOne(context.Background(), d.Spec, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("Jobs(%d) %s/%s: shared-stream result differs from private:\n got %+v\nwant %+v",
+					jobs, d.Spec, d.Bench, got, want)
+			}
+		}
+	}
+}
+
+// openGroupsObserver tracks how many benchmark groups of an Execute are
+// open, between their first RunStarted and their last RunDone, and the
+// most that ever were.
+type openGroupsObserver struct {
+	mu            sync.Mutex
+	runs          map[string]int // runs left to finish, per benchmark
+	started       map[string]bool
+	open, maxOpen int
+}
+
+func (o *openGroupsObserver) ExecutePlanned(int) {}
+
+func (o *openGroupsObserver) RunStarted(d Demand) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.started[d.Bench] {
+		o.started[d.Bench] = true
+		o.open++
+		o.maxOpen = max(o.maxOpen, o.open)
+	}
+}
+
+func (o *openGroupsObserver) RunDone(d Demand, _ error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.runs[d.Bench]--; o.runs[d.Bench] == 0 {
+		o.open--
+	}
+}
+
+// TestExecuteDispatchBound: Execute dispatches each benchmark's runs
+// together, so however the demands interleave benchmarks, at most jobs
+// groups — and so at most jobs shared stream records — are open at once.
+func TestExecuteDispatchBound(t *testing.T) {
+	opt := Options{Quick: true, InstrPerContext: 300, Seed: 2604}
+	specs := []SystemSpec{BinaryBase(), DESCZero()}
+	for _, banks := range []int{2, 4} {
+		s := DESCZero()
+		s.Banks = banks
+		specs = append(specs, s)
+	}
+	profiles := workload.Parallel()[:4]
+	var demands []Demand
+	for _, s := range specs {
+		for _, p := range profiles {
+			demands = append(demands, Demand{Spec: s, Bench: p.Name})
+		}
+	}
+	for _, jobs := range []int{1, 2, 3} {
+		obs := &openGroupsObserver{runs: map[string]int{}, started: map[string]bool{}}
+		for _, p := range profiles {
+			obs.runs[p.Name] = len(specs)
+		}
+		r := mustRunner(opt, Jobs(jobs), WithObserver(obs))
+		if err := r.Execute(context.Background(), demands); err != nil {
+			t.Fatal(err)
+		}
+		if obs.open != 0 || len(obs.started) != len(profiles) {
+			t.Fatalf("Jobs(%d): %d of %d groups started, %d still open", jobs, len(obs.started), len(profiles), obs.open)
+		}
+		if obs.maxOpen > jobs {
+			t.Errorf("Jobs(%d): %d groups were open at once", jobs, obs.maxOpen)
 		}
 	}
 }

@@ -30,11 +30,23 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"desc/internal/workload"
 )
 
 const magic = "DESCTRC1"
+
+// Errors for a record no Writer writes; Read and Write wrap them.
+var (
+	// ErrContext is a record for a context outside the header's count.
+	ErrContext = errors.New("trace: context out of range")
+	// ErrOp is an op byte other than 0 (read) or 1 (write).
+	ErrOp = errors.New("trace: op is not a read or a write")
+	// ErrGap is a negative gap, or one that does not fit an int, the
+	// instruction count the simulator takes.
+	ErrGap = errors.New("trace: gap out of range")
+)
 
 // Header identifies the workload a trace was recorded from.
 type Header struct {
@@ -96,7 +108,10 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 // Write appends one record.
 func (t *Writer) Write(r Record) error {
 	if r.Ctx < 0 || r.Ctx >= t.contexts {
-		return fmt.Errorf("trace: context %d of %d", r.Ctx, t.contexts)
+		return fmt.Errorf("trace: writing context %d of %d: %w", r.Ctx, t.contexts, ErrContext)
+	}
+	if r.Access.Gap < 0 {
+		return fmt.Errorf("trace: writing gap %d: %w", r.Access.Gap, ErrGap)
 	}
 	b := t.buf[:0]
 	var tmp [binary.MaxVarintLen64]byte
@@ -179,16 +194,22 @@ func (t *Reader) Read() (Record, error) {
 		}
 		return Record{}, err
 	}
-	if int(ctx) >= t.header.Contexts {
-		return Record{}, fmt.Errorf("trace: record for context %d of %d", ctx, t.header.Contexts)
+	if ctx >= uint64(t.header.Contexts) {
+		return Record{}, fmt.Errorf("trace: record for context %d of %d: %w", ctx, t.header.Contexts, ErrContext)
 	}
 	gap, err := binary.ReadUvarint(t.r)
 	if err != nil {
 		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
 	}
+	if gap > math.MaxInt {
+		return Record{}, fmt.Errorf("trace: record gap %d: %w", gap, ErrGap)
+	}
 	op, err := t.r.ReadByte()
 	if err != nil {
 		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+	}
+	if op > 1 {
+		return Record{}, fmt.Errorf("trace: record op %d: %w", op, ErrOp)
 	}
 	delta, err := binary.ReadVarint(t.r)
 	if err != nil {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -80,12 +81,51 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestWriterRejectsBadContext(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, Header{Benchmark: "x", Contexts: 2})
-	if err := w.Write(Record{Ctx: 2}); err == nil {
-		t.Error("out-of-range context accepted")
+	if err := w.Write(Record{Ctx: 2}); !errors.Is(err, ErrContext) {
+		t.Errorf("out-of-range context: %v, want ErrContext", err)
+	}
+	if err := w.Write(Record{Access: workload.Access{Gap: -1}}); !errors.Is(err, ErrGap) {
+		t.Errorf("negative gap: %v, want ErrGap", err)
 	}
 	if _, err := NewWriter(&buf, Header{Contexts: 0}); err == nil {
 		t.Error("zero contexts accepted")
 	}
+}
+
+// badRecords are single records that no Writer writes, after a header of
+// two contexts, with the error Read must return for each.
+var badRecords = []struct {
+	name   string
+	record []byte // context, gap, op, address delta
+	want   error
+}{
+	// int(2^63) is negative: it once slipped past the range check and
+	// indexed the per-context address table out of range.
+	{"context 2^63", rawRecord(1<<63, 0, 0), ErrContext},
+	{"context 2", rawRecord(2, 0, 0), ErrContext},
+	{"op 7", rawRecord(0, 0, 7), ErrOp},
+	{"op 2", rawRecord(0, 0, 2), ErrOp},
+	{"gap 2^63", rawRecord(0, 1<<63, 0), ErrGap},
+}
+
+// rawRecord encodes one record with a zero address delta.
+func rawRecord(ctx, gap uint64, op byte) []byte {
+	b := binary.AppendUvarint(nil, ctx)
+	b = binary.AppendUvarint(b, gap)
+	return append(b, op, 0)
+}
+
+// twoContextHeader is the encoded header of an empty two-context trace.
+func twoContextHeader(t testing.TB) []byte {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Benchmark: "Art", Contexts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestReaderRejectsGarbage(t *testing.T) {
@@ -94,6 +134,15 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	}
 	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
+	}
+	for _, c := range badRecords {
+		r, err := NewReader(bytes.NewReader(append(twoContextHeader(t), c.record...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := r.Read(); !errors.Is(err, c.want) {
+			t.Errorf("%s: Read = %+v, %v; want %v", c.name, rec, err, c.want)
+		}
 	}
 }
 

@@ -24,27 +24,24 @@ const reuseFrac = 0.72
 // reuseWindow is the number of recent addresses eligible for reuse.
 const reuseWindow = 48
 
-// Stream is the access sequence of one hardware context. The sequence is a
-// pure function of (profile, seed, ctx, nctx), so a sweep that simulates
-// many bus schemes over one benchmark and seed replays each context's
-// accesses from one process-wide record (see streamTable) instead of
-// generating them once per run. A Stream is a cursor over that record: it
-// copies a chunk at a time out of it and, once it outruns a record that
-// can no longer grow, continues on a private generator, bit for bit.
+// Stream is the access sequence of one hardware context, a pure function
+// of (profile, seed, ctx, nctx). Generator.Stream generates it privately.
+// SharedStreams.Stream instead returns a cursor over a record that the
+// runs of one sweep group share: the cursor copies a chunk at a time out
+// of the record and, once it outruns a record that can no longer grow,
+// continues on a private generator, bit for bit.
 type Stream struct {
 	rec  *streamRecord
 	buf  [streamChunk]uint64 // accesses copied out of the record
 	i, n int                 // buf[i:n] is not yet returned
 	pos  int                 // accesses copied so far
-	own  *streamGen          // private generator once the replay outran the record
+	own  *streamGen          // the private generator, once there is one
 }
 
 // Stream returns the access stream for context ctx of nctx total contexts.
+// The stream is generated privately and nothing is recorded.
 func (g *Generator) Stream(ctx, nctx int) *Stream {
-	if nctx <= 0 {
-		nctx = 1
-	}
-	return streamRecords.stream(g, ctx, nctx)
+	return &Stream{own: newStreamGen(g, ctx, max(nctx, 1))}
 }
 
 // Next produces the context's next memory reference.
@@ -54,76 +51,74 @@ func (s *Stream) Next() Access {
 		s.i++
 		return unpackAccess(x)
 	}
-	if s.own == nil && s.refill() {
-		return s.Next()
-	}
-	return s.own.next()
-}
-
-// refill copies the record's accesses from s.pos to the end of their chunk
-// into s.buf, extending the record first if s has copied all of it, and
-// reports whether there were any. When the record cannot grow, s continues
-// on the record's generator if that stands exactly at s.pos, or on a fresh
-// one fast-forwarded there.
-func (s *Stream) refill() bool {
-	r := s.rec
-	for {
-		r.mu.Lock()
-		if s.pos < r.n {
-			c := r.chunks[s.pos/streamChunk]
-			s.i, s.n = s.pos%streamChunk, min(r.n-s.pos/streamChunk*streamChunk, streamChunk)
-			copy(s.buf[s.i:s.n], c[s.i:s.n])
-			s.pos += s.n - s.i
-			r.mu.Unlock()
-			return true
+	if s.own == nil {
+		if s.refill() {
+			return s.Next()
 		}
-		frozen, full := r.frozen, r.n == len(r.chunks)*streamChunk
-		if !frozen && !full {
-			r.extend()
-		}
-		r.mu.Unlock()
-		if frozen {
-			break
-		}
-		if full {
-			r.table.grow(r)
-		}
-	}
-	if s.own = r.table.takeGen(r, s.pos); s.own == nil {
-		s.own = newStreamGen(r.g, r.key.ctx, r.key.nctx)
+		// s read the frozen record to its end: generate the rest.
+		r := s.rec
+		s.own = newStreamGen(r.g, r.ctx, r.nctx)
 		for s.own.n < s.pos {
 			s.own.next()
 		}
 	}
-	return false
+	return s.own.next()
 }
 
-// The stream record. Every context stream the process asks for is kept as
-// the packed accesses generated so far plus the generator that extends
-// them, keyed exactly by the spill memo's never-reused (profile, seed) id
-// and (ctx, nctx). Replayers extend a record on demand, a chunk at a time
-// under its lock, so a record holds what its longest replay read. All
-// records together stay within streamRecordBudget bytes: growth past it
-// evicts whole records, oldest first, and a record that is itself the
-// oldest stops growing instead. Replayers only ever copy out of a record
-// under its lock, so an evicted record's chunks are reused at once and the
-// table allocates no more chunks than the budget holds.
+// refill copies up to a chunk of the record's accesses from s.pos into
+// s.buf, extending the record first if s has copied all of it, and
+// reports whether there were any: false only once s has read a frozen
+// record to its end.
+func (s *Stream) refill() bool {
+	r := s.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.pos == len(r.acc) && !r.frozen {
+		r.extend()
+	}
+	s.i, s.n = 0, copy(s.buf[:], r.acc[s.pos:])
+	s.pos += s.n
+	return s.n > 0
+}
 
-// streamRecordBudget bounds the bytes the table holds: every chunk it has
-// allocated, in use or free, and the generators of its records.
-const streamRecordBudget = 1 << 20
+// SharedStreams records the access streams of one generator for the runs
+// that read them. The runs of a sweep over one benchmark and seed all read
+// the same streams, so runs that share a SharedStreams generate each
+// stream once. Each (ctx, nctx) stream is kept as the packed accesses
+// generated so far, extended a chunk at a time, under the stream's lock,
+// by whichever cursor first needs them. Cursors only copy out under that
+// lock and never hold a pointer into a record. Nothing bounds or evicts a
+// record: a SharedStreams holds what its longest reader read and is
+// collected once its readers drop it.
+type SharedStreams struct {
+	g    *Generator
+	mu   sync.Mutex
+	recs map[[2]int]*streamRecord // by (ctx, nctx)
+}
 
-// streamGenBytes is what a record's generator counts against the budget.
-// math/rand's source alone is 607 words (4.9 KiB);
-// TestStreamRecordMemoryBounded checks the estimate.
-const streamGenBytes = 6 << 10
+// NewSharedStreams returns an empty record of g's streams.
+func NewSharedStreams(g *Generator) *SharedStreams {
+	return &SharedStreams{g: g, recs: map[[2]int]*streamRecord{}}
+}
 
-// streamChunk is the number of accesses in a record chunk (512 B), the
-// unit a record grows by and a replayer copies.
+// Stream returns a cursor at the start of the stream for context ctx of
+// nctx total contexts.
+func (s *SharedStreams) Stream(ctx, nctx int) *Stream {
+	nctx = max(nctx, 1)
+	k := [2]int{ctx, nctx}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.recs[k]
+	if r == nil {
+		r = &streamRecord{g: s.g, ctx: ctx, nctx: nctx}
+		s.recs[k] = r
+	}
+	return &Stream{rec: r}
+}
+
+// streamChunk is the number of accesses a record grows by and a cursor
+// copies at a time.
 const streamChunk = 64
-
-// streamChunkBytes is a chunk's size.
-const streamChunkBytes = 8 * streamChunk
 
 // An access packs into one word: the block number (Addr/64) in the top
 // 45 bits, then 18 bits of Gap and the write flag in bit 0. Addresses
@@ -155,162 +150,30 @@ func unpackAccess(x uint64) Access {
 	}
 }
 
-// streamKey names one context stream.
-type streamKey struct {
-	id        uint64 // spillEntry.id of the generator's (profile, seed)
-	ctx, nctx int
-}
-
 // streamRecord is one context stream's recorded prefix.
 type streamRecord struct {
-	key   streamKey
-	g     *Generator
-	table *streamTable
+	g         *Generator
+	ctx, nctx int
 
-	mu      sync.Mutex
-	chunks  []*[streamChunk]uint64
-	n       int        // accesses recorded
-	gen     *streamGen // generator standing at n; nil once handed on
-	frozen  bool       // the record no longer grows
-	evicted bool       // the table dropped the record and took its chunks
+	mu     sync.Mutex
+	acc    []uint64   // the packed accesses recorded so far
+	gen    *streamGen // the generator standing at len(acc), made on first use
+	frozen bool       // an access did not pack: the record no longer grows
 }
 
-// extend fills the last chunk, or freezes the record at an access that
-// does not pack. The caller holds r.mu.
+// extend records up to a chunk more accesses, or freezes the record at
+// one that does not pack. The caller holds r.mu.
 func (r *streamRecord) extend() {
-	c := r.chunks[len(r.chunks)-1]
-	for i := r.n % streamChunk; i < streamChunk; i++ {
+	if r.gen == nil {
+		r.gen = newStreamGen(r.g, r.ctx, r.nctx)
+	}
+	for range streamChunk {
 		x, ok := packAccess(r.gen.next())
 		if !ok {
-			r.frozen = true
+			r.frozen, r.gen = true, nil
 			return
 		}
-		c[i] = x
-		r.n++
-	}
-}
-
-// streamTable is a budgeted FIFO of stream records. It locks records only
-// while holding its own lock, and a record lock is never held while taking
-// the table's, so a goroutine holds two record locks only under the
-// table's.
-type streamTable struct {
-	mu    sync.Mutex
-	recs  map[streamKey]*streamRecord
-	order []*streamRecord        // oldest first
-	free  []*[streamChunk]uint64 // chunks of evicted records
-	bytes int                    // chunks allocated plus generators held
-}
-
-// streamRecords is the process-wide table behind Generator.Stream.
-var streamRecords = newStreamTable()
-
-func newStreamTable() *streamTable {
-	return &streamTable{recs: map[streamKey]*streamRecord{}}
-}
-
-// stream returns a cursor at the start of g's stream for (ctx, nctx),
-// admitting a new record, with its generator, on a miss.
-func (t *streamTable) stream(g *Generator, ctx, nctx int) *Stream {
-	k := streamKey{id: g.id, ctx: ctx, nctx: nctx}
-	t.mu.Lock()
-	r := t.recs[k]
-	t.mu.Unlock()
-	if r != nil {
-		return &Stream{rec: r}
-	}
-	gen := newStreamGen(g, ctx, nctx) // seeding takes microseconds: unlocked
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.recs[k]; r != nil { // a concurrent miss admitted it first
-		return &Stream{rec: r}
-	}
-	for t.bytes+streamGenBytes > streamRecordBudget {
-		if t.popFree() != nil {
-			t.bytes -= streamChunkBytes
-		} else {
-			t.evictOldest()
-		}
-	}
-	r = &streamRecord{key: k, g: g, table: t, gen: gen}
-	t.recs[k] = r
-	t.order = append(t.order, r)
-	t.bytes += streamGenBytes
-	return &Stream{rec: r}
-}
-
-// grow gives r one more chunk: a free one, a new one within the budget, or
-// one taken from the oldest other records, evicting them. A record that
-// is itself the oldest freezes instead.
-func (t *streamTable) grow(r *streamRecord) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.frozen || r.n < len(r.chunks)*streamChunk { // another replayer grew it
-		return
-	}
-	for len(t.free) == 0 && t.bytes+streamChunkBytes > streamRecordBudget {
-		if t.order[0] == r {
-			r.frozen = true
-			return
-		}
-		t.evictOldest()
-	}
-	c := t.popFree()
-	if c == nil {
-		c = new([streamChunk]uint64)
-		t.bytes += streamChunkBytes
-	}
-	r.chunks = append(r.chunks, c)
-}
-
-// popFree takes a chunk off the free list, or returns nil. The caller
-// holds t.mu.
-func (t *streamTable) popFree() *[streamChunk]uint64 {
-	n := len(t.free)
-	if n == 0 {
-		return nil
-	}
-	c := t.free[n-1]
-	t.free[n-1] = nil
-	t.free = t.free[:n-1]
-	return c
-}
-
-// takeGen hands r's generator to a replayer at pos if it stands there.
-func (t *streamTable) takeGen(r *streamRecord, pos int) *streamGen {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gen
-	if g == nil || g.n != pos {
-		return nil
-	}
-	r.gen = nil
-	if !r.evicted {
-		t.bytes -= streamGenBytes
-	}
-	return g
-}
-
-// evictOldest drops the oldest record and frees its chunks for reuse. It
-// keeps only its generator, uncounted, for a replayer at its end; the
-// replayers behind it continue on fast-forwarded generators. The caller
-// holds t.mu and at most the lock of a newer record.
-func (t *streamTable) evictOldest() {
-	r := t.order[0]
-	t.order[0] = nil
-	t.order = t.order[1:]
-	delete(t.recs, r.key)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t.free = append(t.free, r.chunks...)
-	r.chunks, r.n = nil, 0
-	r.frozen, r.evicted = true, true
-	if r.gen != nil {
-		t.bytes -= streamGenBytes
+		r.acc = append(r.acc, x)
 	}
 }
 

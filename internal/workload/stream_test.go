@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -18,161 +17,110 @@ func privateAccesses(g *Generator, ctx, nctx, n int) []Access {
 	return out
 }
 
-// recordCap is the longest record a table holding nothing else admits:
-// the chunks that fit the budget beside the record's generator.
-func recordCap() int {
-	return (streamRecordBudget - streamGenBytes) / streamChunkBytes * streamChunk
-}
-
-// replay checks that s's next accesses equal want[from:to].
-func replay(t *testing.T, label string, s *Stream, want []Access, from, to int) {
+// replay checks that s's next accesses equal want.
+func replay(t *testing.T, label string, s *Stream, want []Access) {
 	t.Helper()
-	for i := from; i < to; i++ {
-		if got := s.Next(); got != want[i] {
-			t.Fatalf("%s: access %d = %+v, private generator gives %+v", label, i, got, want[i])
+	for i, w := range want {
+		if got := s.Next(); got != w {
+			t.Fatalf("%s: access %d = %+v, private generator gives %+v", label, i, got, w)
 		}
 	}
 }
 
-// TestSharedStreamMatchesPrivate: a replayed stream equals the private
-// sequence for every profile at 8 and 32 contexts, below, at and beyond
-// the longest record the budget admits, on the record's live generator
-// and on a fast-forwarded one, after its record is evicted, and with
-// concurrent replayers.
+// frozenProfile widens prof's working set so that about one in sixteen of
+// ctx's random private addresses lies past the pack limit (2^51): its
+// stream recorded in a SharedStreams freezes within a few hundred
+// accesses, at the first one that does not pack.
+func frozenProfile(prof Profile, ctx, nctx int) Profile {
+	room := float64(uint64(1)<<51 - uint64(ctx+1)<<40)
+	prof.WorkingSetBytes = int(room * 17 / 16 * float64(nctx) * 4 / 3)
+	prof.SharedFrac = 0
+	return prof
+}
+
+// firstUnpackable returns the index of the first access in want that does
+// not pack, or len(want).
+func firstUnpackable(want []Access) int {
+	for i, a := range want {
+		if _, ok := packAccess(a); !ok {
+			return i
+		}
+	}
+	return len(want)
+}
+
+// TestSharedStreamMatchesPrivate: cursors of one SharedStreams replay
+// exactly what a private generator yields, for every profile at 8 and 32
+// contexts: four concurrent cursors on each of two contexts' records,
+// across many chunk boundaries; a cursor made after the others finished;
+// and the same past a record that froze at an access that does not pack
+// (run it under -race).
 func TestSharedStreamMatchesPrivate(t *testing.T) {
-	rc := recordCap()
-	beyond := rc + 3*streamChunk + 7
+	const n = 3000
 	for i, prof := range append(Parallel(), SPEC()...) {
 		for _, nctx := range []int{8, 32} {
-			g := NewGenerator(prof, int64(i))
 			ctx := i % nctx
 			label := fmt.Sprintf("%s/%d", prof.Name, nctx)
-			want := privateAccesses(g, ctx, nctx, beyond)
-
-			tbl := newStreamTable()
-			below := tbl.stream(g, ctx, nctx)
-			replay(t, label+" below", below, want, 0, 100)
-			replay(t, label+" at", tbl.stream(g, ctx, nctx), want, 0, rc)
-			r := tbl.recs[streamKey{g.id, ctx, nctx}]
-			if r.n != rc {
-				t.Fatalf("%s: record holds %d accesses, want the budget's %d", label, r.n, rc)
+			g := NewGenerator(prof, int64(i))
+			sh := NewSharedStreams(g)
+			want := privateAccesses(g, ctx, nctx, n)
+			other := (ctx + 1) % nctx
+			replayConcurrently(t, label, sh, nctx, ctxWant{ctx, want}, ctxWant{other, privateAccesses(g, other, nctx, n)})
+			replay(t, label+" late cursor", sh.Stream(ctx, nctx), want)
+			if r := sh.recs[[2]int{ctx, nctx}]; r.frozen || len(r.acc) < n || len(r.acc) > n+streamChunk {
+				t.Fatalf("%s: record holds %d accesses (frozen %v) after replays of %d", label, len(r.acc), r.frozen, n)
 			}
-			// The first replay past the record takes its generator,
-			// the second fast-forwards a fresh one.
-			replay(t, label+" beyond", tbl.stream(g, ctx, nctx), want, 0, beyond)
-			if r.gen != nil {
-				t.Fatalf("%s: the replay past the record left the record's generator", label)
-			}
-			replay(t, label+" beyond again", tbl.stream(g, ctx, nctx), want, 0, beyond)
 
-			// Another record's growth evicts this one; the cursor
-			// halfway through it continues privately, and a new
-			// cursor starts a new record.
-			other := tbl.stream(g, (ctx+1)%nctx, nctx)
-			other.Next()
-			if !r.evicted || tbl.recs[r.key] != nil {
-				t.Fatalf("%s: growing another record did not evict the full one", label)
+			fg := NewGenerator(frozenProfile(prof, ctx, nctx), int64(i))
+			sh = NewSharedStreams(fg)
+			want = privateAccesses(fg, ctx, nctx, n)
+			at := firstUnpackable(want)
+			if at >= n-500 {
+				t.Fatalf("%s: the widened profile's stream packs for %d accesses, want a freeze before %d", label, at, n-500)
 			}
-			replay(t, label+" after eviction", below, want, 100, 1000)
-			replay(t, label+" new record", tbl.stream(g, ctx, nctx), want, 0, 1000)
-
-			replayConcurrently(t, label, newStreamTable(), g, ctx, nctx, want[:3000])
+			replayConcurrently(t, label+" frozen", sh, nctx, ctxWant{ctx, want})
+			replay(t, label+" frozen, late cursor", sh.Stream(ctx, nctx), want)
+			if r := sh.recs[[2]int{ctx, nctx}]; !r.frozen || len(r.acc) != at || r.gen != nil {
+				t.Fatalf("%s: record holds %d accesses (frozen %v, generator kept %v), want frozen at %d",
+					label, len(r.acc), r.frozen, r.gen != nil, at)
+			}
 		}
 	}
 }
 
-// TestSharedStreamConcurrentBeyondBudget: replayers racing past a full
-// record hand its generator to one of them and fast-forward the others;
-// every one of them still reads the private sequence.
-func TestSharedStreamConcurrentBeyondBudget(t *testing.T) {
-	g := NewGenerator(Parallel()[2], 3)
-	want := privateAccesses(g, 5, 32, recordCap()+500)
-	replayConcurrently(t, "beyond the budget", newStreamTable(), g, 5, 32, want)
+// ctxWant is the private sequence of one context.
+type ctxWant struct {
+	ctx  int
+	want []Access
 }
 
-// replayConcurrently has four goroutines replay g's (ctx, nctx) stream
-// from tbl at once, extending one record together, and checks each
-// against want.
-func replayConcurrently(t *testing.T, label string, tbl *streamTable, g *Generator, ctx, nctx int, want []Access) {
+// replayConcurrently has four goroutines per context replay sh's stream of
+// that context of nctx at once, extending its record together, and checks
+// each replay against the context's private sequence.
+func replayConcurrently(t *testing.T, label string, sh *SharedStreams, nctx int, ctxs ...ctxWant) {
 	t.Helper()
 	var wg sync.WaitGroup
-	errs := make(chan string, 4) // one per replayer
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := tbl.stream(g, ctx, nctx)
-			for j := range want {
-				if got := s.Next(); got != want[j] {
-					errs <- fmt.Sprintf("%s, concurrent: access %d = %+v, want %+v", label, j, got, want[j])
-					return
+	errs := make(chan string, 4*len(ctxs)) // one per replayer
+	for _, c := range ctxs {
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := sh.Stream(c.ctx, nctx)
+				for j, w := range c.want {
+					if got := s.Next(); got != w {
+						errs <- fmt.Sprintf("%s, concurrent, context %d: access %d = %+v, want %+v", label, c.ctx, j, got, w)
+						return
+					}
 				}
-			}
-		}()
+			}()
+		}
 	}
 	wg.Wait()
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
 	}
-}
-
-// TestStreamRecordMemoryBounded: however many streams a process replays,
-// the table counts at most streamRecordBudget bytes, the count matches the
-// chunks it allocated and the generators its records hold, and
-// streamGenBytes covers what a generator allocates.
-func TestStreamRecordMemoryBounded(t *testing.T) {
-	tbl := newStreamTable()
-	check := func(when string) {
-		t.Helper()
-		tbl.mu.Lock()
-		defer tbl.mu.Unlock()
-		if tbl.bytes > streamRecordBudget {
-			t.Fatalf("%s: records count %d bytes, budget %d", when, tbl.bytes, streamRecordBudget)
-		}
-		held := streamChunkBytes * len(tbl.free)
-		for _, r := range tbl.order {
-			r.mu.Lock()
-			if r.gen != nil {
-				held += streamGenBytes
-			}
-			held += streamChunkBytes * len(r.chunks)
-			r.mu.Unlock()
-		}
-		if held != tbl.bytes || len(tbl.order) != len(tbl.recs) {
-			t.Fatalf("%s: table counts %d bytes in %d records, holds %d in %d",
-				when, tbl.bytes, len(tbl.recs), held, len(tbl.order))
-		}
-	}
-	for i, prof := range Parallel() {
-		g := NewGenerator(prof, 11)
-		for ctx := 0; ctx < 32; ctx++ {
-			s := tbl.stream(g, ctx, 32)
-			for j := 0; j < 200*(i+1); j++ {
-				s.Next()
-			}
-		}
-		check(prof.Name)
-	}
-	s := tbl.stream(NewGenerator(SPEC()[0], 11), 0, 1)
-	for j := 0; j < 2*recordCap(); j++ {
-		s.Next()
-	}
-	check("a stream twice the budget")
-
-	g := NewGenerator(Parallel()[0], 11)
-	var before, after runtime.MemStats
-	const gens = 64
-	keep := make([]*streamGen, gens)
-	runtime.ReadMemStats(&before)
-	for i := range keep {
-		keep[i] = newStreamGen(g, i, gens)
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / gens; per > streamGenBytes {
-		t.Errorf("a stream generator allocates %d bytes, streamGenBytes counts %d", per, streamGenBytes)
-	}
-	runtime.KeepAlive(keep)
 }
 
 // TestPackAccess: an access packs into one word and back exactly, and
