@@ -12,11 +12,13 @@ import (
 	"testing"
 )
 
-// updatePlans regenerates testdata/demand_plans.json. Pass it after the
-// package path, and only for an intended change of some experiment's runs:
+// updatePlans regenerates the experiment goldens: testdata/demand_plans.json
+// (TestDemandPlansGolden) and testdata/render_digests.json
+// (TestAllExperimentsRun). Pass it after the package path, and only for an
+// intended change of some experiment's runs or tables:
 //
-//	go test -run TestDemandPlansGolden ./internal/exp -update-plans
-var updatePlans = flag.Bool("update-plans", false, "regenerate testdata/demand_plans.json")
+//	go test -run 'TestDemandPlansGolden|TestAllExperimentsRun' ./internal/exp -update-plans
+var updatePlans = flag.Bool("update-plans", false, "regenerate the experiment goldens in testdata/")
 
 // planDigest summarizes one demand set: how many distinct runs it names
 // and the SHA-256 of their sorted canonical cache keys.
