@@ -272,25 +272,120 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-// geoOver runs f over profiles and returns per-benchmark values plus
-// their geometric mean. A nonpositive value is an error naming the
-// benchmark: silently averaging around it (as a plain geomean would)
-// skews published results.
-func geoOver(profiles []workload.Profile, f func(workload.Profile) (float64, error)) (names []string, vals []float64, geo float64, err error) {
-	for _, p := range profiles {
-		v, e := f(p)
-		if e != nil {
-			return nil, nil, 0, e
+// normalizer maps one run and the baseline run of the same benchmark to
+// the value a figure plots, for example the run's L2 energy over the
+// baseline's.
+type normalizer func(res, base RunResult) float64
+
+// l2Energy, execTime and procEnergy normalize a run's L2 energy,
+// execution time and processor energy to its baseline's.
+func l2Energy(res, base RunResult) float64 {
+	return ratio(res.Breakdown.L2J(), base.Breakdown.L2J())
+}
+
+func execTime(res, base RunResult) float64 {
+	return ratio(float64(res.Cycles), float64(base.Cycles))
+}
+
+func procEnergy(res, base RunResult) float64 {
+	return ratio(res.Breakdown.ProcessorJ(), base.Breakdown.ProcessorJ())
+}
+
+// normalized is the method of the full-system figures: each spec's runs
+// read against a baseline run on the same benchmark. For each profile in
+// turn it requests base and then every spec, in that order, and returns
+// vals[i][j][k] = norms[j](run of specs[i], run of base) on profiles[k].
+// The request order is the experiment's plan (planOf records it), so a
+// figure that loops over specs outside calls normalized once per spec.
+func normalized(ctx context.Context, r *Runner, profiles []workload.Profile, base SystemSpec, specs []SystemSpec, norms ...normalizer) ([][][]float64, error) {
+	n := len(profiles)
+	flat := make([]float64, len(specs)*len(norms)*n)
+	rows := make([][]float64, len(specs)*len(norms))
+	vals := make([][][]float64, len(specs))
+	for i := range vals {
+		vals[i] = rows[i*len(norms) : (i+1)*len(norms)]
+		for j := range vals[i] {
+			o := (i*len(norms) + j) * n
+			vals[i][j] = flat[o : o+n]
 		}
-		if v <= 0 {
-			return nil, nil, 0, fmt.Errorf("exp: benchmark %s yielded nonpositive value %g; a geomean would silently drop it", p.Name, v)
+	}
+	for k, p := range profiles {
+		b, err := r.RunOne(ctx, base, p)
+		if err != nil {
+			return nil, err
 		}
-		names = append(names, p.Name)
-		vals = append(vals, v)
+		for i, s := range specs {
+			res, err := r.RunOne(ctx, s, p)
+			if err != nil {
+				return nil, err
+			}
+			for j, norm := range norms {
+				vals[i][j][k] = norm(res, b)
+			}
+		}
 	}
-	geo, gerr := stats.GeoMeanStrict(vals)
-	if gerr != nil {
-		return nil, nil, 0, fmt.Errorf("exp: %w", gerr)
+	return vals, nil
+}
+
+// geomean returns the geometric mean of one spec's per-profile values. A
+// value that is not positive is an error naming the spec and the
+// benchmark: a geomean that skipped it would skew the figure.
+func geomean(spec SystemSpec, profiles []workload.Profile, vals []float64) (float64, error) {
+	g, err := stats.GeoMeanStrict(vals)
+	if err != nil {
+		bench := "no benchmark"
+		for k, v := range vals {
+			if !(v > 0) {
+				bench = profiles[k].Name
+				break
+			}
+		}
+		return 0, fmt.Errorf("exp: %v on %s: %w", spec, bench, err)
 	}
-	return names, vals, geo, nil
+	return g, nil
+}
+
+// sweepPoint returns spec's geomean of each of norms over profiles,
+// against the binary baseline.
+func sweepPoint(ctx context.Context, r *Runner, profiles []workload.Profile, spec SystemSpec, norms ...normalizer) ([]float64, error) {
+	vals, err := normalized(ctx, r, profiles, BinaryBase(), []SystemSpec{spec}, norms...)
+	if err != nil {
+		return nil, err
+	}
+	geo := make([]float64, len(norms))
+	for j := range norms {
+		if geo[j], err = geomean(spec, profiles, vals[0][j]); err != nil {
+			return nil, err
+		}
+	}
+	return geo, nil
+}
+
+// benchTable renders norm of each spec against base with one row per
+// profile and one column per spec, closed by a geomean row. cols heads
+// the table, the benchmark column first.
+func benchTable(ctx context.Context, r *Runner, title string, cols []string, profiles []workload.Profile, base SystemSpec, specs []SystemSpec, norm normalizer) ([]*stats.Table, error) {
+	vals, err := normalized(ctx, r, profiles, base, specs, norm)
+	if err != nil {
+		return nil, err
+	}
+	t := stats.NewTable(title, cols...)
+	row := make([]string, len(specs)+1)
+	for k, p := range profiles {
+		row[0] = p.Name
+		for i := range specs {
+			row[i+1] = stats.Cell(vals[i][0][k])
+		}
+		t.AddRow(row...)
+	}
+	row[0] = "Geomean"
+	for i, s := range specs {
+		g, err := geomean(s, profiles, vals[i][0])
+		if err != nil {
+			return nil, err
+		}
+		row[i+1] = stats.Cell(g)
+	}
+	t.AddRow(row...)
+	return []*stats.Table{t}, nil
 }

@@ -244,3 +244,24 @@ func TestQuickBenchmarkSubsets(t *testing.T) {
 		t.Error("sweep subset should be smaller than the full list")
 	}
 }
+
+// TestGeomeanErrorNamesSpecAndBenchmark: a finished run with zero L2
+// energy fails fig16's geomean, and the error names that run's spec and
+// benchmark, not an input index.
+func TestGeomeanErrorNamesSpecAndBenchmark(t *testing.T) {
+	r := mustRunner(tiny())
+	spec := designSpec("desc-zero")
+	c := &call{done: make(chan struct{}), res: RunResult{Bench: "Radix"}}
+	close(c.done)
+	r.calls[r.key(spec, "Radix")] = c
+	e, _ := ByID("fig16")
+	_, err := r.Run(context.Background(), e)
+	if err == nil {
+		t.Fatal("fig16 rendered a geomean over a zero-energy run")
+	}
+	for _, want := range []string{spec.String(), "Radix"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}

@@ -85,8 +85,8 @@ func runExt02(_ context.Context, r *Runner) ([]*stats.Table, error) {
 		reg, bc := tr.EnergyJ(), tr.BroadcastEnergyJ()
 		flatErr := (tr.SimplifiedEnergyJ() - reg) / reg
 		t.AddRow(schemeSpec.name,
-			fmt.Sprintf("%.4g", reg),
-			fmt.Sprintf("%.4g", bc),
+			stats.Cell(reg),
+			stats.Cell(bc),
 			fmt.Sprintf("%.2fx", bc/reg),
 			fmt.Sprintf("%.2g%%", 100*flatErr))
 	}

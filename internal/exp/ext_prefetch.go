@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 
 	"desc/internal/stats"
 )
@@ -16,23 +15,6 @@ func init() {
 	})
 }
 
-// ext03Specs are the four prefetch/scheme combinations; the first doubles
-// as the normalization baseline.
-func ext03Specs() []struct {
-	label string
-	spec  SystemSpec
-} {
-	return []struct {
-		label string
-		spec  SystemSpec
-	}{
-		{"Binary", BinaryBase()},
-		{"Binary + prefetch", func() SystemSpec { s := BinaryBase(); s.Prefetch = true; return s }()},
-		{"DESC-zero", DESCZero()},
-		{"DESC-zero + prefetch", func() SystemSpec { s := DESCZero(); s.Prefetch = true; return s }()},
-	}
-}
-
 // runExt03 studies an interaction the paper leaves open: prefetching adds
 // H-tree fill traffic, so its energy cost depends on the transfer scheme.
 // Under conventional binary every speculative fill pays full-price wire
@@ -41,32 +23,15 @@ func ext03Specs() []struct {
 func runExt03(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Extension: next-line prefetching x transfer scheme (normalized to binary, no prefetch)",
 		"Configuration", "Execution time", "L2 energy", "Energy-delay")
-	for _, sp := range ext03Specs() {
-		var times, l2s []float64
-		for _, p := range r.Options().benchmarks() {
-			base, err := r.RunOne(ctx, BinaryBase(), p)
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.RunOne(ctx, sp.spec, p)
-			if err != nil {
-				return nil, err
-			}
-			times = append(times, ratio(float64(res.Cycles), float64(base.Cycles)))
-			l2s = append(l2s, ratio(res.Breakdown.L2J(), base.Breakdown.L2J()))
-		}
-		tm, err := stats.GeoMeanStrict(times)
+	prefetch := func(s SystemSpec) SystemSpec { s.Prefetch = true; return s }
+	specs := []SystemSpec{BinaryBase(), prefetch(BinaryBase()), DESCZero(), prefetch(DESCZero())}
+	labels := []string{"Binary", "Binary + prefetch", "DESC-zero", "DESC-zero + prefetch"}
+	for i, spec := range specs {
+		geo, err := sweepPoint(ctx, r, r.Options().benchmarks(), spec, execTime, l2Energy)
 		if err != nil {
-			return nil, fmt.Errorf("exp: ext03 %s time: %w", sp.label, err)
+			return nil, err
 		}
-		l2, err := stats.GeoMeanStrict(l2s)
-		if err != nil {
-			return nil, fmt.Errorf("exp: ext03 %s energy: %w", sp.label, err)
-		}
-		t.AddRow(sp.label,
-			fmt.Sprintf("%.4g", tm),
-			fmt.Sprintf("%.4g", l2),
-			fmt.Sprintf("%.4g", tm*l2))
+		t.AddRowValues(labels[i], geo[0], geo[1], geo[0]*geo[1])
 	}
 	return []*stats.Table{t}, nil
 }

@@ -2,11 +2,9 @@ package exp
 
 import (
 	"context"
-	"fmt"
 
 	"desc/internal/link"
 	"desc/internal/stats"
-	"desc/internal/workload"
 )
 
 func init() {
@@ -68,13 +66,11 @@ func runZoo(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Scheme zoo: L2 energy by registered scheme and geometry (normalized to binary)",
 		"Scheme", "Configuration", "L2 energy")
 	for _, spec := range zooSpecs(opt) {
-		_, _, geo, err := geoOver(opt.sweepBenchmarks(), func(p workload.Profile) (float64, error) {
-			return l2Norm(ctx, r, spec, p)
-		})
+		geo, err := sweepPoint(ctx, r, opt.sweepBenchmarks(), spec, l2Energy)
 		if err != nil {
-			return nil, fmt.Errorf("exp: ext-zoo %v: %w", spec, err)
+			return nil, err
 		}
-		t.AddRow(schemeLabel(spec), spec.String(), formatG(geo))
+		t.AddRow(schemeLabel(spec), spec.String(), stats.Cell(geo[0]))
 	}
 	return []*stats.Table{t}, nil
 }

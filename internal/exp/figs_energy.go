@@ -2,11 +2,9 @@ package exp
 
 import (
 	"context"
-	"fmt"
 
 	"desc/internal/link"
 	"desc/internal/stats"
-	"desc/internal/workload"
 )
 
 func init() {
@@ -76,20 +74,6 @@ func schemeLabel(s SystemSpec) string {
 	return s.Scheme
 }
 
-// l2Norm returns one (spec, benchmark) L2 energy normalized to the binary
-// baseline on the same benchmark.
-func l2Norm(ctx context.Context, r *Runner, spec SystemSpec, p workload.Profile) (float64, error) {
-	base, err := r.RunOne(ctx, BinaryBase(), p)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.RunOne(ctx, spec, p)
-	if err != nil {
-		return 0, err
-	}
-	return ratio(res.Breakdown.L2J(), base.Breakdown.L2J()), nil
-}
-
 // fig15Schemes enumerates every registered scheme whose traits declare a
 // segment-size axis — the paper's four prior-work encodings plus any
 // segmented codec the zoo has since gained (fpf, lwc, ...). A newly
@@ -112,22 +96,20 @@ var fig15Segments = []int{64, 32, 16, 8, 4}
 // reports geomean L2 energy normalized to binary. The paper picks each
 // scheme's best configuration (starred) as its Figure 16 baseline.
 func runFig15(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	opt := r.Options()
+	profiles := r.Options().sweepBenchmarks()
 	t := stats.NewTable("Figure 15: L2 energy vs segment size (normalized to binary)",
 		"Scheme", "64-bit", "32-bit", "16-bit", "8-bit", "4-bit")
 	for _, scheme := range fig15Schemes() {
-		row := []string{schemeLabel(SystemSpec{Scheme: scheme})}
+		var geos []float64
 		for _, seg := range fig15Segments {
 			spec := SystemSpec{Scheme: scheme, DataWires: 64, SegmentBits: seg}
-			_, _, geo, err := geoOver(opt.sweepBenchmarks(), func(p workload.Profile) (float64, error) {
-				return l2Norm(ctx, r, spec, p)
-			})
+			g, err := sweepPoint(ctx, r, profiles, spec, l2Energy)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.4g", geo))
+			geos = append(geos, g[0])
 		}
-		t.AddRow(row...)
+		t.AddRowValues(schemeLabel(SystemSpec{Scheme: scheme}), geos...)
 	}
 	return []*stats.Table{t}, nil
 }
@@ -137,61 +119,29 @@ func runFig15(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 // 19%, 20%, 11% savings for DZC/BIC/ZS-BIC/basic DESC and a 1.81x
 // reduction (0.55 normalized) for zero-skipped DESC.
 func runFig16(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	opt := r.Options()
 	schemes := allSchemes()
 	cols := []string{"Benchmark"}
 	for _, s := range schemes {
 		cols = append(cols, schemeLabel(s))
 	}
-	t := stats.NewTable("Figure 16: L2 energy normalized to conventional binary", cols...)
-	perScheme := make([][]float64, len(schemes))
-	for _, p := range opt.benchmarks() {
-		row := []string{p.Name}
-		for i, s := range schemes {
-			v, err := l2Norm(ctx, r, s, p)
-			if err != nil {
-				return nil, err
-			}
-			perScheme[i] = append(perScheme[i], v)
-			row = append(row, fmt.Sprintf("%.4g", v))
-		}
-		t.AddRow(row...)
-	}
-	geo := []string{"Geomean"}
-	for i := range schemes {
-		g, err := stats.GeoMeanStrict(perScheme[i])
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig16 %s: %w", schemes[i].Scheme, err)
-		}
-		geo = append(geo, fmt.Sprintf("%.4g", g))
-	}
-	t.AddRow(geo...)
-	return []*stats.Table{t}, nil
+	return benchTable(ctx, r, "Figure 16: L2 energy normalized to conventional binary", cols,
+		r.Options().benchmarks(), BinaryBase(), schemes, l2Energy)
 }
 
 // runFig18 splits each technique's L2 energy into static and dynamic
 // components, normalized to the conventional binary total (paper:
 // zero-skipped DESC halves dynamic energy at a 3% static overhead).
 func runFig18(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	opt := r.Options()
 	t := stats.NewTable("Figure 18: L2 energy components normalized to binary total",
 		"Scheme", "Static", "Dynamic", "Total")
+	static := func(res, base RunResult) float64 { return ratio(res.Breakdown.L2StaticJ, base.Breakdown.L2J()) }
+	dynamic := func(res, base RunResult) float64 { return ratio(res.Breakdown.L2DynJ(), base.Breakdown.L2J()) }
 	for _, s := range allSchemes() {
-		var st, dy []float64
-		for _, p := range opt.benchmarks() {
-			base, err := r.RunOne(ctx, BinaryBase(), p)
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.RunOne(ctx, s, p)
-			if err != nil {
-				return nil, err
-			}
-			tot := base.Breakdown.L2J()
-			st = append(st, ratio(res.Breakdown.L2StaticJ, tot))
-			dy = append(dy, ratio(res.Breakdown.L2DynJ(), tot))
+		vals, err := normalized(ctx, r, r.Options().benchmarks(), BinaryBase(), []SystemSpec{s}, static, dynamic)
+		if err != nil {
+			return nil, err
 		}
-		ms, md := stats.Mean(st), stats.Mean(dy)
+		ms, md := stats.Mean(vals[0][0]), stats.Mean(vals[0][1])
 		t.AddRowValues(schemeLabel(s), ms, md, ms+md)
 	}
 	return []*stats.Table{t}, nil
@@ -201,28 +151,27 @@ func runFig18(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 // normalized to binary (paper: 7% average saving), split into the L2 and
 // everything else.
 func runFig19(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	opt := r.Options()
+	profiles := r.Options().benchmarks()
 	t := stats.NewTable("Figure 19: processor energy with zero-skipped DESC (normalized to binary)",
 		"Benchmark", "L2", "Other units", "Total")
-	var totals []float64
-	for _, p := range opt.benchmarks() {
-		base, err := r.RunOne(ctx, BinaryBase(), p)
-		if err != nil {
-			return nil, err
-		}
-		res, err := r.RunOne(ctx, DESCZero(), p)
-		if err != nil {
-			return nil, err
-		}
-		den := base.Breakdown.ProcessorJ()
-		l2 := ratio(res.Breakdown.L2J(), den)
-		other := ratio(res.Breakdown.ProcessorJ()-res.Breakdown.L2J(), den)
-		totals = append(totals, l2+other)
-		t.AddRowValues(p.Name, l2, other, l2+other)
+	l2 := func(res, base RunResult) float64 {
+		return ratio(res.Breakdown.L2J(), base.Breakdown.ProcessorJ())
 	}
-	geo, err := stats.GeoMeanStrict(totals)
+	other := func(res, base RunResult) float64 {
+		return ratio(res.Breakdown.ProcessorJ()-res.Breakdown.L2J(), base.Breakdown.ProcessorJ())
+	}
+	vals, err := normalized(ctx, r, profiles, BinaryBase(), []SystemSpec{DESCZero()}, l2, other)
 	if err != nil {
-		return nil, fmt.Errorf("exp: fig19: %w", err)
+		return nil, err
+	}
+	totals := make([]float64, len(profiles))
+	for k, p := range profiles {
+		totals[k] = vals[0][0][k] + vals[0][1][k]
+		t.AddRowValues(p.Name, vals[0][0][k], vals[0][1][k], totals[k])
+	}
+	geo, err := geomean(DESCZero(), profiles, totals)
+	if err != nil {
+		return nil, err
 	}
 	t.AddRowValues("Geomean", 0, 0, geo)
 	return []*stats.Table{t}, nil

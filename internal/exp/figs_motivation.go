@@ -62,9 +62,6 @@ func runFig02(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 		st, dy, ht = append(st, s), append(dy, d), append(ht, h)
 		t.AddRowValues(p.Name, s, d, h)
 	}
-	t.AddRow("Average",
-		fmt.Sprintf("%.4g", stats.Mean(st)),
-		fmt.Sprintf("%.4g", stats.Mean(dy)),
-		fmt.Sprintf("%.4g", stats.Mean(ht)))
+	t.AddRowValues("Average", stats.Mean(st), stats.Mean(dy), stats.Mean(ht))
 	return []*stats.Table{t}, nil
 }

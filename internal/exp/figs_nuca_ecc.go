@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 
 	"desc/internal/stats"
 )
@@ -42,134 +41,40 @@ func nucaSpecs() (binary, desc SystemSpec) {
 // S-NUCA-1 (paper: 1% penalty).
 func runFig23(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	bSpec, dSpec := nucaSpecs()
-	t := stats.NewTable("Figure 23: DESC + S-NUCA-1 execution time (normalized to S-NUCA-1)",
-		"Benchmark", "Normalized time")
-	var vals []float64
-	for _, p := range r.Options().benchmarks() {
-		b, err := r.RunOne(ctx, bSpec, p)
-		if err != nil {
-			return nil, err
-		}
-		d, err := r.RunOne(ctx, dSpec, p)
-		if err != nil {
-			return nil, err
-		}
-		v := ratio(float64(d.Cycles), float64(b.Cycles))
-		vals = append(vals, v)
-		t.AddRowValues(p.Name, v)
-	}
-	geo, err := stats.GeoMeanStrict(vals)
-	if err != nil {
-		return nil, fmt.Errorf("exp: fig23: %w", err)
-	}
-	t.AddRowValues("Geomean", geo)
-	return []*stats.Table{t}, nil
+	return benchTable(ctx, r, "Figure 23: DESC + S-NUCA-1 execution time (normalized to S-NUCA-1)",
+		[]string{"Benchmark", "Normalized time"}, r.Options().benchmarks(), bSpec, []SystemSpec{dSpec}, execTime)
 }
 
 // runFig24 reports DESC's L2 energy on S-NUCA-1 normalized to binary
 // S-NUCA-1 (paper: 1.62x improvement).
 func runFig24(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	bSpec, dSpec := nucaSpecs()
-	t := stats.NewTable("Figure 24: DESC + S-NUCA-1 L2 energy (normalized to S-NUCA-1)",
-		"Benchmark", "Normalized energy")
-	var vals []float64
-	for _, p := range r.Options().benchmarks() {
-		b, err := r.RunOne(ctx, bSpec, p)
-		if err != nil {
-			return nil, err
-		}
-		d, err := r.RunOne(ctx, dSpec, p)
-		if err != nil {
-			return nil, err
-		}
-		v := ratio(d.Breakdown.L2J(), b.Breakdown.L2J())
-		vals = append(vals, v)
-		t.AddRowValues(p.Name, v)
-	}
-	geo, err := stats.GeoMeanStrict(vals)
-	if err != nil {
-		return nil, fmt.Errorf("exp: fig24: %w", err)
-	}
-	t.AddRowValues("Geomean", geo)
-	return []*stats.Table{t}, nil
+	return benchTable(ctx, r, "Figure 24: DESC + S-NUCA-1 L2 energy (normalized to S-NUCA-1)",
+		[]string{"Benchmark", "Normalized energy"}, r.Options().benchmarks(), bSpec, []SystemSpec{dSpec}, l2Energy)
 }
 
-// eccSpecs returns the four W-S configurations of Figures 28/29, where W
-// is the data width and S the SECDED segment size.
-func eccSpecs() []struct {
-	label string
-	spec  SystemSpec
-} {
-	return []struct {
-		label string
-		spec  SystemSpec
-	}{
-		{"64-64 Binary", SystemSpec{Scheme: "binary", DataWires: 64, ECCSegment: 64}},
-		{"128-128 Binary", SystemSpec{Scheme: "binary", DataWires: 128, ECCSegment: 128}},
-		{"128-64 DESC", SystemSpec{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4, ECCSegment: 64}},
-		{"128-128 DESC", SystemSpec{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4, ECCSegment: 128}},
+// eccTable renders norm across the four W-S configurations of Figures
+// 28/29, where W is the data width and S the SECDED segment size,
+// normalized to the 64-64 binary baseline per benchmark.
+func eccTable(ctx context.Context, r *Runner, title string, norm normalizer) ([]*stats.Table, error) {
+	specs := []SystemSpec{
+		{Scheme: "binary", DataWires: 64, ECCSegment: 64},
+		{Scheme: "binary", DataWires: 128, ECCSegment: 128},
+		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4, ECCSegment: 64},
+		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4, ECCSegment: 128},
 	}
-}
-
-// eccTable renders one metric across the ECC configurations, normalized to
-// the 64-64 binary baseline per benchmark.
-func eccTable(ctx context.Context, r *Runner, title string, metric func(RunResult) float64) (*stats.Table, error) {
-	specs := eccSpecs()
-	cols := []string{"Benchmark"}
-	for _, s := range specs {
-		cols = append(cols, s.label)
-	}
-	t := stats.NewTable(title, cols...)
-	geos := make([][]float64, len(specs))
-	for _, p := range r.Options().benchmarks() {
-		base, err := r.RunOne(ctx, specs[0].spec, p)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{p.Name}
-		for i, s := range specs {
-			res, err := r.RunOne(ctx, s.spec, p)
-			if err != nil {
-				return nil, err
-			}
-			v := ratio(metric(res), metric(base))
-			geos[i] = append(geos[i], v)
-			row = append(row, fmt.Sprintf("%.4g", v))
-		}
-		t.AddRow(row...)
-	}
-	geo := []string{"Geomean"}
-	for i := range specs {
-		g, err := stats.GeoMeanStrict(geos[i])
-		if err != nil {
-			return nil, fmt.Errorf("exp: ecc table %s: %w", specs[i].label, err)
-		}
-		geo = append(geo, fmt.Sprintf("%.4g", g))
-	}
-	t.AddRow(geo...)
-	return t, nil
+	cols := []string{"Benchmark", "64-64 Binary", "128-128 Binary", "128-64 DESC", "128-128 DESC"}
+	return benchTable(ctx, r, title, cols, r.Options().benchmarks(), specs[0], specs, norm)
 }
 
 // runFig28 reports execution time under SECDED (paper: zero-skipped DESC
 // stays within ~1% of binary).
 func runFig28(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	t, err := eccTable(ctx, r,
-		"Figure 28: execution time with SECDED ECC (normalized to 64-64 binary)",
-		func(res RunResult) float64 { return float64(res.Cycles) })
-	if err != nil {
-		return nil, err
-	}
-	return []*stats.Table{t}, nil
+	return eccTable(ctx, r, "Figure 28: execution time with SECDED ECC (normalized to 64-64 binary)", execTime)
 }
 
 // runFig29 reports L2 energy under SECDED (paper: DESC improves energy by
 // 1.82x with the (72,64) code and 1.92x with (137,128)).
 func runFig29(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	t, err := eccTable(ctx, r,
-		"Figure 29: L2 energy with SECDED ECC (normalized to 64-64 binary)",
-		func(res RunResult) float64 { return res.Breakdown.L2J() })
-	if err != nil {
-		return nil, err
-	}
-	return []*stats.Table{t}, nil
+	return eccTable(ctx, r, "Figure 29: L2 energy with SECDED ECC (normalized to 64-64 binary)", l2Energy)
 }

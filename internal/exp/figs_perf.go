@@ -27,34 +27,17 @@ func init() {
 	})
 }
 
-// timeNorm returns one (spec, benchmark) execution time normalized to the
-// binary baseline.
-func timeNorm(ctx context.Context, r *Runner, spec SystemSpec, p workload.Profile) (float64, error) {
-	base, err := r.RunOne(ctx, BinaryBase(), p)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.RunOne(ctx, spec, p)
-	if err != nil {
-		return 0, err
-	}
-	return ratio(float64(res.Cycles), float64(base.Cycles)), nil
-}
-
 // runFig20 reports execution time for every scheme, normalized to binary
 // (paper: skipped DESC variants stay within 2%).
 func runFig20(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	opt := r.Options()
 	t := stats.NewTable("Figure 20: execution time normalized to binary",
 		"Scheme", "Normalized time")
 	for _, s := range allSchemes() {
-		_, _, geo, err := geoOver(opt.benchmarks(), func(p workload.Profile) (float64, error) {
-			return timeNorm(ctx, r, s, p)
-		})
+		geo, err := sweepPoint(ctx, r, r.Options().benchmarks(), s, execTime)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRowValues(schemeLabel(s), geo)
+		t.AddRowValues(schemeLabel(s), geo...)
 	}
 	return []*stats.Table{t}, nil
 }
@@ -100,33 +83,12 @@ func runFig21(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 // normalized to binary (paper: 6% average slowdown — the
 // latency-sensitive case).
 func runFig30(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	opt := r.Options()
-	t := stats.NewTable("Figure 30: OoO execution time with zero-skipped DESC (normalized to binary)",
-		"Benchmark", "Normalized time")
 	profiles := workload.SPEC()
-	if opt.Quick {
+	if r.Options().Quick {
 		profiles = profiles[:3]
 	}
 	base, desc := BinaryBase(), DESCZero()
 	base.Kind, desc.Kind = cpusim.OutOfOrder, cpusim.OutOfOrder
-	var vals []float64
-	for _, p := range profiles {
-		b, err := r.RunOne(ctx, base, p)
-		if err != nil {
-			return nil, err
-		}
-		res, err := r.RunOne(ctx, desc, p)
-		if err != nil {
-			return nil, err
-		}
-		v := ratio(float64(res.Cycles), float64(b.Cycles))
-		vals = append(vals, v)
-		t.AddRowValues(p.Name, v)
-	}
-	geo, err := stats.GeoMeanStrict(vals)
-	if err != nil {
-		return nil, fmt.Errorf("exp: fig30: %w", err)
-	}
-	t.AddRowValues("Geomean", geo)
-	return []*stats.Table{t}, nil
+	return benchTable(ctx, r, "Figure 30: OoO execution time with zero-skipped DESC (normalized to binary)",
+		[]string{"Benchmark", "Normalized time"}, profiles, base, []SystemSpec{desc}, execTime)
 }

@@ -36,37 +36,6 @@ func init() {
 	})
 }
 
-// sweepPoint evaluates a spec over the sweep benchmarks and returns
-// (L2 energy, execution time, processor energy), each normalized to the
-// binary baseline, as geomeans.
-func sweepPoint(ctx context.Context, r *Runner, spec SystemSpec) (l2, time, proc float64, err error) {
-	var l2s, times, procs []float64
-	for _, p := range r.Options().sweepBenchmarks() {
-		base, e := r.RunOne(ctx, BinaryBase(), p)
-		if e != nil {
-			return 0, 0, 0, e
-		}
-		res, e := r.RunOne(ctx, spec, p)
-		if e != nil {
-			return 0, 0, 0, e
-		}
-		l2s = append(l2s, ratio(res.Breakdown.L2J(), base.Breakdown.L2J()))
-		times = append(times, ratio(float64(res.Cycles), float64(base.Cycles)))
-		procs = append(procs, ratio(res.Breakdown.ProcessorJ(), base.Breakdown.ProcessorJ()))
-	}
-	for _, agg := range []struct {
-		dst  *float64
-		vals []float64
-	}{{&l2, l2s}, {&time, times}, {&proc, procs}} {
-		v, e := stats.GeoMeanStrict(agg.vals)
-		if e != nil {
-			return 0, 0, 0, fmt.Errorf("exp: sweep point %v: %w", spec, e)
-		}
-		*agg.dst = v
-	}
-	return l2, time, proc, nil
-}
-
 // fig14Classes returns the device-class axis (restricted in Quick mode).
 func fig14Classes(opt Options) []wiremodel.DeviceClass {
 	if opt.Quick {
@@ -93,12 +62,13 @@ func fig14Specs(opt Options) []SystemSpec {
 func runFig14(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 14: device classes at 8 banks / 64-bit bus (normalized to LSTP-LSTP)",
 		"Cells-Periphery", "L2 energy", "Execution time", "Processor energy")
+	profiles := r.Options().sweepBenchmarks()
 	for _, spec := range fig14Specs(r.Options()) {
-		l2, tm, pr, err := sweepPoint(ctx, r, spec)
+		geo, err := sweepPoint(ctx, r, profiles, spec, l2Energy, execTime, procEnergy)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRowValues(spec.Cells.String()+"-"+spec.Periphery.String(), l2, tm, pr)
+		t.AddRowValues(spec.Cells.String()+"-"+spec.Periphery.String(), geo...)
 	}
 	return []*stats.Table{t}, nil
 }
@@ -136,8 +106,9 @@ func fig22Specs(opt Options) []SystemSpec {
 func runFig22(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 22: design points (normalized to 8 banks, 64-bit binary)",
 		"Scheme", "Banks", "Wires", "Chunk", "L2 energy", "Execution time")
+	profiles := r.Options().sweepBenchmarks()
 	for _, spec := range fig22Specs(r.Options()) {
-		l2, tm, _, err := sweepPoint(ctx, r, spec)
+		geo, err := sweepPoint(ctx, r, profiles, spec, l2Energy, execTime)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +117,7 @@ func runFig22(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 			chunk = fmt.Sprint(spec.ChunkBits)
 		}
 		t.AddRow(spec.Scheme, fmt.Sprint(spec.Banks), fmt.Sprint(spec.DataWires), chunk,
-			fmt.Sprintf("%.4g", l2), fmt.Sprintf("%.4g", tm))
+			stats.Cell(geo[0]), stats.Cell(geo[1]))
 	}
 	return []*stats.Table{t}, nil
 }
@@ -172,12 +143,13 @@ func fig25Specs(opt Options) []SystemSpec {
 func runFig25(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 25: bank-count sensitivity (zero-skipped DESC, normalized to 8-bank binary)",
 		"Banks", "L2 energy", "Execution time")
+	profiles := r.Options().sweepBenchmarks()
 	for _, spec := range fig25Specs(r.Options()) {
-		l2, tm, _, err := sweepPoint(ctx, r, spec)
+		geo, err := sweepPoint(ctx, r, profiles, spec, l2Energy, execTime)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRowValues(fmt.Sprint(spec.Banks), l2, tm)
+		t.AddRowValues(fmt.Sprint(spec.Banks), geo...)
 	}
 	return []*stats.Table{t}, nil
 }
@@ -205,11 +177,13 @@ func fig26Specs(opt Options) []SystemSpec {
 func runFig26(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 26: chunk-size / width sensitivity (zero-skipped DESC, normalized to binary)",
 		"Chunk bits", "Wires", "L2 energy", "Execution time", "Energy-delay")
+	profiles := r.Options().sweepBenchmarks()
 	for _, spec := range fig26Specs(r.Options()) {
-		l2, tm, _, err := sweepPoint(ctx, r, spec)
+		geo, err := sweepPoint(ctx, r, profiles, spec, l2Energy, execTime)
 		if err != nil {
 			return nil, err
 		}
+		l2, tm := geo[0], geo[1]
 		t.AddRowValues(fmt.Sprintf("%d", spec.ChunkBits), float64(spec.DataWires), l2, tm, l2*tm)
 	}
 	return []*stats.Table{t}, nil
@@ -227,41 +201,25 @@ func fig27Caps(opt Options) []int {
 // 1.87x at 512KB down to 1.75x at 64MB).
 func runFig27(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	opt := r.Options()
+	profiles := opt.sweepBenchmarks()
 	t := stats.NewTable("Figure 27: L2 capacity vs cache energy (normalized to 8MB binary)",
 		"Capacity", "Binary", "DESC", "Improvement")
 	for _, c := range fig27Caps(opt) {
-		var bins, descs []float64
-		for _, p := range opt.sweepBenchmarks() {
-			ref, err := r.RunOne(ctx, BinaryBase(), p)
-			if err != nil {
-				return nil, err
-			}
-			bSpec := SystemSpec{Scheme: "binary", DataWires: 64, CapacityBytes: c}
-			dSpec := DESCZero()
-			dSpec.CapacityBytes = c
-			b, err := r.RunOne(ctx, bSpec, p)
-			if err != nil {
-				return nil, err
-			}
-			d, err := r.RunOne(ctx, dSpec, p)
-			if err != nil {
-				return nil, err
-			}
-			bins = append(bins, ratio(b.Breakdown.L2J(), ref.Breakdown.L2J()))
-			descs = append(descs, ratio(d.Breakdown.L2J(), ref.Breakdown.L2J()))
-		}
-		gb, err := stats.GeoMeanStrict(bins)
+		dSpec := DESCZero()
+		dSpec.CapacityBytes = c
+		specs := []SystemSpec{{Scheme: "binary", DataWires: 64, CapacityBytes: c}, dSpec}
+		vals, err := normalized(ctx, r, profiles, BinaryBase(), specs, l2Energy)
 		if err != nil {
-			return nil, fmt.Errorf("exp: fig27 %s binary: %w", capLabel(c), err)
+			return nil, err
 		}
-		gd, err := stats.GeoMeanStrict(descs)
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig27 %s desc: %w", capLabel(c), err)
+		var geo [2]float64
+		for i, s := range specs {
+			if geo[i], err = geomean(s, profiles, vals[i][0]); err != nil {
+				return nil, err
+			}
 		}
-		t.AddRow(capLabel(c),
-			fmt.Sprintf("%.4g", gb),
-			fmt.Sprintf("%.4g", gd),
-			fmt.Sprintf("%.3gx", ratio(gb, gd)))
+		t.AddRow(capLabel(c), stats.Cell(geo[0]), stats.Cell(geo[1]),
+			fmt.Sprintf("%.3gx", ratio(geo[0], geo[1])))
 	}
 	return []*stats.Table{t}, nil
 }

@@ -32,14 +32,20 @@ func (t *Table) AddRow(cells ...string) {
 }
 
 // AddRowValues appends a row where the first cell is a label and the rest
-// are formatted with %.4g.
+// are formatted by Cell.
 func (t *Table) AddRowValues(label string, values ...float64) {
 	cells := make([]string, 0, len(values)+1)
 	cells = append(cells, label)
 	for _, v := range values {
-		cells = append(cells, fmt.Sprintf("%.4g", v))
+		cells = append(cells, Cell(v))
 	}
 	t.AddRow(cells...)
+}
+
+// Cell formats one numeric table cell with %.4g, the precision every
+// results table prints.
+func Cell(v float64) string {
+	return fmt.Sprintf("%.4g", v)
 }
 
 // NumRows returns the number of data rows.
