@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzTraceReader: the reader never panics on any input, and every record
-// it accepts re-encodes through a Writer into a trace that reads back as
-// the same header and records.
+// it accepts re-encodes through a Writer into exactly the bytes the reader
+// consumed, a trace that reads back as the same header and records.
 func FuzzTraceReader(f *testing.F) {
 	prof, _ := workload.ByName("Radix")
 	var valid bytes.Buffer
@@ -29,12 +29,12 @@ func FuzzTraceReader(f *testing.F) {
 			return
 		}
 		var recs []Record
-		for {
-			rec, err := r.Read()
-			if err != nil {
-				break
+		var end error
+		for end == nil {
+			var rec Record
+			if rec, end = r.Read(); end == nil {
+				recs = append(recs, rec)
 			}
-			recs = append(recs, rec)
 		}
 		var again bytes.Buffer
 		w, err := NewWriter(&again, r.Header())
@@ -48,6 +48,12 @@ func FuzzTraceReader(f *testing.F) {
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
+		}
+		// A clean end consumed the whole input; a rejected record, only
+		// the records before it.
+		if errors.Is(end, io.EOF) && !bytes.Equal(again.Bytes(), data) ||
+			!bytes.HasPrefix(data, again.Bytes()) {
+			t.Fatalf("accepted input re-encodes as %x, read %x (ended by %v)", again.Bytes(), data, end)
 		}
 		back, err := NewReader(&again)
 		if err != nil {

@@ -46,6 +46,9 @@ var (
 	// ErrGap is a negative gap, or one that does not fit an int, the
 	// instruction count the simulator takes.
 	ErrGap = errors.New("trace: gap out of range")
+	// ErrVarint is a header or record number in a longer encoding than
+	// its shortest, or one that overflows 64 bits.
+	ErrVarint = errors.New("trace: varint not minimally encoded")
 )
 
 // Header identifies the workload a trace was recorded from.
@@ -156,9 +159,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("trace: bad magic %q", got)
 	}
 	var h Header
-	nameLen, err := binary.ReadUvarint(br)
+	nameLen, err := readUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: header: %w", err)
 	}
 	if nameLen > 1024 {
 		return nil, fmt.Errorf("trace: benchmark name of %d bytes", nameLen)
@@ -168,12 +171,12 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, err
 	}
 	h.Benchmark = string(name)
-	if h.Seed, err = binary.ReadVarint(br); err != nil {
-		return nil, err
+	if h.Seed, err = readVarint(br); err != nil {
+		return nil, fmt.Errorf("trace: header: %w", err)
 	}
-	ctxs, err := binary.ReadUvarint(br)
+	ctxs, err := readUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: header: %w", err)
 	}
 	if ctxs == 0 || ctxs > 1<<16 {
 		return nil, fmt.Errorf("trace: %d contexts", ctxs)
@@ -185,35 +188,36 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Header returns the trace identity.
 func (t *Reader) Header() Header { return t.header }
 
-// Read returns the next record, or io.EOF at the end of the trace.
+// Read returns the next record, or io.EOF at the end of the trace. A
+// trace that ends inside a record is io.ErrUnexpectedEOF.
 func (t *Reader) Read() (Record, error) {
-	ctx, err := binary.ReadUvarint(t.r)
+	ctx, err := readUvarint(t.r)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return Record{}, io.EOF
 		}
-		return Record{}, err
+		return Record{}, fmt.Errorf("trace: record: %w", err)
 	}
 	if ctx >= uint64(t.header.Contexts) {
 		return Record{}, fmt.Errorf("trace: record for context %d of %d: %w", ctx, t.header.Contexts, ErrContext)
 	}
-	gap, err := binary.ReadUvarint(t.r)
+	gap, err := readUvarint(t.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, truncated(err)
 	}
 	if gap > math.MaxInt {
 		return Record{}, fmt.Errorf("trace: record gap %d: %w", gap, ErrGap)
 	}
 	op, err := t.r.ReadByte()
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, truncated(err)
 	}
 	if op > 1 {
 		return Record{}, fmt.Errorf("trace: record op %d: %w", op, ErrOp)
 	}
-	delta, err := binary.ReadVarint(t.r)
+	delta, err := readVarint(t.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, truncated(err)
 	}
 	addr := uint64(int64(t.lastAddr[ctx]) + delta)
 	t.lastAddr[ctx] = addr
@@ -225,6 +229,45 @@ func (t *Reader) Read() (Record, error) {
 			Gap:   int(gap),
 		},
 	}, nil
+}
+
+// truncated wraps the error of a record field after the first: an input
+// that ends there ends inside a record, not at the end of the trace.
+func truncated(err error) error {
+	if errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: record: %w", err)
+}
+
+// readUvarint reads one uvarint as binary.ReadUvarint does, but rejects
+// with ErrVarint an encoding longer than the shortest (its last byte is
+// zero), which a Writer never writes, and one that overflows 64 bits. It
+// returns io.EOF only when no byte is left.
+func readUvarint(r *bufio.Reader) (uint64, error) {
+	b, err := r.Peek(binary.MaxVarintLen64 + 1)
+	x, n := binary.Uvarint(b)
+	switch {
+	case n < 0 || n > 1 && b[n-1] == 0:
+		return 0, ErrVarint
+	case n == 0 && len(b) > 0 && errors.Is(err, io.EOF):
+		return 0, io.ErrUnexpectedEOF
+	case n == 0:
+		return 0, err
+	}
+	_, err = r.Discard(n)
+	return x, err
+}
+
+// readVarint reads one zig-zag varint, minimally encoded as readUvarint
+// requires.
+func readVarint(r *bufio.Reader) (int64, error) {
+	ux, err := readUvarint(r)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
 }
 
 // ReadAll drains the trace into per-context slices.

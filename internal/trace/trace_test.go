@@ -106,6 +106,14 @@ var badRecords = []struct {
 	{"op 7", rawRecord(0, 0, 7), ErrOp},
 	{"op 2", rawRecord(0, 0, 2), ErrOp},
 	{"gap 2^63", rawRecord(0, 1<<63, 0), ErrGap},
+	// Context 80 00, gap 85 80 00, write, delta 80 00 once read as
+	// {Ctx:0 Write:true Gap:5}, which a Writer writes as 00 05 01 00.
+	{"overlong varints", []byte{0x80, 0x00, 0x85, 0x80, 0x00, 0x01, 0x80, 0x00}, ErrVarint},
+	{"overlong delta", []byte{0x00, 0x05, 0x01, 0x80, 0x00}, ErrVarint},
+	// A cut record once read as the clean end of the trace.
+	{"cut after context", []byte{0x01}, io.ErrUnexpectedEOF},
+	{"cut after op", []byte{0x01, 0x00, 0x01}, io.ErrUnexpectedEOF},
+	{"gap overflows 64 bits", append(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64), 0x01, 0x00, 0x00), ErrVarint},
 }
 
 // rawRecord encodes one record with a zero address delta.
@@ -134,6 +142,10 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	}
 	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
+	}
+	overlong := append([]byte(magic), 0x83, 0x00, 'A', 'r', 't', 0x00, 0x02)
+	if _, err := NewReader(bytes.NewReader(overlong)); !errors.Is(err, ErrVarint) {
+		t.Errorf("overlong name length: %v, want ErrVarint", err)
 	}
 	for _, c := range badRecords {
 		r, err := NewReader(bytes.NewReader(append(twoContextHeader(t), c.record...)))
