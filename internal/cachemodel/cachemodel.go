@@ -183,6 +183,15 @@ type Model struct {
 	flightCycles []int     // one-way wire propagation latency
 	arrayCycles  int       // mat access latency
 
+	// What every transfer to a bank pays whatever its data, also fixed
+	// at New: the address bus energy, the array energy of a read and of
+	// a write (ECC included), and the latency outside the link.
+	addrJ        []float64
+	readArrayJ   float64
+	writeArrayJ  float64
+	fixedCycles  []int64
+	historyWrite bool // writes broadcast to the per-wire history store
+
 	eccParityWires int
 	eccScale       float64 // encoded bits / data bits
 
@@ -301,13 +310,31 @@ func New(cfg Config) (*Model, error) {
 	m.floorplan()
 	m.perFlipJ = make([]float64, cfg.Banks)
 	m.flightCycles = make([]int, cfg.Banks)
+	m.addrJ = make([]float64, cfg.Banks)
+	m.fixedCycles = make([]int64, cfg.Banks)
+	m.arrayCycles = bank.AccessCycles(cfg.ClockGHz)
 	for b := range m.pathMM {
 		w := m.wireFor(b)
 		m.perFlipJ[b] = w.EnergyPerFlipJ()
 		m.flightCycles[b] = w.DelayCycles(cfg.ClockGHz)
+		// Address and control in conventional binary (Section 3.2.1).
+		m.addrJ[b] = addrWires * addrActivity * m.perFlipJ[b]
+		m.fixedCycles[b] = int64(controllerCycles + 2*m.flightCycles[b] + m.arrayCycles + m.traits.CodecCycles)
 	}
-	m.arrayCycles = bank.AccessCycles(cfg.ClockGHz)
+	m.readArrayJ = m.arrayEnergyJ(bank.ReadEnergyJ(blockBytes * 8))
+	m.writeArrayJ = m.arrayEnergyJ(bank.WriteEnergyJ(blockBytes * 8))
+	m.historyWrite, _ = m.tracksHistory()
 	return m, nil
+}
+
+// arrayEnergyJ widens a block's array energy to the ECC-encoded bits,
+// which are stored and read too, and adds the ECC logic.
+func (m *Model) arrayEnergyJ(blockJ float64) float64 {
+	arrayJ := blockJ * m.eccScale
+	if m.cfg.ECC.Enabled {
+		arrayJ += eccLogicPJPerAccess * 1e-12
+	}
+	return arrayJ
 }
 
 // floorplan lays banks out in a near-square grid and derives per-bank
@@ -386,10 +413,6 @@ func (m *Model) FlightCycles(bankID int) int { return m.flightCycles[bankID] }
 // ArrayCycles returns the mat access latency.
 func (m *Model) ArrayCycles() int { return m.arrayCycles }
 
-// codecCycles returns the scheme's logic latency contribution, declared
-// by the scheme itself in its registered traits.
-func (m *Model) codecCycles() int { return m.traits.CodecCycles }
-
 // Access models one block movement between the controller and bankID.
 // The block is routed through the bank's link, so wire history and value
 // skipping behave exactly as in hardware. isWrite selects direction (and
@@ -404,41 +427,28 @@ func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 	}
 	cost := l.Send(block)
 
-	perFlip := m.perFlipJ[bankID]
-
 	// Data/control/sync flips, scaled by the ECC transfer widening.
-	dataJ := float64(cost.Flips.Total()) * perFlip * m.eccScale
-	// Address and control in conventional binary (Section 3.2.1).
-	addrJ := addrWires * addrActivity * perFlip
-	htreeJ := dataJ + addrJ
+	dataJ := float64(cost.Flips.Total()) * m.perFlipJ[bankID] * m.eccScale
+	htreeJ := dataJ + m.addrJ[bankID]
 	if m.traits.DESCInterface {
 		htreeJ += descLogicPJPerCycle * 1e-12 * float64(cost.Cycles)
 	}
-	if hist, _ := m.tracksHistory(); hist && isWrite {
-		htreeJ *= lastValueWriteBroadcastFactor
-	}
-
-	var arrayJ float64
-	bits := blockBytes * 8
+	arrayJ := m.readArrayJ
 	if isWrite {
-		arrayJ = m.bank.WriteEnergyJ(bits)
-	} else {
-		arrayJ = m.bank.ReadEnergyJ(bits)
-	}
-	arrayJ *= m.eccScale // ECC bits are stored and read too
-	if m.cfg.ECC.Enabled {
-		arrayJ += eccLogicPJPerAccess * 1e-12
+		arrayJ = m.writeArrayJ
+		if m.historyWrite {
+			htreeJ *= lastValueWriteBroadcastFactor
+		}
 	}
 
 	res := AccessResult{
+		Cycles:         m.fixedCycles[bankID] + cost.Cycles,
 		TransferCycles: cost.Cycles,
 		EnergyJ:        htreeJ + arrayJ,
 		HTreeJ:         htreeJ,
 		ArrayJ:         arrayJ,
 		Flips:          cost.Flips,
 	}
-	res.Cycles = int64(controllerCycles+2*m.flightCycles[bankID]+m.arrayCycles+m.codecCycles()) +
-		cost.Cycles
 
 	m.accesses++
 	m.energyJ += res.EnergyJ
