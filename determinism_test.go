@@ -41,29 +41,33 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentRenderDeterministic re-runs one quick experiment from a
-// cold run cache and requires the rendered tables — the artifact the
-// repository actually publishes — to match byte for byte.
+// TestExperimentRenderDeterministic re-runs quick experiments from a cold
+// run cache and requires the rendered tables — the artifact the
+// repository actually publishes — to match byte for byte: fig12, which
+// samples block values without simulating, and fig23, whose eight
+// simulations read through the experiments' normalize-to-baseline path.
 func TestExperimentRenderDeterministic(t *testing.T) {
-	render := func() string {
-		// RunExperiment builds a fresh Runner per call, so the second
-		// rendering recomputes from a cold run cache instead of
-		// replaying the first.
-		tables, err := RunExperiment("fig12", true)
-		if err != nil {
-			t.Fatal(err)
+	for _, id := range []string{"fig12", "fig23"} {
+		render := func() string {
+			// RunExperiment builds a fresh Runner per call, so the
+			// second rendering recomputes from a cold run cache
+			// instead of replaying the first.
+			tables, err := RunExperiment(id, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, tab := range tables {
+				b.WriteString(tab.Markdown())
+			}
+			return b.String()
 		}
-		var b strings.Builder
-		for _, tab := range tables {
-			b.WriteString(tab.Markdown())
+		first := render()
+		if again := render(); again != first {
+			t.Fatalf("%s rendered differently on a re-run with the same seed:\n--- first ---\n%s\n--- again ---\n%s", id, first, again)
 		}
-		return b.String()
-	}
-	first := render()
-	if again := render(); again != first {
-		t.Fatalf("fig12 rendered differently on a re-run with the same seed:\n--- first ---\n%s\n--- again ---\n%s", first, again)
-	}
-	if first == "" {
-		t.Fatal("fig12 rendered no output")
+		if first == "" {
+			t.Fatalf("%s rendered no output", id)
+		}
 	}
 }
