@@ -26,8 +26,9 @@ func runExt03(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	prefetch := func(s SystemSpec) SystemSpec { s.Prefetch = true; return s }
 	specs := []SystemSpec{BinaryBase(), prefetch(BinaryBase()), DESCZero(), prefetch(DESCZero())}
 	labels := []string{"Binary", "Binary + prefetch", "DESC-zero", "DESC-zero + prefetch"}
+	profiles := r.Options().benchmarks()
 	for i, spec := range specs {
-		geo, err := sweepPoint(ctx, r, r.Options().benchmarks(), spec, execTime, l2Energy)
+		geo, err := sweepPoint(ctx, r, profiles, spec, execTime, l2Energy)
 		if err != nil {
 			return nil, err
 		}

@@ -63,10 +63,11 @@ func zooSpecs(opt Options) []SystemSpec {
 // the binary baseline, one row per (scheme, geometry).
 func runZoo(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	opt := r.Options()
+	profiles := opt.sweepBenchmarks()
 	t := stats.NewTable("Scheme zoo: L2 energy by registered scheme and geometry (normalized to binary)",
 		"Scheme", "Configuration", "L2 energy")
 	for _, spec := range zooSpecs(opt) {
-		geo, err := sweepPoint(ctx, r, opt.sweepBenchmarks(), spec, l2Energy)
+		geo, err := sweepPoint(ctx, r, profiles, spec, l2Energy)
 		if err != nil {
 			return nil, err
 		}

@@ -132,12 +132,13 @@ func runFig16(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 // components, normalized to the conventional binary total (paper:
 // zero-skipped DESC halves dynamic energy at a 3% static overhead).
 func runFig18(ctx context.Context, r *Runner) ([]*stats.Table, error) {
+	profiles := r.Options().benchmarks()
 	t := stats.NewTable("Figure 18: L2 energy components normalized to binary total",
 		"Scheme", "Static", "Dynamic", "Total")
 	static := func(res, base RunResult) float64 { return ratio(res.Breakdown.L2StaticJ, base.Breakdown.L2J()) }
 	dynamic := func(res, base RunResult) float64 { return ratio(res.Breakdown.L2DynJ(), base.Breakdown.L2J()) }
 	for _, s := range allSchemes() {
-		vals, err := normalized(ctx, r, r.Options().benchmarks(), BinaryBase(), []SystemSpec{s}, static, dynamic)
+		vals, err := normalized(ctx, r, profiles, BinaryBase(), []SystemSpec{s}, static, dynamic)
 		if err != nil {
 			return nil, err
 		}

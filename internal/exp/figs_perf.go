@@ -30,10 +30,11 @@ func init() {
 // runFig20 reports execution time for every scheme, normalized to binary
 // (paper: skipped DESC variants stay within 2%).
 func runFig20(ctx context.Context, r *Runner) ([]*stats.Table, error) {
+	profiles := r.Options().benchmarks()
 	t := stats.NewTable("Figure 20: execution time normalized to binary",
 		"Scheme", "Normalized time")
 	for _, s := range allSchemes() {
-		geo, err := sweepPoint(ctx, r, r.Options().benchmarks(), s, execTime)
+		geo, err := sweepPoint(ctx, r, profiles, s, execTime)
 		if err != nil {
 			return nil, err
 		}

@@ -22,6 +22,9 @@
 //	          compress well)
 //
 // Records for different contexts interleave freely; readers demultiplex.
+// Every number is in its shortest encoding, as a Writer writes it, so a
+// trace has exactly one byte form: a Reader rejects any other encoding
+// with ErrVarint.
 package trace
 
 import (
