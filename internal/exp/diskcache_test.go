@@ -325,6 +325,38 @@ func TestRunKeyDigestCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestRunKeyDigestGolden pins the content address of a few keys byte for
+// byte. Every cache directory on disk is filed under these digests, so a
+// rewrite of canonical() or digest() that moves one of them orphans every
+// existing cache entry; only a deliberate CodeFingerprint bump may change
+// them.
+func TestRunKeyDigestGolden(t *testing.T) {
+	golden := []struct {
+		spec   SystemSpec
+		bench  string
+		seed   int64
+		digest string
+	}{
+		{BinaryBase(), "Art", 1, "f523890febd8cea971c3d6a9277d622d2b051887ed9e8b9c711a2f3635a0ddbd"},
+		{BinaryBase(), "CG", 1, "e00984ff95659c38b21d0fd54ee314e775b4a496f009bde2c174a697106b04ae"},
+		{DESCZero(), "Art", 1, "389c370a3f7406d7103512b1e3b2ee83cc7ab8b4185f1f526ea1009328371a6c"},
+		{DESCZero(), "CG", 1, "ab31978a0b5d88fda346ea15af8375e294f1264ec392deba97b61dd33bb1b2c2"},
+		{BinaryBase(), "Art", 7, "c739c4a08e893bcf889a1785cbe4a35e2785a8e137d7395577d8bf1b951ed9da"},
+		{BinaryBase(), "CG", 7, "c5e606b36c2f93d4934f8133c2ea64400cb0bd580ea653068d4909e322cecce8"},
+		{DESCZero(), "Art", 7, "e3c1b011aaf99f046801442aa55cb16159cde1538c0506623a4e765acdca92b2"},
+		{DESCZero(), "CG", 7, "a0e0701d07b856cb6447e4987731fa71fd8547f6c319a738eaf9f46aaaef8757"},
+	}
+	for _, g := range golden {
+		k := runKey{spec: g.spec, bench: g.bench, seed: g.seed, instr: 3_000}
+		if got := k.digest(); got != g.digest {
+			t.Errorf("%s/%s seed %d: digest %s, want %s", g.spec.Scheme, g.bench, g.seed, got, g.digest)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(k.canonical()))); sum != k.digest() {
+			t.Errorf("%s/%s seed %d: digest %s is not the SHA-256 of canonical() (%s)", g.spec.Scheme, g.bench, g.seed, k.digest(), sum)
+		}
+	}
+}
+
 // TestShardCountInvariance is the acceptance gate for sharded execution:
 // for the full experiment suite's demand plan, executing with 1, 2, and 4
 // share-nothing shards (separate cache dirs), merging the shard caches,
