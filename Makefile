@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSimulateSpec       -fuzztime=$(FUZZTIME) -run '^$$' ./internal/exp
 	$(GO) test -fuzz=FuzzDecodeResult       -fuzztime=$(FUZZTIME) -run '^$$' ./internal/exp
 	$(GO) test -fuzz=FuzzTraceReader        -fuzztime=$(FUZZTIME) -run '^$$' ./internal/trace
+	$(GO) test -fuzz=FuzzGetSet             -fuzztime=$(FUZZTIME) -run '^$$' ./internal/runcache
 
 ## bench: repository benchmarks (reduced-scale experiment sweeps)
 bench:
@@ -127,7 +128,8 @@ results-quick:
 ## results-cached: prove the disk result cache and shard/merge pipeline
 ## (DESIGN.md §16) end to end on two quick figures: (1) run descbench
 ## twice against one cache dir — the rerun must report 100% hits (zero
-## misses, at least one hit) and emit a byte-identical results dir;
+## misses, at least one hit), serve its plan from one run set and emit a
+## byte-identical results dir;
 ## (2) split the same plan across two share-nothing shard cache dirs,
 ## merge them, and render — again 100% hits and byte-identical output.
 ## Artifacts: cache-stats-{cold,warm,merged}.json under $(OUT).
@@ -140,6 +142,7 @@ results-cached:
 		-cache-dir $(OUT)/cache -out $(OUT)/run2 -cache-stats $(OUT)/cache-stats-warm.json
 	grep -q '"misses": 0' $(OUT)/cache-stats-warm.json
 	! grep -q '"hits": 0,' $(OUT)/cache-stats-warm.json
+	grep -q '"set_hits": 1,' $(OUT)/cache-stats-warm.json
 	diff -r $(OUT)/run1 $(OUT)/run2
 	$(GO) run ./cmd/descbench -quick -only $(FIGS) -jobs $(JOBS) -shard 1/2 -cache-dir $(OUT)/shard1
 	$(GO) run ./cmd/descbench -quick -only $(FIGS) -jobs $(JOBS) -shard 2/2 -cache-dir $(OUT)/shard2

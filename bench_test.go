@@ -10,6 +10,8 @@ package desc
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"desc/internal/cachemodel"
@@ -53,8 +55,10 @@ func BenchmarkFigures(b *testing.B) {
 // §16) around a small fixed demand plan: "cold" pays the simulations
 // plus the cache writes; "warm-disk" builds a fresh Runner per iteration
 // against an already-warm cache directory, so an iteration is pure plan
-// + disk-read + decode. The warm case additionally pins the tentpole
-// invariant that a fully warm Execute performs zero simulator runs.
+// + run-set read + decode; "warm-entries" removes the run set before
+// each iteration, untimed, so it prices the per-entry reads and the set
+// rewrite. The warm cases additionally pin the tentpole invariant that a
+// fully warm Execute performs zero simulator runs.
 func BenchmarkRunnerExecute(b *testing.B) {
 	demands := []exp.Demand{
 		{Spec: exp.BinaryBase(), Bench: "Art"},
@@ -84,23 +88,39 @@ func BenchmarkRunnerExecute(b *testing.B) {
 		}
 	})
 
-	b.Run("warm-disk", func(b *testing.B) {
+	warm := func(b *testing.B, dropSets bool) {
 		dir := b.TempDir()
 		execute(b, dir, nil) // warm the cache once, outside the timer
 		reg := metrics.NewRegistry()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if dropSets {
+				b.StopTimer()
+				if err := os.RemoveAll(filepath.Join(dir, "sets")); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
 			execute(b, dir, reg)
 		}
 		b.StopTimer()
 		if runs := reg.Counter("exp/runs_started").Value(); runs != 0 {
-			b.Fatalf("warm-disk Execute performed %d simulator runs, want 0", runs)
+			b.Fatalf("warm Execute performed %d simulator runs, want 0", runs)
 		}
 		if hits := reg.Counter("runcache/hits").Value(); hits != uint64(len(demands))*uint64(b.N) {
-			b.Fatalf("warm-disk Execute hit disk %d times, want %d", hits, len(demands)*b.N)
+			b.Fatalf("warm Execute hit disk %d times, want %d", hits, len(demands)*b.N)
 		}
-	})
+		wantSetHits := uint64(b.N)
+		if dropSets {
+			wantSetHits = 0
+		}
+		if got := reg.Counter("runcache/set_hits").Value(); got != wantSetHits {
+			b.Fatalf("warm Execute served %d run sets, want %d", got, wantSetHits)
+		}
+	}
+	b.Run("warm-disk", func(b *testing.B) { warm(b, false) })
+	b.Run("warm-entries", func(b *testing.B) { warm(b, true) })
 }
 
 // --- Send micro-benchmarks: the per-block hot path of every scheme. ---

@@ -6,7 +6,6 @@
 package exp
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -23,46 +22,64 @@ import (
 // catch the changes that require a bump.
 const CodeFingerprint = "desc-sim-v1"
 
-// canonical renders the key as a stable, versioned, self-describing
-// text form — one "name value" line per field, every field explicit.
-// The digest of this string is the entry's content address, so the
-// rendering must change if and only if the key's meaning changes:
-// enum fields are rendered as integers (String() labels may be reworded;
-// the values are load-bearing), and TestRunKeyDigestCoversEveryField
-// fails if a SystemSpec field is added without extending this list.
-func (k runKey) canonical() string {
-	var b bytes.Buffer
-	line := func(name, value string) {
-		b.WriteString(name)
-		b.WriteByte(' ')
-		b.WriteString(value)
-		b.WriteByte('\n')
-	}
-	line("desc-runkey", "1")
-	line("code", CodeFingerprint)
-	line("scheme", k.spec.Scheme)
-	line("wires", strconv.Itoa(k.spec.DataWires))
-	line("chunk", strconv.Itoa(k.spec.ChunkBits))
-	line("segment", strconv.Itoa(k.spec.SegmentBits))
-	line("banks", strconv.Itoa(k.spec.Banks))
-	line("capacity", strconv.Itoa(k.spec.CapacityBytes))
-	line("cells", strconv.Itoa(int(k.spec.Cells)))
-	line("periphery", strconv.Itoa(int(k.spec.Periphery)))
-	line("nuca", strconv.FormatBool(k.spec.NUCA))
-	line("ecc", strconv.Itoa(k.spec.ECCSegment))
-	line("kind", strconv.Itoa(int(k.spec.Kind)))
-	line("prefetch", strconv.FormatBool(k.spec.Prefetch))
-	line("bench", k.bench)
-	line("seed", strconv.FormatInt(k.seed, 10))
-	line("instr", strconv.FormatUint(k.instr, 10))
-	return b.String()
+// appendCanonical appends the key's stable, versioned, self-describing
+// text form to b — one "name value" line per field, every field
+// explicit. The digest of this rendering is the entry's content address,
+// so it must change if and only if the key's meaning changes: enum
+// fields are rendered as integers (String() labels may be reworded; the
+// values are load-bearing), TestRunKeyDigestCoversEveryField fails if a
+// SystemSpec field is added without extending this list, and
+// TestRunKeyDigestGolden pins the digests of existing keys.
+func (k runKey) appendCanonical(b []byte) []byte {
+	b = keyString(b, "desc-runkey", "1")
+	b = keyString(b, "code", CodeFingerprint)
+	b = keyString(b, "scheme", k.spec.Scheme)
+	b = keyInt(b, "wires", k.spec.DataWires)
+	b = keyInt(b, "chunk", k.spec.ChunkBits)
+	b = keyInt(b, "segment", k.spec.SegmentBits)
+	b = keyInt(b, "banks", k.spec.Banks)
+	b = keyInt(b, "capacity", k.spec.CapacityBytes)
+	b = keyInt(b, "cells", int(k.spec.Cells))
+	b = keyInt(b, "periphery", int(k.spec.Periphery))
+	b = keyBool(b, "nuca", k.spec.NUCA)
+	b = keyInt(b, "ecc", k.spec.ECCSegment)
+	b = keyInt(b, "kind", int(k.spec.Kind))
+	b = keyBool(b, "prefetch", k.spec.Prefetch)
+	b = keyString(b, "bench", k.bench)
+	b = append(strconv.AppendInt(append(b, "seed "...), k.seed, 10), '\n')
+	return append(strconv.AppendUint(append(b, "instr "...), k.instr, 10), '\n')
 }
 
+// keyString, keyInt and keyBool append one "name value" line of the
+// canonical key.
+func keyString(b []byte, name, v string) []byte {
+	b = append(append(b, name...), ' ')
+	return append(append(b, v...), '\n')
+}
+
+func keyInt(b []byte, name string, v int) []byte {
+	b = append(append(b, name...), ' ')
+	return append(strconv.AppendInt(b, int64(v), 10), '\n')
+}
+
+func keyBool(b []byte, name string, v bool) []byte {
+	b = append(append(b, name...), ' ')
+	return append(strconv.AppendBool(b, v), '\n')
+}
+
+// canonical is the canonical key as a string.
+func (k runKey) canonical() string { return string(k.appendCanonical(nil)) }
+
 // digest content-addresses the key: the SHA-256 of its canonical form,
-// in lowercase hex — the shape runcache.Store requires.
+// in lowercase hex — the shape runcache.Store requires. The rendering
+// and the hash use stack buffers; the returned string is the one
+// allocation.
 func (k runKey) digest() string {
-	sum := sha256.Sum256([]byte(k.canonical()))
-	return hex.EncodeToString(sum[:])
+	var buf [512]byte
+	sum := sha256.Sum256(k.appendCanonical(buf[:0]))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // The cache payload is a fixed-layout binary record, every integer
@@ -222,32 +239,79 @@ func (r *recordReader) u64() uint64 {
 
 func (r *recordReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// diskGet consults the disk cache for key. A hit returns the decoded
-// result; an envelope-valid entry whose payload fails to decode counts
-// corrupt and reads as a miss.
-func (r *Runner) diskGet(key runKey) (RunResult, bool) {
-	d := key.digest()
-	payload, ok := r.disk.Get(d)
+// diskGet consults the disk cache for the entry filed under digest. A
+// hit returns the decoded result; an envelope-valid entry whose payload
+// fails to decode counts corrupt and reads as a miss.
+func (r *Runner) diskGet(digest string) (RunResult, bool) {
+	payload, ok := r.disk.Get(digest)
 	if !ok {
 		return RunResult{}, false
 	}
-	res, ok := decodeResult(d, payload)
+	res, ok := decodeResult(digest, payload)
 	if !ok {
-		r.disk.NoteCorrupt(d)
+		r.disk.NoteCorrupt(digest)
 		return RunResult{}, false
 	}
 	return res, true
 }
 
-// diskPut writes a finished run back to the disk cache. Best-effort: a
-// failed write costs a future recompute, not this sweep — the store
-// counts it (runcache/write_errors) and the run's result stands.
-func (r *Runner) diskPut(key runKey, res RunResult) {
-	d := key.digest()
-	payload, err := encodeResult(d, res)
+// diskPut writes a finished run back to the disk cache under digest.
+// Best-effort: a failed write costs a future recompute, not this sweep —
+// the store counts it (runcache/write_errors) and the run's result
+// stands.
+func (r *Runner) diskPut(digest string, res RunResult) {
+	payload, err := encodeResult(digest, res)
 	if err != nil {
-		r.disk.NoteCorrupt(d)
+		r.disk.NoteCorrupt(digest)
 		return
 	}
-	_ = r.disk.Put(d, payload)
+	_ = r.disk.Put(digest, payload)
+}
+
+// setGet serves every job from the disk cache's run set for the jobs'
+// digests, in order, and reports whether it did. The set is taken only
+// whole: every record must decode against its own job's digest, or the
+// store counts the set corrupt and no job is served from it.
+func (r *Runner) setGet(jobs []job) bool {
+	digests := jobDigests(jobs)
+	res := make([]RunResult, len(jobs))
+	_, ok := r.disk.GetSet(digests, func(i int, payload []byte) bool {
+		var ok bool
+		res[i], ok = decodeResult(digests[i], payload)
+		return ok
+	})
+	if !ok {
+		return false
+	}
+	for i := range jobs {
+		j := &jobs[i]
+		j.c.res = res[i]
+		r.mx.diskHits.Inc()
+		r.publish(j.key, j.c)
+	}
+	return true
+}
+
+// setPut writes the finished jobs' results as their run set.
+// Best-effort, like diskPut: a failed write leaves the next rerun on
+// the per-entry path.
+func (r *Runner) setPut(jobs []job) {
+	payloads := make([][]byte, len(jobs))
+	for i, j := range jobs {
+		p, err := encodeResult(j.digest, j.c.res)
+		if err != nil {
+			return
+		}
+		payloads[i] = p
+	}
+	_ = r.disk.PutSet(jobDigests(jobs), payloads)
+}
+
+// jobDigests lists the jobs' key digests in order.
+func jobDigests(jobs []job) []string {
+	digests := make([]string, len(jobs))
+	for i := range jobs {
+		digests[i] = jobs[i].digest
+	}
+	return digests
 }

@@ -357,6 +357,15 @@ func TestRunKeyDigestGolden(t *testing.T) {
 	}
 }
 
+// TestRunKeyDigestAllocs: a digest renders and hashes its key in stack
+// buffers; the returned string is its one allocation.
+func TestRunKeyDigestAllocs(t *testing.T) {
+	k := runKey{spec: DESCZero(), bench: "Water-NSquared", seed: 1, instr: 3_000}
+	if n := testing.AllocsPerRun(100, func() { _ = k.digest() }); n > 1 {
+		t.Errorf("digest allocates %v times per call, want at most 1", n)
+	}
+}
+
 // TestShardCountInvariance is the acceptance gate for sharded execution:
 // for the full experiment suite's demand plan, executing with 1, 2, and 4
 // share-nothing shards (separate cache dirs), merging the shard caches,

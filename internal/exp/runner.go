@@ -236,24 +236,39 @@ func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Prof
 	r.calls[key] = c
 	r.mu.Unlock()
 
-	if !r.diskHit(key, c) {
-		r.simulate(ctx, key, c, prof, nil)
+	j := job{key: key, c: c, prof: prof}
+	if r.disk != nil {
+		j.digest = key.digest()
+	}
+	if !r.diskHit(&j) {
+		r.simulate(ctx, &j)
 	}
 	r.publish(key, c)
 	return c.res, c.err
 }
 
-// diskHit fills c from the disk cache and reports whether key was there.
-// Callers consult it outside the worker semaphore: a hit is a file read
-// and must not queue behind in-flight simulations.
-func (r *Runner) diskHit(key runKey, c *call) bool {
+// job is one run a Runner has claimed: its key, the key's digest when
+// the Runner has a disk cache, the call it fills, and the profile and
+// Execute group it simulates with (grp is nil outside a group).
+type job struct {
+	key    runKey
+	digest string
+	c      *call
+	prof   workload.Profile
+	grp    *runGroup
+}
+
+// diskHit fills j's call from the disk cache and reports whether j's key
+// was there. Callers consult it outside the worker semaphore: a hit is a
+// file read and must not queue behind in-flight simulations.
+func (r *Runner) diskHit(j *job) bool {
 	if r.disk == nil {
 		return false
 	}
-	res, ok := r.diskGet(key)
+	res, ok := r.diskGet(j.digest)
 	if ok {
 		r.mx.diskHits.Inc()
-		c.res = res
+		j.c.res = res
 	}
 	return ok
 }
@@ -269,10 +284,12 @@ func (r *Runner) publish(key runKey, c *call) {
 	close(c.done)
 }
 
-// simulate runs key's spec over prof in a worker slot and writes the
-// outcome to c and the disk cache. A run of an Execute group reads the
-// group's generator and stream record; any other run generates privately.
-func (r *Runner) simulate(ctx context.Context, key runKey, c *call, prof workload.Profile, grp *runGroup) {
+// simulate runs j's spec over its profile in a worker slot and writes
+// the outcome to j's call and the disk cache. A run of an Execute group
+// reads the group's generator and stream record; any other run generates
+// privately.
+func (r *Runner) simulate(ctx context.Context, j *job) {
+	c := j.c
 	select {
 	case r.sem <- struct{}{}:
 		defer func() { <-r.sem }()
@@ -283,26 +300,26 @@ func (r *Runner) simulate(ctx context.Context, key runKey, c *call, prof workloa
 	if c.err = ctx.Err(); c.err != nil {
 		return
 	}
-	d := Demand{Spec: key.spec, Bench: prof.Name}
+	d := Demand{Spec: j.key.spec, Bench: j.prof.Name}
 	r.mx.runsStarted.Inc()
 	if r.obs != nil {
 		r.obs.RunStarted(d)
 	}
 	var gen *workload.Generator
 	var streams cpusim.StreamSource
-	if grp != nil {
-		gen, streams = grp.open(prof, r.opt.Seed)
+	if j.grp != nil {
+		gen, streams = j.grp.open(j.prof, r.opt.Seed)
 	} else {
-		gen = workload.NewGenerator(prof, r.opt.Seed)
+		gen = workload.NewGenerator(j.prof, r.opt.Seed)
 		streams = cpusim.Streams(gen)
 	}
-	c.res, c.err = Simulate(ctx, key.spec, gen, streams, r.opt.InstrPerContext, r.reg)
+	c.res, c.err = Simulate(ctx, j.key.spec, gen, streams, r.opt.InstrPerContext, r.reg)
 	if c.err != nil {
 		r.mx.runsFailed.Inc()
 	} else {
 		r.mx.runsDone.Inc()
 		if r.disk != nil {
-			r.diskPut(key, c.res)
+			r.diskPut(j.digest, c.res)
 		}
 	}
 	if r.obs != nil {
@@ -342,32 +359,31 @@ func (g *runGroup) open(prof workload.Profile, seed int64) (*workload.Generator,
 // partition is a pure function of the demand list — and then executes
 // only the entries at plan positions ≡ i (mod n).
 //
-// Execute consults the disk cache for every run at once, then dispatches
-// the runs left to simulate one benchmark group at a time: groups in order
-// of first appearance, runs in plan order within a group, each taken by
-// the next free of at most jobs workers. The runs of a group with two or
-// more share one stream record, so a sweep generates each access stream
-// once. A group is open from its first run's start to its last run's end,
-// and in-order dispatch keeps at most jobs groups open, so at most jobs
-// records are alive: each goes when its group's last run drops it.
+// With a disk cache, an unsharded Execute that claims two or more runs
+// first asks for their run set: one file holding every claimed run's
+// record, which serves the whole plan with one read. Without a valid set
+// it consults the cache's entries for every run at once and, once every
+// run has succeeded, writes the set for the next rerun. It then
+// dispatches the runs left to simulate one benchmark group at a time:
+// groups in order of first appearance, runs in plan order within a group,
+// each taken by the next free of at most jobs workers. The runs of a
+// group with two or more share one stream record, so a sweep generates
+// each access stream once. A group is open from its first run's start to
+// its last run's end, and in-order dispatch keeps at most jobs groups
+// open, so at most jobs records are alive: each goes when its group's
+// last run drops it.
 func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
-	type job struct {
-		key  runKey
-		c    *call
-		prof workload.Profile
-		grp  *runGroup
-	}
 	seen := map[runKey]bool{}
 	var jobs []job
 	for _, d := range demands {
-		prof, ok := workload.ByName(d.Bench)
-		if !ok {
-			return fmt.Errorf("exp: demand names unknown benchmark %q", d.Bench)
-		}
 		key := r.key(d.Spec, d.Bench)
 		if seen[key] {
 			r.mx.dedupSkips.Inc()
 			continue
+		}
+		prof, ok := workload.ByName(d.Bench)
+		if !ok {
+			return fmt.Errorf("exp: demand names unknown benchmark %q", d.Bench)
 		}
 		planPos := len(seen)
 		seen[key] = true
@@ -397,13 +413,22 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 
 	var wg sync.WaitGroup
 	hit := make([]bool, len(jobs))
+	// An unsharded plan of two or more runs is served whole from its run
+	// set when a valid one exists (DESIGN.md §16).
+	useSet := r.disk != nil && len(jobs) >= 2 && r.shardCount == 1
 	if r.disk != nil {
+		for i := range jobs {
+			jobs[i].digest = jobs[i].key.digest()
+		}
+		if useSet && r.setGet(jobs) {
+			return nil
+		}
 		for i := range jobs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				j := &jobs[i]
-				if hit[i] = r.diskHit(j.key, j.c); hit[i] {
+				if hit[i] = r.diskHit(j); hit[i] {
 					r.publish(j.key, j.c)
 				}
 			}()
@@ -440,7 +465,7 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 		go func() {
 			defer wg.Done()
 			for j := range queue {
-				r.simulate(ctx, j.key, j.c, j.prof, j.grp)
+				r.simulate(ctx, j)
 				r.publish(j.key, j.c)
 				j.grp = nil // a group's record goes with its last run
 			}
@@ -451,6 +476,9 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 		if j.c.err != nil {
 			return j.c.err
 		}
+	}
+	if useSet {
+		r.setPut(jobs)
 	}
 	return nil
 }

@@ -21,15 +21,30 @@
 // write byte-identical files, which is what makes shard merges and
 // byte-level cache comparisons meaningful.
 //
+// A run set (GetSet/PutSet) is one file holding the payloads of an
+// ordered list of keys, so a caller that needs a whole plan back opens
+// one file instead of one per key. Sets live under sets/, named by the
+// SHA-256 of their key list, in the same envelope with magic
+// "desc-runset"; the body lists every record's key beside its payload:
+//
+//	uvarint count
+//	count × (uvarint keyLen, key, uvarint payloadLen, payload)
+//
+// Sets are a read-side copy: loose entries stay the source of truth, and
+// Keys, ImportDir and Stats.Entries never see a set.
+//
 // Hit/miss/write/corrupt counters surface through internal/metrics under
 // the "runcache/" prefix, so CLIs and the descserve /metrics endpoint
 // report cache effectiveness for free.
 package runcache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,6 +61,13 @@ const (
 	version = 1
 	// entryExt suffixes every cache entry file.
 	entryExt = ".rc"
+	// setMagic, setDir and setExt mark run-set files apart from entries.
+	setMagic = "desc-runset"
+	setDir   = "sets"
+	setExt   = ".rcs"
+	// maxHeader bounds an envelope's first line; the longest valid one
+	// is under 110 bytes.
+	maxHeader = 128
 )
 
 // Store is one cache directory. Safe for concurrent use by any number of
@@ -64,8 +86,10 @@ type storeMetrics struct {
 	misses      *metrics.Counter // Get found no entry
 	writes      *metrics.Counter // Put landed an entry
 	writeErrors *metrics.Counter // Put failed (disk full, permissions)
-	corrupt     *metrics.Counter // invalid entries encountered (and skipped)
+	corrupt     *metrics.Counter // invalid entries or sets encountered (and skipped)
 	imported    *metrics.Counter // entries copied in by ImportDir
+	setHits     *metrics.Counter // GetSet served from a valid set
+	setWrites   *metrics.Counter // PutSet landed a set
 }
 
 // Stats is a point-in-time reading of a Store's counters.
@@ -77,6 +101,8 @@ type Stats struct {
 	WriteErrors uint64 `json:"write_errors"`
 	Corrupt     uint64 `json:"corrupt"`
 	Imported    uint64 `json:"imported"`
+	SetHits     uint64 `json:"set_hits"`
+	SetWrites   uint64 `json:"set_writes"`
 	Entries     int    `json:"entries"`
 }
 
@@ -102,6 +128,8 @@ func Open(dir string, reg *metrics.Registry) (*Store, error) {
 			writeErrors: reg.Counter("runcache/write_errors"),
 			corrupt:     reg.Counter("runcache/corrupt"),
 			imported:    reg.Counter("runcache/imported"),
+			setHits:     reg.Counter("runcache/set_hits"),
+			setWrites:   reg.Counter("runcache/set_writes"),
 		},
 	}, nil
 }
@@ -138,62 +166,43 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+entryExt)
 }
 
-// encode wraps payload in the versioned envelope. The output is a pure
-// function of the payload, byte for byte.
-func encode(payload []byte) []byte {
+// appendHeader appends the envelope's first line for payload under
+// magic to b.
+func appendHeader(b []byte, magic string, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	header := magic + " " + strconv.Itoa(version) +
-		" sha256:" + hex.EncodeToString(sum[:]) +
-		" " + strconv.Itoa(len(payload)) + "\n"
-	out := make([]byte, 0, len(header)+len(payload))
-	out = append(out, header...)
+	b = append(b, magic...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, version, 10)
+	b = append(b, " sha256:"...)
+	b = hex.AppendEncode(b, sum[:])
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(payload)), 10)
+	return append(b, '\n')
+}
+
+// encode wraps payload in the versioned envelope. The output is a pure
+// function of (magic, payload), byte for byte.
+func encode(magic string, payload []byte) []byte {
+	out := appendHeader(make([]byte, 0, maxHeader+len(payload)), magic, payload)
 	return append(out, payload...)
 }
 
 // decode validates an envelope and returns its payload. ok is false for
 // any deviation — wrong magic, unknown version, truncation, length or
-// checksum mismatch.
-func decode(data []byte) (payload []byte, ok bool) {
-	nl := -1
+// checksum mismatch — and for any header encode would not have written
+// (a leading zero, uppercase hex), so every accepted file is exactly
+// encode(magic, payload).
+func decode(magic string, data []byte) (payload []byte, ok bool) {
 	// The header is short; cap the scan so a corrupt first line cannot
 	// make us search megabytes for a newline.
-	for i := 0; i < len(data) && i < 128; i++ {
-		if data[i] == '\n' {
-			nl = i
-			break
-		}
-	}
+	nl := bytes.IndexByte(data[:min(len(data), maxHeader)], '\n')
 	if nl < 0 {
 		return nil, false
 	}
-	fields := strings.Split(string(data[:nl]), " ")
-	if len(fields) != 4 || fields[0] != magic {
-		return nil, false
-	}
-	if v, err := strconv.Atoi(fields[1]); err != nil || v != version {
-		return nil, false
-	}
-	sumHex, found := strings.CutPrefix(fields[2], "sha256:")
-	if !found {
-		return nil, false
-	}
-	want, err := hex.DecodeString(sumHex)
-	if err != nil || len(want) != sha256.Size {
-		return nil, false
-	}
-	n, err := strconv.Atoi(fields[3])
-	if err != nil || n < 0 {
-		return nil, false
-	}
 	payload = data[nl+1:]
-	if len(payload) != n {
+	var want [maxHeader]byte
+	if !bytes.Equal(data[:nl+1], appendHeader(want[:0], magic, payload)) {
 		return nil, false
-	}
-	sum := sha256.Sum256(payload)
-	for i := range sum {
-		if sum[i] != want[i] {
-			return nil, false
-		}
 	}
 	return payload, true
 }
@@ -213,7 +222,7 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 		s.mx.misses.Inc()
 		return nil, false
 	}
-	payload, ok = decode(data)
+	payload, ok = decode(magic, data)
 	if !ok {
 		s.mx.corrupt.Inc()
 		s.mx.misses.Inc()
@@ -234,41 +243,44 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.mx.writeErrors.Inc()
 		return fmt.Errorf("runcache: invalid cache key %q", key)
 	}
-	dst := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+	if err := writeAtomic(s.path(key), encode(magic, payload)); err != nil {
 		s.mx.writeErrors.Inc()
-		return fmt.Errorf("runcache: creating entry directory: %w", err)
+		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), key+".tmp*")
+	s.mx.writes.Inc()
+	return nil
+}
+
+// writeAtomic publishes data at dst: it is written to a temp file in
+// dst's directory and renamed into place.
+func writeAtomic(dst string, data []byte) error {
+	dir := filepath.Dir(dst)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("runcache: creating cache subdirectory: %w", err)
+	}
+	tmp, err := os.CreateTemp(dir, filepath.Base(dst)+".tmp*")
 	if err != nil {
-		s.mx.writeErrors.Inc()
-		return fmt.Errorf("runcache: creating temp entry: %w", err)
+		return fmt.Errorf("runcache: creating temp file: %w", err)
 	}
-	data := encode(payload)
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		s.mx.writeErrors.Inc()
-		return fmt.Errorf("runcache: writing entry: %w", err)
+		return fmt.Errorf("runcache: writing cache file: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		s.mx.writeErrors.Inc()
-		return fmt.Errorf("runcache: closing entry: %w", err)
+		return fmt.Errorf("runcache: closing cache file: %w", err)
 	}
 	// CreateTemp's 0600 would make a shared cache dir unreadable to
 	// sibling shard processes running as other users; match MkdirAll.
 	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
 		os.Remove(tmp.Name())
-		s.mx.writeErrors.Inc()
-		return fmt.Errorf("runcache: chmod entry: %w", err)
+		return fmt.Errorf("runcache: chmod cache file: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), dst); err != nil {
 		os.Remove(tmp.Name())
-		s.mx.writeErrors.Inc()
-		return fmt.Errorf("runcache: publishing entry: %w", err)
+		return fmt.Errorf("runcache: publishing cache file: %w", err)
 	}
-	s.mx.writes.Inc()
 	return nil
 }
 
@@ -276,6 +288,124 @@ func (s *Store) Put(key string, payload []byte) error {
 // invalid (the envelope verified, but the decoded content did not). The
 // entry stays on disk — the next Put for the key overwrites it.
 func (s *Store) NoteCorrupt(key string) { s.mx.corrupt.Inc() }
+
+// setPath names the run set of keys: the SHA-256 of the keys in order,
+// each ended by a newline. ok is false for an empty list or an invalid
+// key.
+func (s *Store) setPath(keys []string) (path string, ok bool) {
+	if len(keys) == 0 {
+		return "", false
+	}
+	h := sha256.New()
+	for _, k := range keys {
+		if !validKey(k) {
+			return "", false
+		}
+		h.Write([]byte(k))
+		h.Write([]byte{'\n'})
+	}
+	var name [2 * sha256.Size]byte
+	hex.Encode(name[:], h.Sum(nil))
+	return filepath.Join(s.dir, setDir, string(name[:])+setExt), true
+}
+
+// GetSet returns the payloads of the run set stored for keys, in key
+// order, or ok=false. A set is served only whole: the file must list
+// exactly keys, in order, and accept (nil accepts everything) must take
+// every payload, which lets the caller vet the records before any of
+// them counts. A served set counts one set hit and one hit per key. No
+// file is neither a hit nor a miss — the caller falls back to Get — and
+// an invalid or rejected set counts corrupt once.
+func (s *Store) GetSet(keys []string, accept func(i int, payload []byte) bool) (payloads [][]byte, ok bool) {
+	path, ok := s.setPath(keys)
+	if !ok {
+		return nil, false
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false
+	}
+	payloads, ok = decodeSet(data, keys)
+	for i := 0; ok && accept != nil && i < len(payloads); i++ {
+		ok = accept(i, payloads[i])
+	}
+	if !ok {
+		s.mx.corrupt.Inc()
+		return nil, false
+	}
+	s.mx.setHits.Inc()
+	s.mx.hits.Add(uint64(len(keys)))
+	return payloads, true
+}
+
+// PutSet stores payloads as the run set of keys, atomically, like Put.
+// The file is a pure function of (keys, payloads). Errors are counted
+// and returned; callers may ignore them.
+func (s *Store) PutSet(keys []string, payloads [][]byte) error {
+	path, ok := s.setPath(keys)
+	if !ok || len(payloads) != len(keys) {
+		s.mx.writeErrors.Inc()
+		return fmt.Errorf("runcache: invalid run set of %d keys and %d payloads", len(keys), len(payloads))
+	}
+	n := binary.MaxVarintLen64
+	for i := range keys {
+		n += 2*binary.MaxVarintLen64 + len(keys[i]) + len(payloads[i])
+	}
+	body := binary.AppendUvarint(make([]byte, 0, n), uint64(len(keys)))
+	for i, k := range keys {
+		body = binary.AppendUvarint(body, uint64(len(k)))
+		body = append(body, k...)
+		body = binary.AppendUvarint(body, uint64(len(payloads[i])))
+		body = append(body, payloads[i]...)
+	}
+	if err := writeAtomic(path, encode(setMagic, body)); err != nil {
+		s.mx.writeErrors.Inc()
+		return err
+	}
+	s.mx.setWrites.Inc()
+	return nil
+}
+
+// decodeSet validates a run-set file against the keys it was looked up
+// by and returns its payloads, which alias data. ok is false for an
+// invalid envelope, a record count or key other than keys, a
+// non-minimal uvarint, a length past the end, or trailing bytes — so
+// every accepted file is exactly what PutSet writes for keys.
+func decodeSet(data []byte, keys []string) (payloads [][]byte, ok bool) {
+	body, ok := decode(setMagic, data)
+	if !ok {
+		return nil, false
+	}
+	// next consumes one minimal uvarint-prefixed field of body.
+	next := func() ([]byte, bool) {
+		v, n := binary.Uvarint(body)
+		if n <= 0 || n != uvarintLen(v) || v > uint64(len(body)-n) {
+			return nil, false
+		}
+		field := body[n : n+int(v)]
+		body = body[n+int(v):]
+		return field, true
+	}
+	count, n := binary.Uvarint(body)
+	if n <= 0 || n != uvarintLen(count) || count != uint64(len(keys)) {
+		return nil, false
+	}
+	body = body[n:]
+	payloads = make([][]byte, len(keys))
+	for i, k := range keys {
+		key, ok := next()
+		if !ok || string(key) != k {
+			return nil, false
+		}
+		if payloads[i], ok = next(); !ok {
+			return nil, false
+		}
+	}
+	return payloads, len(body) == 0
+}
+
+// uvarintLen is the length of v's minimal uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Keys lists every entry key in the store, sorted. Invalid file names
 // are skipped. Intended for merges, stats, and tests — O(entries).
@@ -350,6 +480,8 @@ func (s *Store) Stats() Stats {
 		WriteErrors: s.mx.writeErrors.Value(),
 		Corrupt:     s.mx.corrupt.Value(),
 		Imported:    s.mx.imported.Value(),
+		SetHits:     s.mx.setHits.Value(),
+		SetWrites:   s.mx.setWrites.Value(),
 		Entries:     n,
 	}
 }

@@ -62,8 +62,8 @@ func TestGetAbsentIsMiss(t *testing.T) {
 // TestEncodingDeterministic pins that entry bytes are a pure function of
 // the payload: the property that makes shard merges byte-identical.
 func TestEncodingDeterministic(t *testing.T) {
-	a := encode([]byte("payload"))
-	b := encode([]byte("payload"))
+	a := encode(magic, []byte("payload"))
+	b := encode(magic, []byte("payload"))
 	if !bytes.Equal(a, b) {
 		t.Fatal("encode is not deterministic")
 	}

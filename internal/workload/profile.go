@@ -140,17 +140,20 @@ func SPEC() []Profile {
 	}
 }
 
+// byName indexes both suite lists once, the parallel profiles first.
+var byName = func() map[string]Profile {
+	m := map[string]Profile{}
+	for _, p := range append(Parallel(), SPEC()...) {
+		if _, dup := m[p.Name]; !dup {
+			m[p.Name] = p
+		}
+	}
+	return m
+}()
+
 // ByName returns the profile with the given name from either suite list.
+// The profile is a copy: changing it changes no later lookup.
 func ByName(name string) (Profile, bool) {
-	for _, p := range Parallel() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	for _, p := range SPEC() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
+	p, ok := byName[name]
+	return p, ok
 }

@@ -47,6 +47,19 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("nonesuch"); ok {
 		t.Error("ByName accepted unknown name")
 	}
+	for _, want := range append(Parallel(), SPEC()...) {
+		if got, ok := ByName(want.Name); !ok || got != want {
+			t.Errorf("ByName(%s) = %+v, want %+v", want.Name, got, want)
+		}
+	}
+	// Lookups and suite lists hand out copies: changing one changes no
+	// later result.
+	p, _ := ByName("CG")
+	p.ZeroChunkFrac = 0
+	Parallel()[2].ZeroChunkFrac = 0
+	if again, _ := ByName("CG"); again.ZeroChunkFrac == 0 || Parallel()[2].ZeroChunkFrac == 0 {
+		t.Error("changing a returned profile changed a later lookup")
+	}
 }
 
 // TestBlockDataDeterministic: the same address always yields the same
