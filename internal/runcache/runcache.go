@@ -296,16 +296,16 @@ func (s *Store) setPath(keys []string) (path string, ok bool) {
 	if len(keys) == 0 {
 		return "", false
 	}
-	h := sha256.New()
+	list := make([]byte, 0, len(keys)*(len(keys[0])+1))
 	for _, k := range keys {
 		if !validKey(k) {
 			return "", false
 		}
-		h.Write([]byte(k))
-		h.Write([]byte{'\n'})
+		list = append(append(list, k...), '\n')
 	}
+	sum := sha256.Sum256(list)
 	var name [2 * sha256.Size]byte
-	hex.Encode(name[:], h.Sum(nil))
+	hex.Encode(name[:], sum[:])
 	return filepath.Join(s.dir, setDir, string(name[:])+setExt), true
 }
 

@@ -122,7 +122,8 @@ func TestRunSetInvalidIsMiss(t *testing.T) {
 		{"missing-key", encode(setMagic, setBody(2, keys[:2], payloads[:2]))},
 		{"miscounted", encode(setMagic, setBody(2, keys, payloads))},
 		{"trailing-bytes", encode(setMagic, append(bytes.Clone(body), 0))},
-		{"non-minimal-uvarint", encode(setMagic, append([]byte{0x83, 0x00}, body[1:]...))},
+		{"non-minimal-count", encode(setMagic, append([]byte{0x83, 0x00}, body[1:]...))},
+		{"non-minimal-length", encode(setMagic, append([]byte{body[0], 0xc0, 0x00}, body[2:]...))},
 		{"length-past-end", encode(setMagic, body[:len(body)-1])},
 		{"uppercase-checksum", upper},
 	}
