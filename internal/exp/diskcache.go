@@ -275,7 +275,7 @@ func (r *Runner) diskPut(digest string, res RunResult) {
 func (r *Runner) setGet(jobs []job) bool {
 	digests := jobDigests(jobs)
 	res := make([]RunResult, len(jobs))
-	_, ok := r.disk.GetSet(digests, func(i int, payload []byte) bool {
+	ok := r.disk.GetSet(digests, func(i int, payload []byte) bool {
 		var ok bool
 		res[i], ok = decodeResult(digests[i], payload)
 		return ok

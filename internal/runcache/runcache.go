@@ -309,33 +309,34 @@ func (s *Store) setPath(keys []string) (path string, ok bool) {
 	return filepath.Join(s.dir, setDir, string(name[:])+setExt), true
 }
 
-// GetSet returns the payloads of the run set stored for keys, in key
-// order, or ok=false. A set is served only whole: the file must list
-// exactly keys, in order, and accept (nil accepts everything) must take
-// every payload, which lets the caller vet the records before any of
-// them counts. A served set counts one set hit and one hit per key. No
-// file is neither a hit nor a miss — the caller falls back to Get — and
-// an invalid or rejected set counts corrupt once.
-func (s *Store) GetSet(keys []string, accept func(i int, payload []byte) bool) (payloads [][]byte, ok bool) {
+// GetSet serves the run set stored for keys: if the file lists exactly
+// keys, in order, it passes each record's payload to accept, in key
+// order, and reports whether accept took them all. The payloads alias a
+// buffer GetSet does not reuse. A set is served only whole, so the
+// caller can vet every record before any counts: a served set counts one
+// set hit and one hit per key. No file is neither a hit nor a miss — the
+// caller falls back to Get — and an invalid or rejected set counts
+// corrupt once.
+func (s *Store) GetSet(keys []string, accept func(i int, payload []byte) bool) bool {
 	path, ok := s.setPath(keys)
 	if !ok {
-		return nil, false
+		return false
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, false
+		return false
 	}
-	payloads, ok = decodeSet(data, keys)
-	for i := 0; ok && accept != nil && i < len(payloads); i++ {
+	payloads, ok := decodeSet(data, keys)
+	for i := 0; ok && i < len(payloads); i++ {
 		ok = accept(i, payloads[i])
 	}
 	if !ok {
 		s.mx.corrupt.Inc()
-		return nil, false
+		return false
 	}
 	s.mx.setHits.Inc()
 	s.mx.hits.Add(uint64(len(keys)))
-	return payloads, true
+	return true
 }
 
 // PutSet stores payloads as the run set of keys, atomically, like Put.

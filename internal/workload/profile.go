@@ -140,13 +140,11 @@ func SPEC() []Profile {
 	}
 }
 
-// byName indexes both suite lists once, the parallel profiles first.
+// byName indexes both suite lists once.
 var byName = func() map[string]Profile {
 	m := map[string]Profile{}
 	for _, p := range append(Parallel(), SPEC()...) {
-		if _, dup := m[p.Name]; !dup {
-			m[p.Name] = p
-		}
+		m[p.Name] = p
 	}
 	return m
 }()
