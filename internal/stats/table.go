@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -32,20 +33,22 @@ func (t *Table) AddRow(cells ...string) {
 }
 
 // AddRowValues appends a row where the first cell is a label and the rest
-// are formatted by Cell.
+// are formatted by Cell, with AddRow's dropping and padding.
 func (t *Table) AddRowValues(label string, values ...float64) {
-	cells := make([]string, 0, len(values)+1)
-	cells = append(cells, label)
-	for _, v := range values {
-		cells = append(cells, Cell(v))
+	row := make([]string, len(t.Columns))
+	if len(row) > 0 {
+		row[0] = label
 	}
-	t.AddRow(cells...)
+	for i := 1; i < len(row) && i <= len(values); i++ {
+		row[i] = Cell(values[i-1])
+	}
+	t.rows = append(t.rows, row)
 }
 
-// Cell formats one numeric table cell with %.4g, the precision every
-// results table prints.
+// Cell formats one numeric table cell with four significant digits, the
+// precision every results table prints: the bytes fmt's %.4g gives.
 func Cell(v float64) string {
-	return fmt.Sprintf("%.4g", v)
+	return strconv.FormatFloat(v, 'g', 4, 64)
 }
 
 // NumRows returns the number of data rows.
@@ -54,48 +57,55 @@ func (t *Table) NumRows() int { return len(t.rows) }
 // Row returns row i.
 func (t *Table) Row(i int) []string { return t.rows[i] }
 
-// WriteMarkdown renders the table as GitHub-flavored markdown.
+// WriteMarkdown renders the table as GitHub-flavored markdown, every
+// column padded to its widest cell, in one Write.
 func (t *Table) WriteMarkdown(w io.Writer) error {
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "### %s\n\n", t.Title); err != nil {
-			return err
-		}
-	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
 	for _, row := range t.rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	pad := func(s string, n int) string { return s + strings.Repeat(" ", n-len(s)) }
-	cells := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cells[i] = pad(c, widths[i])
+	line := 2
+	for _, n := range widths {
+		line += n + 3
 	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | ")); err != nil {
-		return err
+	b := make([]byte, 0, len(t.Title)+6+line*(len(t.rows)+2)+1)
+	if t.Title != "" {
+		b = append(b, "### "...)
+		b = append(b, t.Title...)
+		b = append(b, "\n\n"...)
 	}
-	for i := range cells {
-		cells[i] = strings.Repeat("-", widths[i])
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | ")); err != nil {
-		return err
-	}
+	b = appendRow(b, t.Columns, widths, ' ')
+	b = appendRow(b, nil, widths, '-')
 	for _, row := range t.rows {
-		for i, c := range row {
-			cells[i] = pad(c, widths[i])
+		b = appendRow(b, row, widths, ' ')
+	}
+	b = append(b, '\n')
+	_, err := w.Write(b)
+	return err
+}
+
+// appendRow appends one markdown table line: each cell (empty past the
+// end of cells) followed by fill up to its column's width.
+func appendRow(b []byte, cells []string, widths []int, fill byte) []byte {
+	b = append(b, "| "...)
+	for i, n := range widths {
+		if i > 0 {
+			b = append(b, " | "...)
 		}
-		if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | ")); err != nil {
-			return err
+		if i < len(cells) {
+			b = append(b, cells[i]...)
+			n -= len(cells[i])
+		}
+		for ; n > 0; n-- {
+			b = append(b, fill)
 		}
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	return append(b, " |\n"...)
 }
 
 // WriteCSV renders the table as CSV with a header row. Cells containing
