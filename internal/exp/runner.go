@@ -86,9 +86,12 @@ type Runner struct {
 	mu    sync.Mutex
 	calls map[runKey]*call
 
-	// planning makes this a planning Runner (see planOf): RunOne only
-	// appends each request to plan and returns standIn.
+	// planning makes this a planning Runner (see planOf and Run): RunOne
+	// returns backing's finished result for a key backing holds, and
+	// otherwise appends the request to plan and returns standIn. backing
+	// is nil when planning from nothing.
 	planning bool
+	backing  *Runner
 	plan     []Demand
 }
 
@@ -214,13 +217,16 @@ func (r *Runner) key(spec SystemSpec, bench string) runKey {
 // retry; cancellation via ctx returns ctx.Err() without waiting for the
 // underlying simulation.
 func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Profile) (RunResult, error) {
+	key := r.key(spec, prof.Name)
 	if r.planning {
+		if res, ok := r.backing.held(key); ok {
+			return res, nil
+		}
 		r.plan = append(r.plan, Demand{Spec: spec, Bench: prof.Name})
 		res := standIn
 		res.Bench = prof.Name
 		return res, nil
 	}
-	key := r.key(spec, prof.Name)
 	r.mu.Lock()
 	if c, ok := r.calls[key]; ok {
 		r.mu.Unlock()
@@ -245,6 +251,32 @@ func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Prof
 	}
 	r.publish(key, c)
 	return c.res, c.err
+}
+
+// held returns r's result for key if r has finished it, without waiting:
+// a key that is absent, still in flight or failed is not held, and a nil
+// Runner holds nothing. A held result counts one cache join, as RunOne
+// serving it would.
+func (r *Runner) held(key runKey) (RunResult, bool) {
+	if r == nil {
+		return RunResult{}, false
+	}
+	r.mu.Lock()
+	c, ok := r.calls[key]
+	r.mu.Unlock()
+	if !ok {
+		return RunResult{}, false
+	}
+	select {
+	case <-c.done:
+	default:
+		return RunResult{}, false
+	}
+	if c.err != nil { // failed after the lookup; publish has evicted it
+		return RunResult{}, false
+	}
+	r.mx.cacheJoins.Inc()
+	return c.res, true
 }
 
 // job is one run a Runner has claimed: its key, the key's digest when
@@ -483,14 +515,21 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 	return nil
 }
 
-// Run plans and renders one experiment: its demand set executes on the
-// worker pool first, then the experiment's Run phase renders tables from
-// the warmed cache.
+// Run renders one experiment. A simulating experiment first renders on
+// a planning view of r, which reads the runs r has finished; if that
+// render lacked none, its tables are the answer. Otherwise the
+// experiment's demand set executes on the worker pool, and its Run phase
+// renders tables from the warmed cache.
 func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) {
-	if e.Demands != nil {
-		if err := r.Execute(ctx, e.Demands(r.opt)); err != nil {
-			return nil, err
-		}
+	if e.Demands == nil {
+		return e.Run(ctx, r)
+	}
+	view := &Runner{opt: r.opt, planning: true, backing: r}
+	if tables, err := e.Run(ctx, view); len(view.plan) == 0 {
+		return tables, err
+	}
+	if err := r.Execute(ctx, e.Demands(r.opt)); err != nil {
+		return nil, err
 	}
 	return e.Run(ctx, r)
 }
@@ -511,12 +550,13 @@ var standIn = RunResult{
 }
 
 // planOf derives an experiment's demand set from its render phase: it
-// dry-runs run on a planning Runner, which records every RunOne request
-// without simulating, and returns the requests deduplicated in
-// first-occurrence order. The planning Runner never touches a cache, the
-// worker pool, an observer, metrics or the disk. If the dry render fails,
-// planOf returns what it recorded; the real render then computes the
-// remaining runs inline.
+// dry-runs run on a planning Runner with no backing Runner, which records
+// every RunOne request without simulating, and returns the requests
+// deduplicated in first-occurrence order. A planning Runner never blocks
+// and never touches the disk, the worker pool, an observer or metrics,
+// save the cache join its backing Runner counts for a held result. If the
+// dry render fails, planOf returns what it recorded; the real render then
+// computes the remaining runs inline.
 func planOf(run func(context.Context, *Runner) ([]*stats.Table, error), opt Options) []Demand {
 	r := &Runner{opt: opt.WithDefaults(), planning: true}
 	_, _ = run(context.Background(), r)
