@@ -94,13 +94,14 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
 ## bench-quick: the Send hot-path, per-experiment figure (fresh runner,
-## sims/op), runner cold/warm-disk-cache, simulator set-up, simulator
+## sims/op), runner cold/warm-disk-cache, warm sweep-figure render
+## (renders/op), simulator set-up, simulator
 ## throughput, hierarchy per-access (ns/access) and DESC lane-max fold
 ## (MaxNibble/MaxByte at 2- and 8-word rounds) benchmarks with
 ## allocation counts, written to bench-quick.txt (CI uploads it as an
 ## artifact so every PR carries a ns/op and allocs/op record)
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|Setup|SimulatorThroughput|HierarchyAccess|MaxNibble|MaxByte' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil | tee bench-quick.txt
+	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|RunnerRun|Setup|SimulatorThroughput|HierarchyAccess|MaxNibble|MaxByte' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil | tee bench-quick.txt
 
 ## bench-ab: isolated A/B of go test benchmarks: builds the test binary
 ## of BASE (a git revision, exported into the ignored .bench_build/) and

@@ -19,6 +19,7 @@ import (
 	"desc/internal/exp"
 	"desc/internal/metrics"
 	"desc/internal/runcache"
+	"desc/internal/stats"
 	"desc/internal/workload"
 )
 
@@ -121,6 +122,75 @@ func BenchmarkRunnerExecute(b *testing.B) {
 	}
 	b.Run("warm-disk", func(b *testing.B) { warm(b, false) })
 	b.Run("warm-entries", func(b *testing.B) { warm(b, true) })
+}
+
+// BenchmarkRunnerRun prices a warm rerun of the six sweep figures the way
+// descbench renders them: each iteration builds a fresh Runner on a warm
+// cache directory, executes the figures' union plan and then Runs each
+// figure. renders/op counts every render of a figure, dry or real (a
+// Demands call is one dry render); a Runner that holds its figures' runs
+// renders each once. The runs are short (500 instructions per context):
+// a warm iteration simulates nothing, so their length only sets the cost
+// of warming the cache once.
+func BenchmarkRunnerRun(b *testing.B) {
+	opt := exp.Options{Quick: true, InstrPerContext: 500, Seed: 1}
+	exps, err := exp.ByIDs([]string{"fig14", "fig15", "fig22", "fig25", "fig26", "fig27"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var plan []exp.Demand
+	for _, e := range exps {
+		plan = append(plan, e.Demands(opt.WithDefaults())...)
+	}
+	var renders int
+	for i := range exps {
+		run, demands := exps[i].Run, exps[i].Demands
+		exps[i].Run = func(ctx context.Context, r *exp.Runner) ([]*stats.Table, error) {
+			renders++
+			return run(ctx, r)
+		}
+		exps[i].Demands = func(opt exp.Options) []exp.Demand {
+			renders++
+			return demands(opt)
+		}
+	}
+	pass := func(b *testing.B, dir string, reg *metrics.Registry) {
+		b.Helper()
+		store, err := runcache.Open(dir, reg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := exp.NewRunner(opt, exp.DiskCache(store), exp.WithMetrics(reg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := r.Execute(ctx, plan); err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range exps {
+			if _, err := r.Run(ctx, e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+
+	b.Run("warm", func(b *testing.B) {
+		dir := b.TempDir()
+		pass(b, dir, nil) // warm the cache once, outside the timer
+		reg := metrics.NewRegistry()
+		renders = 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass(b, dir, reg)
+		}
+		b.StopTimer()
+		if runs := reg.Counter("exp/runs_started").Value(); runs != 0 {
+			b.Fatalf("warm pass performed %d simulator runs, want 0", runs)
+		}
+		b.ReportMetric(float64(renders)/float64(b.N), "renders/op")
+	})
 }
 
 // --- Send micro-benchmarks: the per-block hot path of every scheme. ---
