@@ -1,6 +1,9 @@
 package workload
 
-import "sync"
+import (
+	"encoding/binary"
+	"sync"
+)
 
 // chunkBits is the chunk granularity at which value statistics are
 // calibrated (the paper's Figures 12/13 use the 4-bit DESC interface).
@@ -334,18 +337,17 @@ const (
 	zeroProbCap = 0.95
 )
 
-// lowNibble draws a non-zero nibble biased toward small values (the min of
-// two uniform draws over 1..15), matching the decaying non-zero value
+// mod15 holds i % 15 for every byte i. A non-zero chunk value is biased
+// toward small values, the min of two uniform draws over 1..15 (one from
+// each byte of the value draw), matching the decaying non-zero value
 // distribution of real L2 traffic: the paper reports an average
 // transmitted chunk value of about five under zero skipping (Section 5.3).
-func lowNibble(draw uint16) byte {
-	a := byte(draw&0xFF) % 15
-	b := byte(draw>>8) % 15
-	if b < a {
-		a = b
+var mod15 = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = uint8(i % 15)
 	}
-	return a + 1
-}
+	return t
+}()
 
 // fix16 converts a probability to 16-bit fixed point for hash-draw
 // comparisons.
@@ -377,62 +379,62 @@ func (g *Generator) FillBlockData(addr uint64, block []byte) {
 	copy(block, buf[:])
 }
 
-// genBlock synthesizes the block at addr into buf. Each drawn chunk takes
-// one 64-bit hash and uses its low 32 bits (two 16-bit draws: the
-// zero-chain draw and the value draw).
+// genBlock synthesizes the block at addr into buf, one 64-bit word at a
+// time. Each word after the first takes one draw that repeats the
+// previous word, complements it or leaves it fresh. Each chunk of a fresh
+// word takes one 64-bit hash and uses its low 32 bits: the zero-chain
+// draw and the value draw, 16 bits each. A chunk is zero when its
+// zero-chain draw falls below the threshold (the run threshold after a
+// zero chunk, else its offset group's entry threshold); otherwise it is
+// the position's pattern value when the value draw falls below psCond,
+// else the low-biased nibble of the value draw. Pattern values and
+// nibbles are never zero, so a chunk is zero exactly when its zero draw
+// says so.
+//
+// The chunk draws are branch-free: comparisons of 16-bit draws are the
+// sign bit of their 32-bit difference, and selections are masks.
 //
 //desclint:hotpath
 func (g *Generator) genBlock(addr uint64, buf *[64]byte) {
-	const chunksPerBlock = 512 / chunkBits
 	const chunksPerWord = 64 / chunkBits
 
-	qz := zeroRunThresh
-	p0Lo, p0Hi, psCond := g.p0Lo, g.p0Hi, g.psCond
+	var kind [8]uint16 // word w's structure draw; word 0 is always fresh
+	for w := 1; w < len(kind); w++ {
+		kind[w] = uint16(mix(g.seed ^ mix(addr+uint64(w*chunksPerWord)*0x9E6C63D0876A9A63)))
+	}
+	qz := uint32(zeroRunThresh)
+	p0Lo, p0Hi, psCond := uint32(g.p0Lo), uint32(g.p0Hi), uint32(g.psCond)
 
-	prevZero := false
-	for c := 0; c < chunksPerBlock; c++ {
-		// Word structure: decided once per word from its own draw —
-		// repeat the previous word, complement it, or draw fresh.
-		if c%chunksPerWord == 0 && c > 0 {
-			wh := mix(g.seed ^ mix(addr+uint64(c)*0x9E6C63D0876A9A63))
-			if d := uint16(wh); d < wordComplThresh {
-				if d < wordRepeatThresh {
-					copy(buf[c/2:c/2+8], buf[c/2-8:c/2])
-				} else {
-					for i := 0; i < 8; i++ {
-						buf[c/2+i] = ^buf[c/2-8+i]
-					}
-				}
-				c += chunksPerWord - 1
-				prevZero = buf[(c)/2]>>(4*uint(c%2))&0xF == 0
-				continue
+	var word uint64       // the previous word
+	prevZero := uint32(0) // 1 when the previous chunk is zero
+	for w, d := range kind {
+		if w > 0 && d < wordComplThresh {
+			if d >= wordRepeatThresh {
+				word = ^word
 			}
+			binary.LittleEndian.PutUint64(buf[8*w:], word)
+			prevZero = uint32(word>>60-1) >> 31
+			continue
 		}
-		h := mix(g.seed ^ mix(addr+uint64(c)*0x632BE59BD9B4E019))
-		zdraw := uint16(h)
-		vdraw := uint16(h >> 16)
-		var v byte
-		zThresh := p0Lo
-		if c%16 >= 12 {
-			zThresh = p0Hi
+		c := w * chunksPerWord
+		pats := (*[chunksPerWord]byte)(g.patterns[c : c+chunksPerWord])
+		word = 0
+		for j := 0; j < chunksPerWord; j++ {
+			h := mix(g.seed ^ mix(addr+uint64(c+j)*0x632BE59BD9B4E019))
+			zdraw, vdraw := uint32(uint16(h)), uint32(uint16(h>>16))
+			zt := p0Lo
+			if j >= 12 {
+				zt = p0Hi
+			}
+			zt ^= (zt ^ qz) & -prevZero // qz after a zero chunk
+			zero := (zdraw - zt) >> 31  // zdraw < zt
+			a, b := uint32(mod15[uint8(vdraw)]), uint32(mod15[uint8(vdraw>>8)])
+			low := a ^ (a^b)&-((b-a)>>31) + 1                      // min(a, b) + 1
+			v := low ^ (low^uint32(pats[j]))&-((vdraw-psCond)>>31) // the pattern if vdraw < psCond
+			word |= uint64(v&(zero-1)) << (chunkBits * j)
+			prevZero = zero
 		}
-		if prevZero {
-			zThresh = qz
-		}
-		switch {
-		case zdraw < zThresh:
-			v = 0
-		case vdraw < psCond:
-			v = g.patterns[c]
-		default:
-			v = lowNibble(vdraw)
-		}
-		prevZero = v == 0
-		if c%2 == 0 {
-			buf[c/2] = v
-		} else {
-			buf[c/2] |= v << 4
-		}
+		binary.LittleEndian.PutUint64(buf[8*w:], word)
 	}
 }
 

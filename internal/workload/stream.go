@@ -180,28 +180,42 @@ func (r *streamRecord) extend() {
 // streamGen generates one context's accesses: the sequence every Stream
 // of that context replays.
 type streamGen struct {
-	g       *Generator
 	rng     *rand.Rand
-	ctx     int
-	nctx    int
 	n       int // accesses generated
 	seqPtr  uint64
 	strPtr  uint64
-	meanGap float64
 	recent  [reuseWindow]uint64
 	nRecent int
 	wRecent int
+
+	// The per-run constants next reads, from the profile and the
+	// context's region layout.
+	meanGap                float64
+	writeFrac, sharedFrac  float64
+	seqFrac, seqStridedEnd float64 // seqStridedEnd = SeqFrac + StridedFrac
+	stride                 uint64
+	sharedSize             uint64
+	privateBase            uint64
+	privateSize            uint64
 }
 
 // newStreamGen returns the generator of context ctx of nctx (nctx > 0).
 func newStreamGen(g *Generator, ctx, nctx int) *streamGen {
+	p := &g.prof
 	s := &streamGen{
-		g:    g,
-		rng:  rand.New(rand.NewSource(int64(mix(g.seed + uint64(ctx)*7919)))),
-		ctx:  ctx,
-		nctx: nctx,
+		rng:           rand.New(rand.NewSource(int64(mix(g.seed + uint64(ctx)*7919)))),
+		writeFrac:     p.WriteFrac,
+		sharedFrac:    p.SharedFrac,
+		seqFrac:       p.SeqFrac,
+		seqStridedEnd: p.SeqFrac + p.StridedFrac,
+		stride:        max(uint64(p.StrideBytes), 64),
+		privateBase:   uint64(ctx+1) << 40,
 	}
-	refs := g.prof.MemRefsPerKInstr
+	// Region layout: the shared region holds a quarter of the working
+	// set; the remainder is split evenly among contexts.
+	s.sharedSize = max(uint64(p.WorkingSetBytes)/4, 64) &^ 63
+	s.privateSize = max((uint64(p.WorkingSetBytes)-s.sharedSize)/uint64(nctx), 4096) &^ 63
+	refs := p.MemRefsPerKInstr
 	if refs <= 0 {
 		refs = 250
 	}
@@ -209,45 +223,23 @@ func newStreamGen(g *Generator, ctx, nctx int) *streamGen {
 	if s.meanGap < 0 {
 		s.meanGap = 0
 	}
-	s.seqPtr = s.privateBase() + uint64(s.rng.Intn(1024))*64
-	s.strPtr = s.privateBase() + uint64(s.rng.Intn(1024))*64
+	s.seqPtr = s.privateBase + uint64(s.rng.Intn(1024))*64
+	s.strPtr = s.privateBase + uint64(s.rng.Intn(1024))*64
 	return s
 }
 
-// Region layout: the shared region holds a quarter of the working set; the
-// remainder is split evenly among contexts.
+// sharedBase is the start of the region every context shares.
 const sharedBase = uint64(1) << 50
-
-func (s *streamGen) sharedSize() uint64 {
-	sz := uint64(s.g.prof.WorkingSetBytes) / 4
-	if sz < 64 {
-		sz = 64
-	}
-	return sz &^ 63
-}
-
-func (s *streamGen) privateSize() uint64 {
-	sz := (uint64(s.g.prof.WorkingSetBytes) - s.sharedSize()) / uint64(s.nctx)
-	if sz < 4096 {
-		sz = 4096
-	}
-	return sz &^ 63
-}
-
-func (s *streamGen) privateBase() uint64 {
-	return uint64(s.ctx+1) << 40
-}
 
 // next generates the context's next memory reference.
 func (s *streamGen) next() Access {
 	s.n++
-	p := s.g.prof
 	var a Access
 	// Geometric-ish gap with the profile's memory intensity.
 	if s.meanGap > 0 {
 		a.Gap = int(s.rng.ExpFloat64() * s.meanGap)
 	}
-	a.Write = s.rng.Float64() < p.WriteFrac
+	a.Write = s.rng.Float64() < s.writeFrac
 
 	// Temporal reuse: revisit a recent address (different word of the
 	// same or a nearby block), modeling the register/block-level reuse
@@ -257,28 +249,22 @@ func (s *streamGen) next() Access {
 		return a
 	}
 
-	shared := p.SharedFrac > 0 && s.rng.Float64() < p.SharedFrac
-	var base, size uint64
+	shared := s.sharedFrac > 0 && s.rng.Float64() < s.sharedFrac
+	base, size := s.privateBase, s.privateSize
 	if shared {
-		base, size = sharedBase, s.sharedSize()
-	} else {
-		base, size = s.privateBase(), s.privateSize()
+		base, size = sharedBase, s.sharedSize
 	}
 
 	u := s.rng.Float64()
 	switch {
-	case u < p.SeqFrac:
+	case u < s.seqFrac:
 		s.seqPtr += 64
 		if s.seqPtr < base || s.seqPtr >= base+size {
 			s.seqPtr = base
 		}
 		a.Addr = s.seqPtr
-	case u < p.SeqFrac+p.StridedFrac:
-		stride := uint64(p.StrideBytes)
-		if stride < 64 {
-			stride = 64
-		}
-		s.strPtr += stride
+	case u < s.seqStridedEnd:
+		s.strPtr += s.stride
 		if s.strPtr < base || s.strPtr >= base+size {
 			s.strPtr = base + uint64(s.rng.Int63n(int64(size/64)))*64
 		}
