@@ -405,7 +405,7 @@ func (g *runGroup) open(prof workload.Profile, seed int64) (*workload.Generator,
 // open, so at most jobs records are alive: each goes when its group's
 // last run drops it.
 func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
-	seen := map[runKey]bool{}
+	seen := make(map[runKey]bool, len(demands))
 	var jobs []job
 	for _, d := range demands {
 		key := r.key(d.Spec, d.Bench)
@@ -428,6 +428,11 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 	// Claim every uncached run, so concurrent RunOne calls join it.
 	claimed := jobs[:0]
 	r.mu.Lock()
+	if len(r.calls) == 0 {
+		// A fresh Runner's first plan sizes its map, so the claims
+		// below never rehash its keys.
+		r.calls = make(map[runKey]*call, len(jobs))
+	}
 	for _, j := range jobs {
 		if _, cached := r.calls[j.key]; cached {
 			r.mx.dedupSkips.Inc()

@@ -290,17 +290,16 @@ func writeAtomic(dst string, data []byte) error {
 func (s *Store) NoteCorrupt(key string) { s.mx.corrupt.Inc() }
 
 // setPath names the run set of keys: the SHA-256 of the keys in order,
-// each ended by a newline. ok is false for an empty list or an invalid
-// key.
+// each ended by a newline. ok is false for an empty list. The keys only
+// feed the hash, never a path component, so setPath does not validate
+// them: PutSet does, so no set of an invalid key exists for GetSet to
+// find.
 func (s *Store) setPath(keys []string) (path string, ok bool) {
 	if len(keys) == 0 {
 		return "", false
 	}
 	list := make([]byte, 0, len(keys)*(len(keys[0])+1))
 	for _, k := range keys {
-		if !validKey(k) {
-			return "", false
-		}
 		list = append(append(list, k...), '\n')
 	}
 	sum := sha256.Sum256(list)
@@ -344,6 +343,9 @@ func (s *Store) GetSet(keys []string, accept func(i int, payload []byte) bool) b
 // and returned; callers may ignore them.
 func (s *Store) PutSet(keys []string, payloads [][]byte) error {
 	path, ok := s.setPath(keys)
+	for _, k := range keys {
+		ok = ok && validKey(k)
+	}
 	if !ok || len(payloads) != len(keys) {
 		s.mx.writeErrors.Inc()
 		return fmt.Errorf("runcache: invalid run set of %d keys and %d payloads", len(keys), len(payloads))

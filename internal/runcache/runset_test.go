@@ -193,7 +193,7 @@ func TestRunSetAbsentCountsNothing(t *testing.T) {
 	if _, ok := getSet(s, setKeys(2)); ok {
 		t.Fatal("GetSet hit on an empty store")
 	}
-	for _, keys := range [][]string{nil, {"../../etc"}} {
+	for _, keys := range [][]string{nil, {"../../etc"}, append(setKeys(1), "ABCDEF")} {
 		if _, ok := getSet(s, keys); ok {
 			t.Fatalf("GetSet hit for keys %q", keys)
 		}
