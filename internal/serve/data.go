@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"desc/internal/link"
+	"desc/internal/metrics"
 )
 
 // ctxPollBlocks is how often the encode hot loop consults the request
@@ -380,17 +381,53 @@ func readBody(r *http.Request, c *pooled) ([]byte, error) {
 	}
 }
 
+// schemeCounters are one scheme's live link counters on /metrics.
+type schemeCounters struct {
+	blocks, payloadBytes, cycles       *metrics.Counter
+	flipsData, flipsControl, flipsSync *metrics.Counter
+}
+
 // recordScheme bumps the per-scheme live counters the /metrics endpoint
 // samples — blocks, payload bytes, and the flip/cycle totals of what
-// just went over the link.
+// just went over the link. Once a scheme's counters exist it neither
+// allocates nor takes the registry's lock.
+//
+//desclint:hotpath once per data-plane request
 func (s *Server) recordScheme(scheme string, blocks, payloadBytes int, total link.Cost) {
+	c := s.countersFor(scheme)
+	c.blocks.Add(uint64(blocks))
+	c.payloadBytes.Add(uint64(payloadBytes))
+	c.cycles.Add(uint64(total.Cycles))
+	c.flipsData.Add(total.Flips.Data)
+	c.flipsControl.Add(total.Flips.Control)
+	c.flipsSync.Add(total.Flips.Sync)
+}
+
+// countersFor returns scheme's counters, registering them on the
+// scheme's first recorded request. Schemes reach it only after specFor
+// found them in the link registry, so the map stays as small as that.
+func (s *Server) countersFor(scheme string) *schemeCounters {
+	s.countersMu.RLock()
+	c := s.counters[scheme]
+	s.countersMu.RUnlock()
+	if c != nil {
+		return c
+	}
+	// Two first requests may race here; the registry hands both the
+	// same counters, so either entry serves.
 	pre := "serve/link/" + scheme + "/"
-	s.reg.Counter(pre + "blocks").Add(uint64(blocks))
-	s.reg.Counter(pre + "payload_bytes").Add(uint64(payloadBytes))
-	s.reg.Counter(pre + "cycles").Add(uint64(total.Cycles))
-	s.reg.Counter(pre + "flips_data").Add(total.Flips.Data)
-	s.reg.Counter(pre + "flips_control").Add(total.Flips.Control)
-	s.reg.Counter(pre + "flips_sync").Add(total.Flips.Sync)
+	c = &schemeCounters{
+		blocks:       s.reg.Counter(pre + "blocks"),
+		payloadBytes: s.reg.Counter(pre + "payload_bytes"),
+		cycles:       s.reg.Counter(pre + "cycles"),
+		flipsData:    s.reg.Counter(pre + "flips_data"),
+		flipsControl: s.reg.Counter(pre + "flips_control"),
+		flipsSync:    s.reg.Counter(pre + "flips_sync"),
+	}
+	s.countersMu.Lock()
+	s.counters[scheme] = c
+	s.countersMu.Unlock()
+	return c
 }
 
 // growBytes returns buf resized to n, reallocating only when capacity

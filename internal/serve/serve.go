@@ -103,6 +103,11 @@ type Server struct {
 	pools codecPools
 	mux   *http.ServeMux
 
+	// counters holds each scheme's /metrics link counters, resolved
+	// once so a data-plane request takes no registry lock.
+	countersMu sync.RWMutex
+	counters   map[string]*schemeCounters
+
 	// runners caches one Runner (plus its Fanout) per distinct
 	// exp.Options requested by clients, so concurrent and repeated
 	// experiment requests share one run cache. order is the FIFO
@@ -123,11 +128,12 @@ type runnerEntry struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		reg:     cfg.Metrics,
-		pools:   codecPools{pools: map[poolKey]*sync.Pool{}},
-		mux:     http.NewServeMux(),
-		runners: map[exp.Options]*runnerEntry{},
+		cfg:      cfg,
+		reg:      cfg.Metrics,
+		pools:    codecPools{pools: map[poolKey]*sync.Pool{}},
+		counters: map[string]*schemeCounters{},
+		mux:      http.NewServeMux(),
+		runners:  map[exp.Options]*runnerEntry{},
 	}
 	s.mux.HandleFunc("POST /v1/encode",
 		s.route("encode", cfg.RequestDeadline, s.handleEncode))

@@ -16,6 +16,7 @@ import (
 	"desc/internal/link"
 	"desc/internal/link/linktest"
 	"desc/internal/metrics"
+	"desc/internal/workload"
 )
 
 // testBlockBits matches the conformance traffic geometry.
@@ -528,6 +529,78 @@ func TestEncodeHotPathZeroAlloc(t *testing.T) {
 				t.Errorf("encodeBlocks allocates %.1f times per batch, want 0", allocs)
 			}
 		})
+	}
+}
+
+// BenchmarkEncodeBlocks times the data plane without HTTP: one
+// encodeBlocks call over the serve-encode perfbench batch, 4096 blocks
+// split over five profiles (819 generated blocks each), at the desc-zero
+// design point, on a Reset link as a pooled request gets it.
+func BenchmarkEncodeBlocks(b *testing.B) {
+	const blockBytes = testBlockBits / 8
+	var payload []byte
+	for _, name := range []string{"Water-Spatial", "Radix", "Art", "Ocean", "Linear"} {
+		prof, ok := workload.ByName(name)
+		if !ok {
+			b.Fatalf("profile %q not found", name)
+		}
+		gen := workload.NewGenerator(prof, 1)
+		st := gen.Stream(0, 32)
+		var buf [blockBytes]byte
+		for i := 0; i < 4096/5; i++ {
+			gen.FillBlockData(st.Next().Addr, buf[:])
+			payload = append(payload, buf[:]...)
+		}
+	}
+	d, ok := link.Lookup("desc-zero")
+	if !ok {
+		b.Fatal("scheme desc-zero not registered")
+	}
+	l, err := link.New(d.Traits.DesignSpec("desc-zero", testBlockBits))
+	if err != nil {
+		b.Fatalf("link.New: %v", err)
+	}
+	ctx := context.Background()
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Reset()
+		if _, err := encodeBlocks(ctx, l, payload, blockBytes, nil, nil); err != nil {
+			b.Fatalf("encodeBlocks: %v", err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(payload)/blockBytes), "ns/block")
+}
+
+// TestRecordSchemeZeroAlloc pins the per-request /metrics bookkeeping:
+// once a scheme's counters exist, recordScheme allocates nothing, and
+// concurrent first requests of a scheme lose no counts.
+func TestRecordSchemeZeroAlloc(t *testing.T) {
+	s := New(Config{})
+	cost := link.Cost{Cycles: 7, Flips: link.FlipCount{Data: 5, Control: 3, Sync: 2}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.recordScheme("desc-zero", 2, 128, cost)
+		}()
+	}
+	wg.Wait()
+	allocs := testing.AllocsPerRun(100, func() {
+		s.recordScheme("desc-zero", 2, 128, cost)
+	})
+	if allocs != 0 {
+		t.Errorf("recordScheme allocates %.1f times per request, want 0", allocs)
+	}
+	const calls = 4 + 101 // AllocsPerRun runs the function once more to warm up
+	for name, per := range map[string]uint64{
+		"blocks": 2, "payload_bytes": 128, "cycles": 7,
+		"flips_data": 5, "flips_control": 3, "flips_sync": 2,
+	} {
+		if got := s.reg.Counter("serve/link/desc-zero/" + name).Value(); got != calls*per {
+			t.Errorf("serve/link/desc-zero/%s = %d, want %d", name, got, calls*per)
+		}
 	}
 }
 
