@@ -10,7 +10,7 @@ FUZZTIME ?= 30s
 # Worker-pool size for results-quick (0 = GOMAXPROCS).
 JOBS ?= 0
 
-.PHONY: all build test race rerun lint lint-json lint-baseline vet perfbench-check selfcheck fuzz bench bench-quick bench-ab results-quick results-cached serve-smoke verify clean
+.PHONY: all build test race rerun lint lint-json lint-baseline vet perfbench-check selfcheck cross fuzz bench bench-quick bench-ab results-quick results-cached serve-smoke verify clean
 
 all: build
 
@@ -66,6 +66,17 @@ perfbench-check:
 selfcheck:
 	$(GO) run ./cmd/descverify
 
+## cross: build every package and vet the lane-kernel packages (test
+## files included) for GOARCHes without the amd64 SSE2 kernel, so the
+## portable SWAR path keeps compiling; their tests need a machine (or an
+## emulator) of that architecture and are not run here
+cross:
+	@for arch in arm64 riscv64 386; do \
+		echo "cross: GOARCH=$$arch"; \
+		GOARCH=$$arch $(GO) build ./... && \
+		GOARCH=$$arch $(GO) vet ./internal/bitutil ./internal/core || exit 1; \
+	done
+
 ## fuzz: 30-second smoke per fuzz target, seeded from testdata/fuzz
 fuzz:
 	$(GO) test -fuzz=FuzzChannelRoundTrip   -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
@@ -98,13 +109,13 @@ bench:
 ## sims/op), runner cold/warm-disk-cache, warm sweep-figure render
 ## (renders/op), simulator set-up, simulator
 ## throughput, hierarchy per-access (ns/access), DESC lane-max fold
-## (MaxNibble/MaxByte at 2- and 8-word rounds), block generation
-## (GenBlock, FillBlockData hit/absent) and stream access (StreamNext)
-## benchmarks with
+## (MaxNibble/MaxByte at 2-, 4-, 8- and 16-word rounds), block generation
+## (GenBlock, FillBlockData hit/absent), stream access (StreamNext) and
+## the serve data plane without HTTP (EncodeBlocks, ns/block) benchmarks with
 ## allocation counts, written to bench-quick.txt (CI uploads it as an
 ## artifact so every PR carries a ns/op and allocs/op record)
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|RunnerRun|Setup|SimulatorThroughput|HierarchyAccess|MaxNibble|MaxByte|GenBlock|FillBlockData|StreamNext' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil ./internal/workload | tee bench-quick.txt
+	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|RunnerRun|Setup|SimulatorThroughput|HierarchyAccess|MaxNibble|MaxByte|GenBlock|FillBlockData|StreamNext|EncodeBlocks' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil ./internal/workload ./internal/serve | tee bench-quick.txt
 
 ## bench-ab: isolated A/B of go test benchmarks: builds the test binary
 ## of BASE (a git revision, exported into the ignored .bench_build/) and
@@ -180,7 +191,7 @@ serve-smoke:
 	$(GO) test -run TestEncodeHotPathZeroAlloc -count=1 ./internal/serve
 
 ## verify: everything CI gates a PR on
-verify: build lint test race rerun perfbench-check selfcheck
+verify: build lint test race rerun perfbench-check cross selfcheck
 	@echo "verify: OK"
 
 clean:
