@@ -114,6 +114,54 @@ type Decoder interface {
 	LastDecoded() []byte
 }
 
+// BlockSender is implemented by links that cost a stream of blocks in
+// one call. A memoryless codec needs only a few aggregates per round, so
+// a batch can skip what a per-block Send pays for each block: the
+// dispatch, the bookkeeping of LastDecoded, and the copy into it.
+type BlockSender interface {
+	// SendBlocks transfers payload, a whole number of blocks, in order
+	// and returns the total cost, exactly as a loop of Send would. per,
+	// when non-nil, receives each block's cost and must hold one entry
+	// per block; decoded, when non-nil, receives the receiver's view of
+	// payload and must be as long. Afterwards the link's state and its
+	// LastDecoded are those the same loop of Send leaves.
+	SendBlocks(payload []byte, per []Cost, decoded []byte) Cost
+}
+
+// SendBlocks transfers payload through l block by block and returns the
+// total cost, with per and decoded as in BlockSender. It calls the
+// link's own SendBlocks when l has one and otherwise loops Send, copying
+// each block's LastDecoded into decoded. A non-nil decoded requires that
+// l implements Decoder, and len(payload) must be a whole number of
+// blocks.
+//
+//desclint:hotpath once per batch of served blocks
+func SendBlocks(l Link, payload []byte, per []Cost, decoded []byte) Cost {
+	if bs, ok := l.(BlockSender); ok {
+		return bs.SendBlocks(payload, per, decoded)
+	}
+	n := l.BlockBytes()
+	if len(payload)%n != 0 {
+		panic(fmt.Sprintf("link: SendBlocks of %d bytes on %d-byte blocks", len(payload), n))
+	}
+	var dec Decoder
+	if decoded != nil {
+		dec = l.(Decoder)
+	}
+	var total Cost
+	for i, off := 0, 0; off < len(payload); i, off = i+1, off+n {
+		c := l.Send(payload[off : off+n])
+		total.Add(c)
+		if per != nil {
+			per[i] = c
+		}
+		if decoded != nil {
+			copy(decoded[off:off+n], dec.LastDecoded())
+		}
+	}
+	return total
+}
+
 // OnDemand is the bookkeeping of a codec that decodes on demand. Send
 // records the per-beat receiver inputs it already holds and calls Sent;
 // LastDecoded calls Read and decodes the record when it reports a

@@ -4,7 +4,8 @@
 // scheme in the registry. A new codec that registers a descriptor gets
 // the full battery — round-trip correctness on stateful traffic,
 // determinism, Reset semantics and allocations, LastDecoded aliasing,
-// decoding after unread sends — without writing a single test of its own.
+// decoding after unread sends, block streams costed in one call —
+// without writing a single test of its own.
 package linktest
 
 import (
@@ -74,6 +75,7 @@ func Verify(t *testing.T, name string) {
 	t.Run("reset-allocs", func(t *testing.T) { verifyResetAllocs(t, name) })
 	t.Run("aliasing", func(t *testing.T) { verifyAliasing(t, name) })
 	t.Run("unread-sends", func(t *testing.T) { verifyUnreadSends(t, name) })
+	t.Run("send-blocks", func(t *testing.T) { verifySendBlocks(t, name) })
 	t.Run("degenerate", func(t *testing.T) { verifyDegenerateSpecs(t, name) })
 }
 
@@ -278,5 +280,90 @@ func verifyUnreadSends(t *testing.T, name string) {
 	})
 	if avg != 0 {
 		t.Errorf("%.2f allocs per unread Send after warm traffic, want 0", avg)
+	}
+}
+
+// verifySendBlocks holds link.SendBlocks, the link's own SendBlocks when
+// it has one, to a loop of Send on a twin link fed the same traffic: the
+// same total and per-block costs, the same decoded bytes, the same
+// LastDecoded afterwards (written into a slice retained before the
+// batch, as a Send would), and the same cost for every later Send, so a
+// batch leaves the wire levels and skip history where the loop does.
+// Batches of every size from 0 to 3 blocks tile the traffic, so a batch
+// also starts on warm history; nil per and decoded slices, and a batch
+// after a read of LastDecoded, are covered too. A warm batch allocates
+// nothing.
+func verifySendBlocks(t *testing.T, name string) {
+	blocks := Traffic(blockBits)
+	n := blockBits / 8
+	var payload []byte
+	for _, b := range blocks {
+		payload = append(payload, b...)
+	}
+	batch, loop := newAt(t, name), newAt(t, name)
+	loopDec := loop.(link.Decoder)
+	batch.Send(blocks[2])
+	loop.Send(blocks[2])
+	retained := batch.(link.Decoder).LastDecoded()
+	per := make([]link.Cost, len(blocks))
+	decoded := make([]byte, len(payload))
+	for i, size := 0, 0; i < len(blocks); i, size = i+size, (size+1)%4 {
+		size = min(size, len(blocks)-i)
+		var p []link.Cost
+		var d []byte
+		if size%2 == 1 {
+			p, d = per[i:i+size], decoded[i*n:(i+size)*n]
+		}
+		got := link.SendBlocks(batch, payload[i*n:(i+size)*n], p, d)
+		var want link.Cost
+		for j := i; j < i+size; j++ {
+			c := loop.Send(blocks[j])
+			want.Add(c)
+			if p != nil && p[j-i] != c {
+				t.Fatalf("block %d: batch cost %+v, Send loop %+v", j, p[j-i], c)
+			}
+			if d != nil && !bytes.Equal(d[(j-i)*n:(j-i+1)*n], loopDec.LastDecoded()) {
+				t.Fatalf("block %d: batch decoded %x, Send loop %x", j, d[(j-i)*n:(j-i+1)*n], loopDec.LastDecoded())
+			}
+		}
+		if got != want {
+			t.Fatalf("batch of blocks %d..%d: total %+v, Send loop %+v", i, i+size-1, got, want)
+		}
+		if size > 0 && !bytes.Equal(retained, blocks[i+size-1]) {
+			t.Fatalf("after the batch of blocks %d..%d, a retained LastDecoded holds %x, want the final block %x",
+				i, i+size-1, retained, blocks[i+size-1])
+		}
+		if got, want := batch.(link.Decoder).LastDecoded(), loopDec.LastDecoded(); !bytes.Equal(got, want) {
+			t.Fatalf("after the batch of blocks %d..%d: LastDecoded %x, Send loop %x", i, i+size-1, got, want)
+		}
+	}
+	for i, b := range blocks {
+		if cb, cl := batch.Send(b), loop.Send(b); cb != cl {
+			t.Fatalf("Send %d after the batches: cost %+v, after a Send loop %+v", i, cb, cl)
+		}
+	}
+
+	fresh, twin := newAt(t, name), newAt(t, name)
+	got := link.SendBlocks(fresh, payload, nil, nil)
+	var want link.Cost
+	for _, b := range blocks {
+		want.Add(twin.Send(b))
+	}
+	if got != want {
+		t.Fatalf("one batch of the traffic from power-on: total %+v, Send loop %+v", got, want)
+	}
+	if got := fresh.(link.Decoder).LastDecoded(); !bytes.Equal(got, blocks[len(blocks)-1]) {
+		t.Fatalf("after an unread batch: LastDecoded %x, want the final block %x", got, blocks[len(blocks)-1])
+	}
+	if cf, ct := fresh.Send(blocks[0]), twin.Send(blocks[0]); cf != ct {
+		t.Fatalf("Send after an unread batch: cost %+v, after a Send loop %+v", cf, ct)
+	}
+
+	avg := testing.AllocsPerRun(5, func() {
+		fresh.Reset()
+		link.SendBlocks(fresh, payload, per, decoded)
+	})
+	if avg != 0 {
+		t.Errorf("%.2f allocs per warm SendBlocks, want 0", avg)
 	}
 }
