@@ -10,3 +10,14 @@ func nibbleKernel(xs []uint64) (peak uint16, zeros int)
 //
 //go:noescape
 func byteKernel(xs []uint64) (peak uint16, zeros int)
+
+// nibbleKernelBytes is nibbleKernel over the little-endian words of b,
+// read in place: len(b)/8 words, any alignment.
+//
+//go:noescape
+func nibbleKernelBytes(b []byte) (peak uint16, zeros int)
+
+// byteKernelBytes is nibbleKernelBytes for byte lanes.
+//
+//go:noescape
+func byteKernelBytes(b []byte) (peak uint16, zeros int)

@@ -1,7 +1,9 @@
 #include "textflag.h"
 
 // The SSE2 lane folds of the DESC round on amd64. Each takes a round of
-// any length: whole 8-word (64-byte) groups, a 128-wire round of 4-bit
+// any length, as words or as the bytes of little-endian words: an entry
+// per form loads the base and the word count and jumps to the shared
+// body, which runs in the entry's frame. Whole 8-word (64-byte) groups, a 128-wire round of 4-bit
 // chunks, go through four 16-byte registers at a time, then a 4-, a 2-
 // and a 1-word piece of the words left over. A PMAXUB tree gives the
 // largest lane; PCMPEQB against zero plus PSUBB counts the zero lanes in
@@ -37,8 +39,20 @@
 
 // func nibbleKernel(xs []uint64) (peak uint16, zeros int)
 TEXT ·nibbleKernel(SB), NOSPLIT, $0-40
-	MOVQ   xs_base+0(FP), SI
-	MOVQ   xs_len+8(FP), CX
+	MOVQ xs_base+0(FP), SI
+	MOVQ xs_len+8(FP), CX
+	JMP  nibbleBody<>(SB)
+
+// func nibbleKernelBytes(b []byte) (peak uint16, zeros int)
+TEXT ·nibbleKernelBytes(SB), NOSPLIT, $0-40
+	MOVQ b_base+0(FP), SI
+	MOVQ b_len+8(FP), CX
+	SHRQ $3, CX
+	JMP  nibbleBody<>(SB)
+
+// nibbleBody folds the CX words at SI. Both entries jump to it with
+// their frame in place, so it stores the results into theirs.
+TEXT nibbleBody<>(SB), NOSPLIT, $0-40
 	MOVQ   CX, DX
 	SHRQ   $3, DX
 	ANDQ   $7, CX
@@ -131,8 +145,19 @@ nibbleDone:
 
 // func byteKernel(xs []uint64) (peak uint16, zeros int)
 TEXT ·byteKernel(SB), NOSPLIT, $0-40
-	MOVQ  xs_base+0(FP), SI
-	MOVQ  xs_len+8(FP), CX
+	MOVQ xs_base+0(FP), SI
+	MOVQ xs_len+8(FP), CX
+	JMP  byteBody<>(SB)
+
+// func byteKernelBytes(b []byte) (peak uint16, zeros int)
+TEXT ·byteKernelBytes(SB), NOSPLIT, $0-40
+	MOVQ b_base+0(FP), SI
+	MOVQ b_len+8(FP), CX
+	SHRQ $3, CX
+	JMP  byteBody<>(SB)
+
+// byteBody is nibbleBody for byte lanes.
+TEXT byteBody<>(SB), NOSPLIT, $0-40
 	MOVQ  CX, DX
 	SHRQ  $3, DX
 	ANDQ  $7, CX

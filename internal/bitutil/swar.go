@@ -166,6 +166,37 @@ func MaxZerosNibble(xs []uint64) (uint16, int) {
 	return nibbleKernel(xs)
 }
 
+// MaxZerosNibbleBytes is MaxZerosNibble over the little-endian words of
+// b, read in place: len(b) must be a multiple of 8, and b may start at
+// any address. The maximum and the zero count do not depend on the order
+// of the lanes, so the byte order cannot change them.
+//
+//desclint:hotpath
+func MaxZerosNibbleBytes(b []byte) (uint16, int) {
+	return nibbleKernelBytes(b)
+}
+
+// foldBytes runs fold, nibbleFold or byteFold, over the little-endian
+// words of b, eight at a time from a stack buffer: the portable form of
+// the byte entries, and the oracle of the SSE2 ones.
+func foldBytes(b []byte, fold func([]uint64) (uint16, int)) (uint16, int) {
+	var (
+		buf   [8]uint64
+		peak  uint16
+		zeros int
+	)
+	for len(b) >= 8 {
+		n := min(len(b)/8, len(buf))
+		for i := range buf[:n] {
+			buf[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		m, z := fold(buf[:n])
+		peak, zeros = max(peak, m), zeros+z
+		b = b[8*n:]
+	}
+	return peak, zeros
+}
+
 // nibbleFold is the portable form of MaxZerosNibble: the SWAR tree every
 // GOARCH keeps, and the oracle the SSE2 kernel is tested against.
 func nibbleFold(xs []uint64) (uint16, int) {
@@ -216,6 +247,13 @@ func byteHalves(x uint64) uint64 {
 //desclint:hotpath
 func MaxZerosByte(xs []uint64) (uint16, int) {
 	return byteKernel(xs)
+}
+
+// MaxZerosByteBytes is MaxZerosNibbleBytes for byte lanes.
+//
+//desclint:hotpath
+func MaxZerosByteBytes(b []byte) (uint16, int) {
+	return byteKernelBytes(b)
 }
 
 // byteFold is nibbleFold for byte lanes, folded with the bytes in

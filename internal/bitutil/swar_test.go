@@ -1,6 +1,7 @@
 package bitutil
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -118,32 +119,58 @@ func scalarLaneZeros(xs []uint64, k int) int {
 
 // laneFold is one lane width's DESC round fold: the largest k-bit lane
 // of a round's words and, from the same pass, how many lanes are zero
-// (the SSE2 kernel on amd64), and the portable SWAR fold, its oracle.
+// (the SSE2 kernel on amd64), and the portable SWAR fold, its oracle;
+// each over words and over the bytes of little-endian words.
 type laneFold struct {
-	k        int
-	maxZeros func([]uint64) (uint16, int)
-	portable func([]uint64) (uint16, int)
+	k             int
+	maxZeros      func([]uint64) (uint16, int)
+	portable      func([]uint64) (uint16, int)
+	maxZerosBytes func([]byte) (uint16, int)
+	portableBytes func([]byte) (uint16, int)
 }
 
 var (
-	nibbleLanes = laneFold{4, MaxZerosNibble, nibbleFold}
-	byteLanes   = laneFold{8, MaxZerosByte, byteFold}
+	nibbleLanes = laneFold{4, MaxZerosNibble, nibbleFold, MaxZerosNibbleBytes,
+		func(b []byte) (uint16, int) { return foldBytes(b, nibbleFold) }}
+	byteLanes = laneFold{8, MaxZerosByte, byteFold, MaxZerosByteBytes,
+		func(b []byte) (uint16, int) { return foldBytes(b, byteFold) }}
 )
 
-// check holds f's fold and its portable fold of xs to the scalar
-// maximum and zero count, and the fold to the portable fold.
+// check holds f's folds and its portable folds of xs to the scalar
+// maximum and zero count: over the words, and over their little-endian
+// bytes at every byte offset 0–7 from an 8-byte boundary, followed by a
+// word of all-ones bytes that a fold reading past its length would
+// count.
 func (f laneFold) check(t *testing.T, xs []uint64) {
 	t.Helper()
 	wantMax, wantZeros := scalarLaneMax(xs, f.k), scalarLaneZeros(xs, f.k)
-	gotMax, gotZeros := f.maxZeros(xs)
-	portMax, portZeros := f.portable(xs)
-	if portMax != wantMax || portZeros != wantZeros {
-		t.Fatalf("k=%d portable max and zeros of %d words %#x = %d, %d, want %d, %d",
-			f.k, len(xs), xs, portMax, portZeros, wantMax, wantZeros)
+	for _, fold := range []struct {
+		name     string
+		maxZeros func([]uint64) (uint16, int)
+	}{{"portable", f.portable}, {"kernel", f.maxZeros}} {
+		if m, z := fold.maxZeros(xs); m != wantMax || z != wantZeros {
+			t.Fatalf("k=%d %s max and zeros of %d words %#x = %d, %d, want %d, %d",
+				f.k, fold.name, len(xs), xs, m, z, wantMax, wantZeros)
+		}
 	}
-	if gotMax != portMax || gotZeros != portZeros {
-		t.Fatalf("k=%d max and zeros of %d words %#x = %d, %d, portable fold %d, %d",
-			f.k, len(xs), xs, gotMax, gotZeros, portMax, portZeros)
+	buf := make([]byte, 8*len(xs)+16)
+	for off := 0; off < 8; off++ {
+		b := buf[off : off+8*len(xs)]
+		for i, x := range xs {
+			binary.LittleEndian.PutUint64(b[8*i:], x)
+		}
+		for i := range buf[off+len(b):] {
+			buf[off+len(b)+i] = 0xFF
+		}
+		for _, fold := range []struct {
+			name     string
+			maxZeros func([]byte) (uint16, int)
+		}{{"portable", f.portableBytes}, {"kernel", f.maxZerosBytes}} {
+			if m, z := fold.maxZeros(b); m != wantMax || z != wantZeros {
+				t.Fatalf("k=%d %s max and zeros of the %d bytes at offset %d of words %#x = %d, %d, want %d, %d",
+					f.k, fold.name, len(b), off, xs, m, z, wantMax, wantZeros)
+			}
+		}
 	}
 }
 
@@ -286,11 +313,12 @@ func TestMaxByteMatchesScalar(t *testing.T) {
 	checkLaneMax(t, byteLanes)
 }
 
-// FuzzLaneMaxVsScalar holds the nibble and byte folds to the scalar
-// maximum and zero count on the words of arbitrary data, each word
-// shifted right by a per-word amount from shifts so that word maxima
-// differ: all the words, and every prefix of 0 to 24 words from each of
-// the first four word offsets, so rounds start at odd words too.
+// FuzzLaneMaxVsScalar holds the nibble and byte folds, over words and
+// over their bytes at byte offsets 0–7, to the scalar maximum and zero
+// count on the words of arbitrary data, each word shifted right by a
+// per-word amount from shifts so that word maxima differ: all the words,
+// and every prefix of 0 to 24 words from each of the first four word
+// offsets, so rounds start at odd words too.
 func FuzzLaneMaxVsScalar(f *testing.F) {
 	peak := make([]byte, 64)
 	peak[5*8+3] = 0x70
