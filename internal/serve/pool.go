@@ -23,8 +23,10 @@ type pooled struct {
 	raw []byte
 	// out holds the receiver-view output for decode requests.
 	out []byte
-	// costs holds per-block costs for per_block requests.
-	costs []blockCost
+	// costs holds per-block costs for per_block requests, and wire
+	// the same costs in the response's form.
+	costs []link.Cost
+	wire  []blockCost
 }
 
 // maxPools bounds the distinct geometries the server keeps codec pools

@@ -479,7 +479,9 @@ func TestPprofMounted(t *testing.T) {
 // TestEncodeHotPathZeroAlloc pins the pooled steady state: once the
 // scratch buffers have grown to the request size, encodeBlocks performs
 // zero allocations per batch — the property the serve-smoke CI gate
-// re-asserts against the daemon build.
+// re-asserts against the daemon build — both through a codec's own
+// SendBlocks (the DESC schemes) and through link.SendBlocks's Send loop
+// (bic).
 func TestEncodeHotPathZeroAlloc(t *testing.T) {
 	payload := trafficPayload(t)
 	blockBytes := testBlockBits / 8
@@ -495,6 +497,9 @@ func TestEncodeHotPathZeroAlloc(t *testing.T) {
 		{"desc-zero-4bit", "desc-zero", 4, false, false},
 		{"desc-zero-per-block", "desc-zero", 8, true, false},
 		{"desc-zero-decode", "desc-zero", 8, true, true},
+		{"desc-basic-per-block", "desc-basic", 4, true, false},
+		{"bic", "bic", 0, false, false},
+		{"bic-decode", "bic", 0, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, ok := link.Lookup(tc.scheme)
@@ -507,9 +512,9 @@ func TestEncodeHotPathZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatalf("link.New: %v", err)
 			}
-			var per []blockCost
+			var per []link.Cost
 			if tc.per {
-				per = make([]blockCost, n)
+				per = make([]link.Cost, n)
 			}
 			var out []byte
 			if tc.decode {
@@ -532,11 +537,10 @@ func TestEncodeHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeBlocks times the data plane without HTTP: one
-// encodeBlocks call over the serve-encode perfbench batch, 4096 blocks
-// split over five profiles (819 generated blocks each), at the desc-zero
-// design point, on a Reset link as a pooled request gets it.
-func BenchmarkEncodeBlocks(b *testing.B) {
+// serveEncodeBatch is the serve-encode perfbench batch: 4096 blocks
+// split over five profiles (819 generated blocks each).
+func serveEncodeBatch(b *testing.B) []byte {
+	b.Helper()
 	const blockBytes = testBlockBits / 8
 	var payload []byte
 	for _, name := range []string{"Water-Spatial", "Radix", "Art", "Ocean", "Linear"} {
@@ -552,6 +556,15 @@ func BenchmarkEncodeBlocks(b *testing.B) {
 			payload = append(payload, buf[:]...)
 		}
 	}
+	return payload
+}
+
+// BenchmarkEncodeBlocks times the data plane without HTTP: one
+// encodeBlocks call over the serve-encode batch at the desc-zero design
+// point, on a Reset link as a pooled request gets it.
+func BenchmarkEncodeBlocks(b *testing.B) {
+	const blockBytes = testBlockBits / 8
+	payload := serveEncodeBatch(b)
 	d, ok := link.Lookup("desc-zero")
 	if !ok {
 		b.Fatal("scheme desc-zero not registered")
@@ -570,6 +583,44 @@ func BenchmarkEncodeBlocks(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(payload)/blockBytes), "ns/block")
+}
+
+// BenchmarkHandleEncode times one POST /v1/encode of the serve-encode
+// batch at the desc-zero design point through Server.Handler() into an
+// httptest.ResponseRecorder: the handler's whole path (routing, body
+// read, pooled codec, response) without a loopback connection, as a raw
+// octet-stream body (binary) and as the base64 JSON envelope (json).
+func BenchmarkHandleEncode(b *testing.B) {
+	payload := serveEncodeBatch(b)
+	jsonBody, err := json.Marshal(map[string]any{
+		"scheme": "desc-zero",
+		"data":   base64.StdEncoding.EncodeToString(payload),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name, target, contentType string
+		body                      []byte
+	}{
+		{"binary", "/v1/encode?scheme=desc-zero", "application/octet-stream", payload},
+		{"json", "/v1/encode", "application/json", jsonBody},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			h := New(Config{}).Handler()
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, mode.target, bytes.NewReader(mode.body))
+				req.Header.Set("Content-Type", mode.contentType)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+				}
+			}
+		})
+	}
 }
 
 // TestRecordSchemeZeroAlloc pins the per-request /metrics bookkeeping:
