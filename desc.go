@@ -136,9 +136,10 @@ type SystemConfig struct {
 	InstrPerContext uint64
 	// Seed isolates runs (default 1).
 	Seed int64
-	// Metrics, when non-nil, receives live telemetry from every
-	// simulation layer (see MetricsRegistry). Metrics are write-only
-	// observation and never change the SimResult.
+	// Metrics, when non-nil, receives the simulation's telemetry (see
+	// MetricsRegistry): scheduler counters as it runs, and the cache
+	// hierarchy's and the link's counts once it has finished. Metrics
+	// are write-only observation and never change the SimResult.
 	Metrics *MetricsRegistry
 }
 

@@ -2,8 +2,10 @@
 // exported entry points cancellable.
 //
 // The experiment pipeline threads context cancellation CLI → exp.Runner →
-// cpusim → cachesim: cpusim's scheduler loop polls ctx.Done() every 64
-// quanta, and everything above it inherits cancellability from that. The
+// cpusim: cpusim's scheduler loop polls ctx.Done() every 64 quanta, and
+// everything above it inherits cancellability from that. The cache
+// hierarchy below it never sees the context: no call into it outlives a
+// quantum. The
 // pattern is load-bearing — a sweep that cannot be cancelled wedges the
 // worker pool — but until now nothing enforced it on new code. This pass
 // requires that every exported function (or method) taking a

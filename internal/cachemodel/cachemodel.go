@@ -195,46 +195,14 @@ type Model struct {
 	eccParityWires int
 	eccScale       float64 // encoded bits / data bits
 
-	// mx holds the scheme's pre-resolved telemetry instruments. Always
-	// non-nil; its instruments are nil (no-op) until SetMetrics installs
-	// a registry, so Access increments unconditionally.
-	mx linkMetrics
-
 	// Accumulated statistics.
 	accesses   uint64
 	energyJ    float64
 	htreeJ     float64
 	arrayJ     float64
 	xferCycles uint64
-}
-
-// linkMetrics is the codec layer's instrument set: per-scheme transfer
-// activity totals and a transfer-cycle histogram. Instruments are
-// registered under "link/<scheme>/…" so a registry shared across a whole
-// descbench sweep aggregates activity by scheme.
-type linkMetrics struct {
-	accesses     *metrics.Counter
-	flipsData    *metrics.Counter
-	flipsControl *metrics.Counter
-	flipsSync    *metrics.Counter
-	xferCycles   *metrics.Counter
-	cyclesHist   *metrics.Histogram
-}
-
-// SetMetrics points the model's telemetry at reg (nil detaches it).
-// Metrics are write-only observation: nothing the model computes ever
-// reads an instrument, so energy and latency results are identical with
-// or without a registry installed.
-func (m *Model) SetMetrics(reg *metrics.Registry) {
-	prefix := "link/" + m.cfg.Scheme + "/"
-	m.mx = linkMetrics{
-		accesses:     reg.Counter(prefix + "accesses"),
-		flipsData:    reg.Counter(prefix + "flips_data"),
-		flipsControl: reg.Counter(prefix + "flips_control"),
-		flipsSync:    reg.Counter(prefix + "flips_sync"),
-		xferCycles:   reg.Counter(prefix + "transfer_cycles"),
-		cyclesHist:   reg.Histogram(prefix+"transfer_cycles_hist", metrics.ExpBuckets(1, 1024)),
-	}
+	flips      link.FlipCount
+	cyclesHist metrics.Tally // transfer cycles per access
 }
 
 // New builds the model.
@@ -278,7 +246,8 @@ func New(cfg Config) (*Model, error) {
 		_, err := link.New(link.Spec{Scheme: cfg.Scheme})
 		return nil, err
 	}
-	m := &Model{cfg: cfg, traits: d.Traits, bank: bank, eccScale: 1}
+	m := &Model{cfg: cfg, traits: d.Traits, bank: bank, eccScale: 1,
+		cyclesHist: metrics.NewTally(metrics.ExpBuckets(1, 1024))}
 
 	if cfg.ECC.Enabled {
 		if blockBytes*8%cfg.ECC.SegmentBits != 0 {
@@ -455,13 +424,8 @@ func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 	m.htreeJ += htreeJ
 	m.arrayJ += arrayJ
 	m.xferCycles += uint64(cost.Cycles)
-
-	m.mx.accesses.Inc()
-	m.mx.flipsData.Add(cost.Flips.Data)
-	m.mx.flipsControl.Add(cost.Flips.Control)
-	m.mx.flipsSync.Add(cost.Flips.Sync)
-	m.mx.xferCycles.Add(uint64(cost.Cycles))
-	m.mx.cyclesHist.Observe(uint64(cost.Cycles))
+	m.flips.Add(cost.Flips)
+	m.cyclesHist.Observe(uint64(cost.Cycles))
 	return res
 }
 
@@ -498,4 +462,19 @@ func (m *Model) totalWires() int {
 // Stats returns accumulated dynamic-energy statistics.
 func (m *Model) Stats() (accesses uint64, energyJ, htreeJ, arrayJ float64, xferCycles uint64) {
 	return m.accesses, m.energyJ, m.htreeJ, m.arrayJ, m.xferCycles
+}
+
+// Publish adds the model's transfer activity to reg under
+// "link/<scheme>/…": access, per-class flip and transfer-cycle totals and
+// the transfer-cycle histogram. Call it once, when the run is over; a
+// registry shared by many runs then aggregates activity by scheme. A
+// no-op on a nil registry.
+func (m *Model) Publish(reg *metrics.Registry) {
+	prefix := "link/" + m.cfg.Scheme + "/"
+	reg.Counter(prefix + "accesses").Add(m.accesses)
+	reg.Counter(prefix + "flips_data").Add(m.flips.Data)
+	reg.Counter(prefix + "flips_control").Add(m.flips.Control)
+	reg.Counter(prefix + "flips_sync").Add(m.flips.Sync)
+	reg.Counter(prefix + "transfer_cycles").Add(m.xferCycles)
+	reg.AddTally(prefix+"transfer_cycles_hist", &m.cyclesHist)
 }

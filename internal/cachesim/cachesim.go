@@ -8,6 +8,11 @@
 // access waits for its bank, occupies it for the array plus transfer
 // time (data dependent under DESC), and completes after the H-tree round
 // trip. Energy flows into the cache model's ledger and the DRAM model.
+//
+// The hierarchy only simulates: it counts events in its Stats and never
+// polls a context or touches a metrics instrument while it runs. The
+// driving scheduler (internal/cpusim) owns cancellation, and Publish adds
+// a finished run's counts to a registry.
 package cachesim
 
 import (
@@ -47,12 +52,6 @@ type Config struct {
 	// critical path). Prefetches add H-tree fill traffic, which
 	// interacts with the transfer scheme's energy (experiment ext03).
 	PrefetchNextLine bool
-	// Metrics, when non-nil, receives live hierarchy telemetry
-	// (hit/miss/queue counters under "cachesim/…" and per-scheme link
-	// activity under "link/<scheme>/…"). Metrics are write-only: they
-	// never feed back into timing or energy, so results are identical
-	// with or without a registry.
-	Metrics *metrics.Registry
 }
 
 // Stats accumulates hierarchy event counts.
@@ -86,51 +85,8 @@ type Hierarchy struct {
 	// requesters merge into one L2/DRAM access (MSHR behavior).
 	inflight fillTimes
 
-	// cancel, when non-nil, aborts block transfers once closed; see
-	// SetCancel.
-	cancel <-chan struct{}
-
-	// mx mirrors the headline Stats fields into the configured metrics
-	// registry as the simulation runs. Its instruments are nil (no-op)
-	// when Config.Metrics is nil, so the hot paths increment
-	// unconditionally.
-	mx hierMetrics
-
 	buf   []byte
 	stats Stats
-}
-
-// hierMetrics is the hierarchy's live instrument set.
-type hierMetrics struct {
-	l1Hits, l1Misses  *metrics.Counter
-	l2Hits, l2Misses  *metrics.Counter
-	l2Writebacks      *metrics.Counter
-	mshrMerges        *metrics.Counter
-	invalidations     *metrics.Counter
-	prefetchFills     *metrics.Counter
-	prefetchHits      *metrics.Counter
-	queueDelayCycles  *metrics.Counter
-	transfersStarted  *metrics.Counter
-	transfersCanceled *metrics.Counter
-}
-
-// newHierMetrics resolves the hierarchy's instruments (all nil when reg
-// is nil).
-func newHierMetrics(reg *metrics.Registry) hierMetrics {
-	return hierMetrics{
-		l1Hits:            reg.Counter("cachesim/l1_hits"),
-		l1Misses:          reg.Counter("cachesim/l1_misses"),
-		l2Hits:            reg.Counter("cachesim/l2_hits"),
-		l2Misses:          reg.Counter("cachesim/l2_misses"),
-		l2Writebacks:      reg.Counter("cachesim/l2_writebacks"),
-		mshrMerges:        reg.Counter("cachesim/mshr_merges"),
-		invalidations:     reg.Counter("cachesim/invalidations"),
-		prefetchFills:     reg.Counter("cachesim/prefetch_fills"),
-		prefetchHits:      reg.Counter("cachesim/prefetch_hits"),
-		queueDelayCycles:  reg.Counter("cachesim/queue_delay_cycles"),
-		transfersStarted:  reg.Counter("cachesim/l2_transfers"),
-		transfersCanceled: reg.Counter("cachesim/l2_transfers_cancelled"),
-	}
 }
 
 // New builds the hierarchy.
@@ -142,7 +98,6 @@ func New(cfg Config, src BlockSource) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	model.SetMetrics(cfg.Metrics)
 	h := &Hierarchy{
 		cfg:      cfg,
 		model:    model,
@@ -150,7 +105,6 @@ func New(cfg Config, src BlockSource) (*Hierarchy, error) {
 		src:      src,
 		banks:    make([]bankSched, model.Banks()),
 		inflight: newFillTimes(),
-		mx:       newHierMetrics(cfg.Metrics),
 		buf:      make([]byte, model.BlockBytes()),
 	}
 	h.l1 = make([]*l1Cache, cores)
@@ -189,27 +143,6 @@ func (h *Hierarchy) DRAM() *dram.DRAM { return h.dram }
 // Stats returns the accumulated event counts.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
-// SetCancel installs a cancellation signal (typically a Context's Done
-// channel) consulted on the transfer hot path: once the channel is
-// closed, l2Transfer stops encoding blocks and returns immediately, so a
-// cancelled cpusim run unwinds without finishing the block in flight.
-// Counts and timing accumulated after cancellation are meaningless; the
-// driving simulator discards them and reports the context's error.
-func (h *Hierarchy) SetCancel(done <-chan struct{}) { h.cancel = done }
-
-// cancelled reports whether the installed cancellation signal has fired.
-func (h *Hierarchy) cancelled() bool {
-	if h.cancel == nil {
-		return false
-	}
-	select {
-	case <-h.cancel:
-		return true
-	default:
-		return false
-	}
-}
-
 // Access performs one data reference by core at cycle now and returns the
 // completion cycle.
 func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64 {
@@ -227,7 +160,6 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 		if !write || l.dirty {
 			promote(row, l)
 			h.stats.L1Hits++
-			h.mx.l1Hits.Inc()
 			return now + l1HitCycles
 		}
 		// Write to a Shared line: upgrade — invalidate peers via the
@@ -235,7 +167,6 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 		// record the new dirty owner.
 		h.stats.L1Hits++
 		h.stats.UpgradeMisses++
-		h.mx.l1Hits.Inc()
 		loc := h.l2.locate(addr)
 		_, l2l := h.l2.find(loc.set, loc.tag)
 		h.invalidatePeers(addr, l2l, core)
@@ -245,7 +176,6 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 		return now + uint64(l1HitCycles+h.model.TagProbeCycles(loc.bank))
 	}
 	h.stats.L1Misses++
-	h.mx.l1Misses.Inc()
 
 	// Allocate in L1; write back the victim if dirty.
 	victim, dirty := l1.fill(row, addr, write)
@@ -268,7 +198,6 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 	// the outstanding access instead of issuing another one.
 	if done, ok := h.inflight.get(addr); ok && done > now {
 		h.stats.MSHRMerges++
-		h.mx.mshrMerges.Inc()
 		recordL1(l, core, write)
 		if write {
 			h.invalidatePeers(addr, l, core)
@@ -282,7 +211,6 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 		h.l1[l.owner].invalidate(addr)
 		h.stats.Invalidations++
 		h.stats.L1WritebacksToL2++
-		h.mx.invalidations.Inc()
 		now = h.l2Transfer(now, loc.bank, addr, true)
 	}
 	if write {
@@ -294,10 +222,8 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 		if l.prefetched {
 			l.prefetched = false
 			h.stats.PrefetchHits++
-			h.mx.prefetchHits.Inc()
 		}
 		h.stats.L2Hits++
-		h.mx.l2Hits.Inc()
 		done := h.l2Transfer(now, loc.bank, addr, false)
 		h.stats.HitLatencySumCycles += done - now
 		h.stats.HitCount++
@@ -308,7 +234,6 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 
 	// L2 miss: probe, fetch from DRAM, install (H-tree write), deliver.
 	h.stats.L2Misses++
-	h.mx.l2Misses.Inc()
 	start := h.banks[loc.bank].reserve(now, uint64(h.model.ArrayCycles()))
 	probeDone := start + uint64(h.model.TagProbeCycles(loc.bank))
 	memDone := h.dram.Access(probeDone, addr, false)
@@ -319,7 +244,6 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 	l, victim, victimDirty := h.l2.allocate(loc)
 	if victimDirty {
 		h.stats.L2Writebacks++
-		h.mx.l2Writebacks.Inc()
 		// Dirty victim leaves through the H-tree to the write buffer,
 		// then to DRAM (off the critical path).
 		h.l2Transfer(memDone, h.l2.locate(victim).bank, victim, false)
@@ -348,7 +272,6 @@ func (h *Hierarchy) prefetch(now uint64, addr uint64) {
 	l, victim, victimDirty := h.l2.allocate(loc)
 	if victimDirty {
 		h.stats.L2Writebacks++
-		h.mx.l2Writebacks.Inc()
 		h.l2Transfer(memDone, h.l2.locate(victim).bank, victim, false)
 		h.dram.Access(memDone, victim, true)
 	}
@@ -356,7 +279,6 @@ func (h *Hierarchy) prefetch(now uint64, addr uint64) {
 	l.prefetched = true
 	h.inflight.set(addr, fillDone)
 	h.stats.PrefetchFills++
-	h.mx.prefetchFills.Inc()
 }
 
 // l2Transfer moves one block between the controller and a bank and
@@ -364,17 +286,11 @@ func (h *Hierarchy) prefetch(now uint64, addr uint64) {
 // in the bank's reservation schedule at or after `earliest` and occupies
 // the bank (and its link) for the array plus transfer time.
 func (h *Hierarchy) l2Transfer(earliest uint64, bank int, addr uint64, isWrite bool) uint64 {
-	if h.cancelled() {
-		h.mx.transfersCanceled.Inc()
-		return earliest
-	}
-	h.mx.transfersStarted.Inc()
 	h.src.FillBlockData(addr, h.buf)
 	res := h.model.Access(bank, h.buf, isWrite)
 	occupancy := uint64(res.TransferCycles) + uint64(h.model.ArrayCycles())
 	start := h.banks[bank].reserve(earliest, occupancy)
 	h.stats.QueueDelaySumCycles += start - earliest
-	h.mx.queueDelayCycles.Add(start - earliest)
 	return start + uint64(res.Cycles)
 }
 
@@ -399,10 +315,28 @@ func (h *Hierarchy) invalidatePeers(addr uint64, l *line, except int) {
 		}
 		if l1.invalidate(addr) {
 			h.stats.Invalidations++
-			h.mx.invalidations.Inc()
 		}
 	}
 	clearSharers(l, except)
+}
+
+// Publish adds the hierarchy's event counts to reg under "cachesim/…":
+// the Stats fields and, as l2_transfers, the block transfers it sent
+// through the L2 model. Call it once, when the run is over; a registry
+// shared by many runs then holds their sums. A no-op on a nil registry.
+func (h *Hierarchy) Publish(reg *metrics.Registry) {
+	transfers, _, _, _, _ := h.model.Stats()
+	reg.Counter("cachesim/l1_hits").Add(h.stats.L1Hits)
+	reg.Counter("cachesim/l1_misses").Add(h.stats.L1Misses)
+	reg.Counter("cachesim/l2_hits").Add(h.stats.L2Hits)
+	reg.Counter("cachesim/l2_misses").Add(h.stats.L2Misses)
+	reg.Counter("cachesim/l2_writebacks").Add(h.stats.L2Writebacks)
+	reg.Counter("cachesim/mshr_merges").Add(h.stats.MSHRMerges)
+	reg.Counter("cachesim/invalidations").Add(h.stats.Invalidations)
+	reg.Counter("cachesim/prefetch_fills").Add(h.stats.PrefetchFills)
+	reg.Counter("cachesim/prefetch_hits").Add(h.stats.PrefetchHits)
+	reg.Counter("cachesim/queue_delay_cycles").Add(h.stats.QueueDelaySumCycles)
+	reg.Counter("cachesim/l2_transfers").Add(transfers)
 }
 
 // AvgHitLatencyCycles returns the average L2 hit latency in cycles (Figure 21).

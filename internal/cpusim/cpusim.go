@@ -12,7 +12,9 @@
 // the smallest local time — so bank contention, DRAM queueing, and
 // coherence at the shared L2 occur in global time order. Memory references
 // go through internal/cachesim, whose data-dependent DESC transfer times
-// feed back into timing.
+// feed back into timing. The scheduler is the only layer of a run that
+// polls its context or updates metrics while it runs; the hierarchy
+// below it only simulates.
 package cpusim
 
 import (
@@ -56,9 +58,10 @@ type Config struct {
 	// generator or trace already fixes the seed.
 	Seed int64
 	// Metrics, when non-nil, receives live scheduler telemetry
-	// (scheduling-quanta and cancellation-poll counters under
-	// "cpusim/…"). Write-only observation: results are identical with
-	// or without a registry.
+	// (run, scheduling-quanta and cancellation-poll counters under
+	// "cpusim/…"), updated at each poll. Write-only observation: results
+	// are identical with or without a registry. The hierarchy's counts
+	// are not published here; see cachesim.Hierarchy.Publish.
 	Metrics *metrics.Registry
 }
 
@@ -210,17 +213,18 @@ func (h coreHeap) down(i, n int) {
 }
 
 // ctxCheckMask throttles cancellation polling: the scheduler consults
-// ctx.Done() once every 64 scheduling quanta, so cancellation latency is
-// bounded by a few thousand simulated cycles while the common path stays
-// select-free.
+// ctx.Done() once every 64 scheduling quanta, and a quantum issues at most
+// one memory access per hardware context of the stepped core (4 on
+// InOrderMT, 1 on OutOfOrder). So a cancelled run simulates at most 256
+// more accesses, while the common path stays select-free.
 const ctxCheckMask = 0x3f
 
 // RunWith executes the streams of src — a live generator (Streams) or a
 // recorded trace — on the configured processor over the given hierarchy
 // and returns timing results. Deterministic for a fixed (config, source)
-// pair. Cancelling ctx stops the simulation between scheduling quanta and
-// returns ctx's error; a cancelled run's partial counts are meaningless
-// and must be discarded.
+// pair. Cancelling ctx stops the simulation at the next poll (see
+// ctxCheckMask) and returns ctx's error; a cancelled run's partial counts
+// are meaningless and must be discarded.
 func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamSource) (Result, error) {
 	if cfg.Kind != InOrderMT && cfg.Kind != OutOfOrder {
 		return Result{}, fmt.Errorf("cpusim: unknown core kind %d", cfg.Kind)
@@ -232,9 +236,6 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	// The hierarchy inherits the run's cancellation signal so block
-	// transfers already in flight stop simulating too.
-	h.SetCancel(ctx.Done())
 	quantaCtr := cfg.Metrics.Counter("cpusim/quanta")
 	pollCtr := cfg.Metrics.Counter("cpusim/cancel_polls")
 	cfg.Metrics.Counter("cpusim/runs").Inc()

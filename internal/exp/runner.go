@@ -122,9 +122,9 @@ func Jobs(n int) RunnerOption {
 	}
 }
 
-// WithMetrics installs a telemetry registry: the runner and every
-// simulation layer below it (cpusim, cachesim, the per-scheme codecs)
-// record activity into reg. Metrics are write-only observation and never
+// WithMetrics installs a telemetry registry: the runner and the cpusim
+// scheduler record activity into reg as they go, and each finished run
+// adds its hierarchy and per-scheme link counts (see Simulate). Metrics are write-only observation and never
 // perturb results (TestRunnerMetricsNonPerturbing).
 func WithMetrics(reg *metrics.Registry) RunnerOption {
 	return func(r *Runner) { r.reg = reg }
@@ -587,7 +587,9 @@ func planOf(run func(context.Context, *Runner) ([]*stats.Table, error), opt Opti
 // calibrations and generated blocks, and a released L2 line table reset to
 // its initial state — cannot change a result, which is what makes parallel
 // execution deterministic. reg (may be nil) receives write-only telemetry
-// from every layer and never influences the result.
+// and never influences the result: cpusim's counters as the run goes, and
+// once it has finished the hierarchy's and the L2 model's counts, so a
+// failed or cancelled run adds none of those.
 func Simulate(ctx context.Context, spec SystemSpec, gen *workload.Generator, streams cpusim.StreamSource, instr uint64, reg *metrics.Registry) (RunResult, error) {
 	bench := gen.Profile().Name
 	if spec.ECCSegment < 0 {
@@ -607,7 +609,7 @@ func Simulate(ctx context.Context, spec SystemSpec, gen *workload.Generator, str
 	if spec.ECCSegment > 0 {
 		l2.ECC = cachemodel.ECCConfig{Enabled: true, SegmentBits: spec.ECCSegment}
 	}
-	h, err := cachesim.New(cachesim.Config{L2: l2, PrefetchNextLine: spec.Prefetch, Metrics: reg}, gen)
+	h, err := cachesim.New(cachesim.Config{L2: l2, PrefetchNextLine: spec.Prefetch}, gen)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("exp: %s: %w", bench, err)
 	}
@@ -617,6 +619,8 @@ func Simulate(ctx context.Context, spec SystemSpec, gen *workload.Generator, str
 	if err != nil {
 		return RunResult{}, err
 	}
+	h.Publish(reg)
+	h.Model().Publish(reg)
 	params := energy.NiagaraLike
 	if spec.Kind == cpusim.OutOfOrder {
 		params = energy.OoO4Issue

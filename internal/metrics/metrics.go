@@ -19,6 +19,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,13 +107,45 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucket(h.bounds, v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// bucket returns the index of the bucket of bounds that counts v: the
+// first bound v does not exceed, or len(bounds) for the overflow bucket.
+//
+//desclint:hotpath
+func bucket(bounds []uint64, v uint64) int {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	return i
+}
+
+// Tally counts observations into a Histogram's buckets in plain fields,
+// for a single owner that counts as it works and publishes once:
+// Registry.AddTally adds a finished tally to a registry. The zero Tally
+// is not usable; build one with NewTally.
+type Tally struct {
+	bounds []uint64
+	counts []uint64 // len(bounds)+1; last is overflow
+	sum    uint64
+}
+
+// NewTally returns an empty tally over bounds, which it sorts as
+// Registry.Histogram does.
+func NewTally(bounds []uint64) Tally {
+	return Tally{bounds: sortedCopy(bounds), counts: make([]uint64, len(bounds)+1)}
+}
+
+// Observe records one value. Not safe for concurrent use.
+//
+//desclint:hotpath
+func (t *Tally) Observe(v uint64) {
+	t.counts[bucket(t.bounds, v)]++
+	t.sum += v
 }
 
 // Count returns the number of observations (0 on a nil receiver).
@@ -214,13 +247,37 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		b := make([]uint64, len(bounds))
-		copy(b, bounds)
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		h = &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
+		h = &Histogram{bounds: sortedCopy(bounds), buckets: make([]atomic.Uint64, len(bounds)+1)}
 		r.histograms[name] = h
 	}
 	return h
+}
+
+// AddTally adds t's observations to the named histogram, creating it with
+// t's bounds on first use. It panics if the histogram exists with other
+// bounds: their buckets do not line up. A no-op on a nil registry.
+func (r *Registry) AddTally(name string, t *Tally) {
+	h := r.Histogram(name, t.bounds)
+	if h == nil {
+		return
+	}
+	if !slices.Equal(h.bounds, t.bounds) {
+		panic("metrics: tally bounds differ from histogram " + name)
+	}
+	var count uint64
+	for i, n := range t.counts {
+		h.buckets[i].Add(n)
+		count += n
+	}
+	h.count.Add(count)
+	h.sum.Add(t.sum)
+}
+
+// sortedCopy returns bounds sorted ascending, leaving bounds as it is.
+func sortedCopy(bounds []uint64) []uint64 {
+	b := slices.Clone(bounds)
+	slices.Sort(b)
+	return b
 }
 
 // CounterValue is one counter in a snapshot.

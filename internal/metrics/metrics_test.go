@@ -92,6 +92,8 @@ func TestNilSafety(t *testing.T) {
 	g.Set(5)
 	g.Add(-2)
 	h.Observe(3)
+	tally := NewTally([]uint64{1})
+	reg.AddTally("x", &tally)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments accumulated values")
 	}
@@ -101,13 +103,17 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestHistogramBuckets pins boundary placement: v <= bound lands in that
-// bucket, anything above the last bound lands in overflow.
+// bucket, anything above the last bound lands in overflow. A Tally of the
+// same values, added to a registry, reads the same.
 func TestHistogramBuckets(t *testing.T) {
-	reg := NewRegistry()
+	reg, tallied := NewRegistry(), NewRegistry()
 	h := reg.Histogram("h", []uint64{2, 8})
+	tally := NewTally([]uint64{8, 2})
 	for _, v := range []uint64{0, 2, 3, 8, 9, 1000} {
 		h.Observe(v)
+		tally.Observe(v)
 	}
+	tallied.AddTally("h", &tally)
 	hv := reg.Snapshot().Histograms[0]
 	want := []uint64{2, 2, 2} // {0,2}, {3,8}, {9,1000}
 	if !reflect.DeepEqual(hv.Counts, want) {
@@ -116,6 +122,20 @@ func TestHistogramBuckets(t *testing.T) {
 	if hv.Count != 6 || hv.Sum != 0+2+3+8+9+1000 {
 		t.Errorf("count/sum = %d/%d", hv.Count, hv.Sum)
 	}
+	if tv := tallied.Snapshot().Histograms[0]; !reflect.DeepEqual(tv, hv) {
+		t.Errorf("tally reads %+v, histogram %+v", tv, hv)
+	}
+	tallied.AddTally("h", &tally)
+	if tv := tallied.Snapshot().Histograms[0]; tv.Count != 12 || tv.Sum != 2*hv.Sum || tv.Counts[2] != 4 {
+		t.Errorf("second AddTally: %+v, want every total doubled", tv)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddTally onto a histogram with other bounds did not panic")
+		}
+	}()
+	other := NewTally([]uint64{2, 16})
+	tallied.AddTally("h", &other)
 }
 
 func TestExpBuckets(t *testing.T) {
