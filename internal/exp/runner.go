@@ -522,9 +522,9 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 
 // Run renders one experiment. A simulating experiment first renders on
 // a planning view of r, which reads the runs r has finished; if that
-// render lacked none, its tables are the answer. Otherwise the
-// experiment's demand set executes on the worker pool, and its Run phase
-// renders tables from the warmed cache.
+// render lacked none, its tables are the answer. Otherwise the runs it
+// lacked execute on the worker pool, and its Run phase renders tables
+// from the warmed cache.
 func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) {
 	if e.Demands == nil {
 		return e.Run(ctx, r)
@@ -533,7 +533,7 @@ func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) 
 	if tables, err := e.Run(ctx, view); len(view.plan) == 0 {
 		return tables, err
 	}
-	if err := r.Execute(ctx, e.Demands(r.opt)); err != nil {
+	if err := r.Execute(ctx, distinct(view.plan)); err != nil {
 		return nil, err
 	}
 	return e.Run(ctx, r)
@@ -565,15 +565,21 @@ var standIn = RunResult{
 func planOf(run func(context.Context, *Runner) ([]*stats.Table, error), opt Options) []Demand {
 	r := &Runner{opt: opt.WithDefaults(), planning: true}
 	_, _ = run(context.Background(), r)
-	seen := make(map[Demand]bool, len(r.plan))
-	plan := r.plan[:0]
-	for _, d := range r.plan {
+	return distinct(r.plan)
+}
+
+// distinct deduplicates demands in place, keeping first occurrences in
+// order.
+func distinct(demands []Demand) []Demand {
+	seen := make(map[Demand]bool, len(demands))
+	out := demands[:0]
+	for _, d := range demands {
 		if !seen[d] {
 			seen[d] = true
-			plan = append(plan, d)
+			out = append(out, d)
 		}
 	}
-	return plan
+	return out
 }
 
 // Simulate performs one full system simulation: it builds the L2 model

@@ -95,6 +95,43 @@ func TestRunWarmRendersOnce(t *testing.T) {
 	}
 }
 
+// TestRunColdRendersTwice: on a Runner that holds none or some of an
+// experiment's runs, Run renders twice, once on its planning view and
+// once after executing what the view lacked, with no dry render in
+// between to re-derive the plan. It claims only the runs it lacked, so a
+// held run counts no dedup skip.
+func TestRunColdRendersTwice(t *testing.T) {
+	ctx := context.Background()
+	want := freshRender(t, mustExperiment(t, "fig14"))
+	for _, held := range []int{0, 3} {
+		reg := metrics.NewRegistry()
+		r := mustRunner(warmOpt, WithMetrics(reg))
+		var renders atomic.Int64
+		e := countedRenders(mustExperiment(t, "fig14"), &renders)
+		plan := e.Demands(r.Options())
+		if err := r.Execute(ctx, plan[:held]); err != nil {
+			t.Fatal(err)
+		}
+		renders.Store(0)
+		md, err := render(ctx, r, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := renders.Load(); n != 2 {
+			t.Errorf("Run holding %d runs rendered fig14 %d times, want 2", held, n)
+		}
+		if got := reg.Counter("exp/runs_started").Value(); got != uint64(len(plan)) {
+			t.Errorf("Run holding %d runs: %d runs started in all, want %d", held, got, len(plan))
+		}
+		if got := reg.Counter("exp/dedup_skips").Value(); got != 0 {
+			t.Errorf("Run holding %d runs counted %d dedup skips, want 0", held, got)
+		}
+		if md != want {
+			t.Errorf("Run holding %d runs rendered:\n%s\nwant\n%s", held, md, want)
+		}
+	}
+}
+
 // TestRunPartialRunnerMatchesFresh: a Runner that holds only part of an
 // experiment's plan renders exactly what a fresh Runner renders; the runs
 // it lacks never reach the tables as stand-ins.
