@@ -250,7 +250,13 @@ func requestFromQuery(r *http.Request, req *blockRequest) error {
 		}
 		*f.dst = n
 	}
-	req.PerBlock = q.Get("per_block") == "true" || q.Get("per_block") == "1"
+	if v := q.Get("per_block"); v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			return errf(http.StatusBadRequest, "serve: query parameter per_block=%q is not a boolean", v)
+		}
+		req.PerBlock = b
+	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -113,18 +114,27 @@ func (s *Server) route(name string, deadline time.Duration, h func(http.Response
 	}
 }
 
-// decodeJSON parses a JSON request body, mapping body-limit violations
-// to 413 and malformed payloads to 400.
+// decodeJSON parses a JSON request body holding exactly one value,
+// mapping body-limit violations to 413 and malformed payloads, including
+// anything but white space after the value, to 400.
 func decodeJSON(r *http.Request, dst any) error {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return errf(http.StatusRequestEntityTooLarge,
-				"serve: request body exceeds the %d-byte limit", mbe.Limit)
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(dst)
+	trailing := err == nil
+	if trailing {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return errf(http.StatusBadRequest, "serve: decode request: %v", err)
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		return errf(http.StatusRequestEntityTooLarge,
+			"serve: request body exceeds the %d-byte limit", mbe.Limit)
+	case trailing:
+		return errf(http.StatusBadRequest, "serve: decode request: data after the JSON value")
+	}
+	return errf(http.StatusBadRequest, "serve: decode request: %v", err)
 }
 
 // writeJSON emits v as the response body.

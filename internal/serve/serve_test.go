@@ -315,12 +315,18 @@ func TestBadRequests(t *testing.T) {
 		{"both forms", `{"scheme":"desc-zero","data":"` + b64 + `","blocks":["` + b64 + `"]}`, http.StatusBadRequest},
 		{"bad base64", `{"scheme":"desc-zero","data":"!!!"}`, http.StatusBadRequest},
 		{"short block", `{"scheme":"desc-zero","blocks":["` + base64.StdEncoding.EncodeToString(block[:8]) + `"]}`, http.StatusBadRequest},
+		{"trailing data", `{"scheme":"desc-zero","data":"` + b64 + `"} junk`, http.StatusBadRequest},
+		{"second value", `{"scheme":"desc-zero","data":"` + b64 + `"}{}`, http.StatusBadRequest},
+		{"trailing white space", "{\"scheme\":\"desc-zero\",\"data\":\"" + b64 + "\"}\n\t ", http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := do(t, s, http.MethodPost, "/v1/encode", "application/json", []byte(tc.body))
 			if rec.Code != tc.status {
 				t.Fatalf("status = %d, want %d; body: %s", rec.Code, tc.status, rec.Body.String())
+			}
+			if tc.status == http.StatusOK {
+				return
 			}
 			er := errorOf(t, rec)
 			if !strings.HasPrefix(er.Error, "serve: ") {
@@ -331,6 +337,49 @@ func TestBadRequests(t *testing.T) {
 	brec := do(t, s, http.MethodPost, "/v1/encode?scheme=desc-zero&chunk_bits=x", "application/octet-stream", block)
 	if brec.Code != http.StatusBadRequest {
 		t.Errorf("bad query parameter: status = %d, want 400", brec.Code)
+	}
+}
+
+// TestBinaryPerBlockParam: binary mode reads per_block as strconv.ParseBool
+// does, and any other value is a 400 that names the parameter.
+func TestBinaryPerBlockParam(t *testing.T) {
+	s := New(Config{})
+	payload := trafficPayload(t)
+	blocks := len(payload) / (testBlockBits / 8)
+	for _, tc := range []struct {
+		value  string
+		status int
+		costs  int
+	}{
+		{"", http.StatusOK, 0},
+		{"1", http.StatusOK, blocks},
+		{"true", http.StatusOK, blocks},
+		{"True", http.StatusOK, blocks},
+		{"t", http.StatusOK, blocks},
+		{"0", http.StatusOK, 0},
+		{"false", http.StatusOK, 0},
+		{"yes", http.StatusBadRequest, 0},
+		{"2", http.StatusBadRequest, 0},
+		{"on", http.StatusBadRequest, 0},
+	} {
+		target := "/v1/encode?scheme=desc-zero"
+		if tc.value != "" {
+			target += "&per_block=" + tc.value
+		}
+		rec := do(t, s, http.MethodPost, target, "application/octet-stream", payload)
+		if rec.Code != tc.status {
+			t.Errorf("per_block=%q: status = %d, want %d; body: %s", tc.value, rec.Code, tc.status, rec.Body.String())
+			continue
+		}
+		if tc.status != http.StatusOK {
+			if er := errorOf(t, rec); !strings.Contains(er.Error, "per_block") {
+				t.Errorf("per_block=%q: error %q does not name the parameter", tc.value, er.Error)
+			}
+			continue
+		}
+		if got := len(decodeResponse(t, rec).Costs); got != tc.costs {
+			t.Errorf("per_block=%q: %d per-block costs, want %d", tc.value, got, tc.costs)
+		}
 	}
 }
 
@@ -720,6 +769,9 @@ func TestHostileGeometryRejected(t *testing.T) {
 			rec := do(t, s, http.MethodPost, tc.target, tc.ct, []byte(tc.body))
 			if rec.Code != tc.status {
 				t.Fatalf("status = %d, want %d; body: %s", rec.Code, tc.status, rec.Body.String())
+			}
+			if tc.status == http.StatusOK {
+				return
 			}
 			er := errorOf(t, rec)
 			if !strings.HasPrefix(er.Error, "serve: ") {
