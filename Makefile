@@ -110,7 +110,8 @@ bench:
 ## bench-quick: the Send hot-path, per-experiment figure (fresh runner,
 ## sims/op), runner cold/warm-disk-cache, warm sweep-figure render
 ## (renders/op), simulator set-up, simulator
-## throughput, hierarchy per-access (ns/access), DESC lane-max fold
+## throughput, two metered runs sharing a registry against two with none
+## (SimulatorMetered), hierarchy per-access (ns/access), DESC lane-max fold
 ## (MaxNibble/MaxByte at 2-, 4-, 8- and 16-word rounds), block generation
 ## (GenBlock, FillBlockData hit/absent), stream access (StreamNext), the
 ## serve data plane without HTTP (EncodeBlocks, ns/block) and the encode
@@ -118,7 +119,7 @@ bench:
 ## benchmarks with allocation counts, written to bench-quick.txt (CI uploads it as an
 ## artifact so every PR carries a ns/op and allocs/op record)
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|RunnerRun|Setup|SimulatorThroughput|HierarchyAccess|MaxNibble|MaxByte|GenBlock|FillBlockData|StreamNext|EncodeBlocks|HandleEncode' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil ./internal/workload ./internal/serve | tee bench-quick.txt
+	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|RunnerRun|Setup|SimulatorThroughput|SimulatorMetered|HierarchyAccess|MaxNibble|MaxByte|GenBlock|FillBlockData|StreamNext|EncodeBlocks|HandleEncode' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil ./internal/workload ./internal/serve | tee bench-quick.txt
 
 ## bench-ab: isolated A/B of go test benchmarks: builds the test binary
 ## of BASE (a git revision, exported into the ignored .bench_build/) and

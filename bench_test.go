@@ -12,6 +12,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"desc/internal/cachemodel"
@@ -360,6 +361,43 @@ func BenchmarkSimulatorThroughputSameSeed(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(schemes)*len(benches)), "sims/op")
+}
+
+// BenchmarkSimulatorMetered runs the design point on Radix on two
+// goroutines at once, as a metered descbench sweep or descserve's
+// experiments do: "shared" attaches one registry to both runs, "nil"
+// none. The difference is what metering costs a run, contention on
+// shared instruments included. Each op is the same two runs, so the block
+// cache is warm after the first.
+func BenchmarkSimulatorMetered(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		reg  *MetricsRegistry
+	}{{"nil", nil}, {"shared", NewMetricsRegistry()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				errs := make([]error, 2)
+				for g := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, errs[g] = Simulate(SystemConfig{
+							Scheme: "desc-zero", DataWires: 128, InstrPerContext: 8_000,
+							Seed: int64(g + 1), Metrics: tc.reg,
+						}, "Radix")
+					}()
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSimulatorSetup prices the per-run construction a sweep pays
