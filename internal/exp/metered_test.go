@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"desc/internal/cpusim"
 	"desc/internal/metrics"
 	"desc/internal/workload"
 )
@@ -149,5 +150,26 @@ func TestMeteredRunSnapshot(t *testing.T) {
 	}
 	if len(want) != len(specs) {
 		t.Errorf("golden has %d schemes, want %d", len(want), len(specs))
+	}
+}
+
+// TestCancelledRunPublishesNoCounts: a run that does not finish adds no
+// hierarchy or link counts to the registry, not even zeros.
+func TestCancelledRunPublishesNoCounts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gen := workload.NewGenerator(workload.Parallel()[0], 1)
+	reg := metrics.NewRegistry()
+	if _, err := Simulate(ctx, DESCZero(), gen, cpusim.Streams(gen), 2_000, reg); err == nil {
+		t.Fatal("Simulate on a cancelled context succeeded")
+	}
+	snap := reg.Snapshot()
+	for _, c := range snap.Counters {
+		if strings.HasPrefix(c.Name, "cachesim/") || strings.HasPrefix(c.Name, "link/") {
+			t.Errorf("cancelled run registered %s = %d", c.Name, c.Value)
+		}
+	}
+	if len(snap.Histograms) != 0 {
+		t.Errorf("cancelled run registered %d histograms", len(snap.Histograms))
 	}
 }

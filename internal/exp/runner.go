@@ -124,8 +124,9 @@ func Jobs(n int) RunnerOption {
 
 // WithMetrics installs a telemetry registry: the runner and the cpusim
 // scheduler record activity into reg as they go, and each finished run
-// adds its hierarchy and per-scheme link counts (see Simulate). Metrics are write-only observation and never
-// perturb results (TestRunnerMetricsNonPerturbing).
+// adds its hierarchy and per-scheme link counts (see Simulate). Metrics
+// are write-only observation and never perturb results
+// (TestRunnerMetricsNonPerturbing).
 func WithMetrics(reg *metrics.Registry) RunnerOption {
 	return func(r *Runner) { r.reg = reg }
 }
