@@ -5,10 +5,9 @@
 // cpusim: cpusim's scheduler loop polls ctx.Done() every 64 quanta, and
 // everything above it inherits cancellability from that. The cache
 // hierarchy below it never sees the context: no call into it outlives a
-// quantum. The
-// pattern is load-bearing — a sweep that cannot be cancelled wedges the
-// worker pool — but until now nothing enforced it on new code. This pass
-// requires that every exported function (or method) taking a
+// quantum. The pattern is load-bearing — a sweep that cannot be cancelled
+// wedges the worker pool — but until now nothing enforced it on new code.
+// This pass requires that every exported function (or method) taking a
 // context.Context whose body contains an unbounded for loop consults the
 // context: an unbounded loop is `for { ... }` or a condition-only
 // `for cond { ... }`, and consulting means the loop body mentions any

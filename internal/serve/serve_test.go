@@ -770,9 +770,6 @@ func TestHostileGeometryRejected(t *testing.T) {
 			if rec.Code != tc.status {
 				t.Fatalf("status = %d, want %d; body: %s", rec.Code, tc.status, rec.Body.String())
 			}
-			if tc.status == http.StatusOK {
-				return
-			}
 			er := errorOf(t, rec)
 			if !strings.HasPrefix(er.Error, "serve: ") {
 				t.Errorf("error %q lacks the serve: prefix", er.Error)
