@@ -21,3 +21,14 @@ func nibbleKernelBytes(b []byte) (peak uint16, zeros int)
 //
 //go:noescape
 func byteKernelBytes(b []byte) (peak uint16, zeros int)
+
+// nibbleKernelRounds folds len(out) rounds of roundBytes bytes each from
+// the start of b into out, in one frame.
+//
+//go:noescape
+func nibbleKernelRounds(b []byte, roundBytes int, out []RoundFold)
+
+// byteKernelRounds is nibbleKernelRounds for byte lanes.
+//
+//go:noescape
+func byteKernelRounds(b []byte, roundBytes int, out []RoundFold)

@@ -1,19 +1,25 @@
 #include "textflag.h"
 
 // The SSE2 lane folds of the DESC round on amd64. Each takes a round of
-// any length, as words or as the bytes of little-endian words: an entry
-// per form loads the base and the word count and jumps to the shared
-// body, which runs in the entry's frame. Whole 8-word (64-byte) groups, a 128-wire round of 4-bit
+// any length, as words or as the bytes of little-endian words, or a run
+// of equal rounds: an entry per form loads the base, the word count of
+// a round and, for a run, the round count and the output pointer, and
+// jumps to the shared body, which runs in the entry's frame. Whole
+// 8-word (64-byte) groups, a 128-wire round of 4-bit
 // chunks, go through four 16-byte registers at a time, then a 4-, a 2-
 // and a 1-word piece of the words left over. A PMAXUB tree gives the
 // largest lane; PCMPEQB against zero plus PSUBB counts the zero lanes in
 // byte counters that PSADBW sums into a 64-bit total once per group, so
 // no counter overflows however many groups a round has. A 1-word piece
 // loads into the low half of a register, whose zero high half is taken
-// off the count again (R8). SSE2 is part of every amd64 CPU
-// (GOAMD64=v1), so nothing checks for it. Registers: X8 the low-nibble
-// mask, X9 zero, X10 the running lane maximum, X11 the zero-lane total,
-// X12 the byte counters, X13 scratch.
+// off the count again (R8). The pieces advance SI by what they read, so
+// the next round of a run starts where the last one ended. SSE2 is part
+// of every amd64 CPU (GOAMD64=v1), so nothing checks for it. Registers:
+// SI the next word, R10 the words of a round, DI the next RoundFold of a
+// run (zero for a single round, whose results go to the entry's frame),
+// R9 the rounds left, X8 the low-nibble mask, X9 zero, X10 the running
+// lane maximum, X11 the zero-lane total, X12 the byte counters, X13
+// scratch.
 
 // SPLIT leaves the low nibble of every byte of lo in lo and the high
 // nibble in hi.
@@ -26,46 +32,67 @@
 // them.
 #define SUMZEROS PSADBW X9, X12; PADDQ X12, X11; PXOR X12, X12
 
-// RESULTS folds X10's 16 bytes to their maximum and X11's two halves to
-// their sum less R8, and stores them as the results peak and zeros.
+// STARTROUND loads a round's word count into CX, its 8-word groups into
+// DX and its words left over into CX, and clears the round's maximum,
+// zero total and 1-word correction.
+#define STARTROUND \
+	MOVQ R10, CX; MOVQ CX, DX; SHRQ $3, DX; ANDQ $7, CX; \
+	XORQ R8, R8; PXOR X10, X10; PXOR X11, X11
+
+// RESULTS folds X10's 16 bytes to their maximum in AX and X11's two
+// halves to their sum less R8 in BX.
 #define RESULTS \
 	MOVO   X10, X0; PSRLDQ $8, X0; PMAXUB X0, X10; \
 	MOVO   X10, X0; PSRLDQ $4, X0; PMAXUB X0, X10; \
 	MOVO   X10, X0; PSRLDQ $2, X0; PMAXUB X0, X10; \
 	MOVO   X10, X0; PSRLDQ $1, X0; PMAXUB X0, X10; \
-	MOVQ   X10, AX; MOVBQZX AX, AX; MOVW AX, peak+24(FP); \
+	MOVQ   X10, AX; MOVBQZX AX, AX; \
 	MOVO   X11, X0; PSRLDQ $8, X0; PADDQ X0, X11; \
-	MOVQ   X11, AX; SUBQ R8, AX; MOVQ AX, zeros+32(FP)
+	MOVQ   X11, BX; SUBQ R8, BX
 
 // func nibbleKernel(xs []uint64) (peak uint16, zeros int)
 TEXT ·nibbleKernel(SB), NOSPLIT, $0-40
 	MOVQ xs_base+0(FP), SI
-	MOVQ xs_len+8(FP), CX
+	MOVQ xs_len+8(FP), R10
+	XORQ DI, DI
 	JMP  nibbleBody<>(SB)
 
 // func nibbleKernelBytes(b []byte) (peak uint16, zeros int)
 TEXT ·nibbleKernelBytes(SB), NOSPLIT, $0-40
 	MOVQ b_base+0(FP), SI
-	MOVQ b_len+8(FP), CX
-	SHRQ $3, CX
+	MOVQ b_len+8(FP), R10
+	SHRQ $3, R10
+	XORQ DI, DI
 	JMP  nibbleBody<>(SB)
 
-// nibbleBody folds the CX words at SI. Both entries jump to it with
-// their frame in place, so it stores the results into theirs.
+// func nibbleKernelRounds(b []byte, roundBytes int, out []RoundFold)
+TEXT ·nibbleKernelRounds(SB), NOSPLIT, $0-56
+	MOVQ  b_base+0(FP), SI
+	MOVQ  roundBytes+24(FP), R10
+	SHRQ  $3, R10
+	MOVQ  out_base+32(FP), DI
+	MOVQ  out_len+40(FP), R9
+	TESTQ R9, R9
+	JZ    nibbleNoRounds
+	JMP   nibbleBody<>(SB)
+
+nibbleNoRounds:
+	RET
+
+// nibbleBody folds rounds of R10 words from SI. The entries jump to it
+// with their frame in place, so a single round's results go into
+// theirs.
 TEXT nibbleBody<>(SB), NOSPLIT, $0-40
-	MOVQ   CX, DX
-	SHRQ   $3, DX
-	ANDQ   $7, CX
-	XORQ   R8, R8
 	MOVQ   $0x0F0F0F0F0F0F0F0F, AX
 	MOVQ   AX, X8
 	PSHUFD $0x44, X8, X8
 	PXOR   X9, X9
-	PXOR   X10, X10
-	PXOR   X11, X11
 	PXOR   X12, X12
-	TESTQ  DX, DX
-	JZ     nibble4
+
+nibbleRound:
+	STARTROUND
+	TESTQ DX, DX
+	JZ    nibble4
 
 nibble8:
 	MOVOU 0(SI), X0
@@ -137,35 +164,61 @@ nibble1:
 	COUNTZEROS(X4)
 	PMAXUB X4, X0
 	PMAXUB X0, X10
+	ADDQ   $8, SI
 
 nibbleDone:
 	SUMZEROS
 	RESULTS
+	TESTQ DI, DI
+	JZ    nibbleSingle
+	MOVL  AX, 0(DI)
+	MOVL  BX, 4(DI)
+	ADDQ  $8, DI
+	DECQ  R9
+	JNZ   nibbleRound
+	RET
+
+nibbleSingle:
+	MOVW AX, peak+24(FP)
+	MOVQ BX, zeros+32(FP)
 	RET
 
 // func byteKernel(xs []uint64) (peak uint16, zeros int)
 TEXT ·byteKernel(SB), NOSPLIT, $0-40
 	MOVQ xs_base+0(FP), SI
-	MOVQ xs_len+8(FP), CX
+	MOVQ xs_len+8(FP), R10
+	XORQ DI, DI
 	JMP  byteBody<>(SB)
 
 // func byteKernelBytes(b []byte) (peak uint16, zeros int)
 TEXT ·byteKernelBytes(SB), NOSPLIT, $0-40
 	MOVQ b_base+0(FP), SI
-	MOVQ b_len+8(FP), CX
-	SHRQ $3, CX
+	MOVQ b_len+8(FP), R10
+	SHRQ $3, R10
+	XORQ DI, DI
 	JMP  byteBody<>(SB)
+
+// func byteKernelRounds(b []byte, roundBytes int, out []RoundFold)
+TEXT ·byteKernelRounds(SB), NOSPLIT, $0-56
+	MOVQ  b_base+0(FP), SI
+	MOVQ  roundBytes+24(FP), R10
+	SHRQ  $3, R10
+	MOVQ  out_base+32(FP), DI
+	MOVQ  out_len+40(FP), R9
+	TESTQ R9, R9
+	JZ    byteNoRounds
+	JMP   byteBody<>(SB)
+
+byteNoRounds:
+	RET
 
 // byteBody is nibbleBody for byte lanes.
 TEXT byteBody<>(SB), NOSPLIT, $0-40
-	MOVQ  CX, DX
-	SHRQ  $3, DX
-	ANDQ  $7, CX
-	XORQ  R8, R8
-	PXOR  X9, X9
-	PXOR  X10, X10
-	PXOR  X11, X11
-	PXOR  X12, X12
+	PXOR X9, X9
+	PXOR X12, X12
+
+byteRound:
+	STARTROUND
 	TESTQ DX, DX
 	JZ    byte4
 
@@ -215,8 +268,21 @@ byte1:
 	MOVQ   $8, R8
 	COUNTZEROS(X0)
 	PMAXUB X0, X10
+	ADDQ   $8, SI
 
 byteDone:
 	SUMZEROS
 	RESULTS
+	TESTQ DI, DI
+	JZ    byteSingle
+	MOVL  AX, 0(DI)
+	MOVL  BX, 4(DI)
+	ADDQ  $8, DI
+	DECQ  R9
+	JNZ   byteRound
+	RET
+
+byteSingle:
+	MOVW AX, peak+24(FP)
+	MOVQ BX, zeros+32(FP)
 	RET

@@ -13,3 +13,14 @@ func nibbleKernelBytes(b []byte) (peak uint16, zeros int) { return foldBytes(b, 
 
 // byteKernelBytes is nibbleKernelBytes for byte lanes.
 func byteKernelBytes(b []byte) (peak uint16, zeros int) { return foldBytes(b, byteFold) }
+
+// nibbleKernelRounds folds len(out) rounds of roundBytes bytes each from
+// the start of b into out, one round at a time.
+func nibbleKernelRounds(b []byte, roundBytes int, out []RoundFold) {
+	foldRounds(b, roundBytes, out, nibbleFold)
+}
+
+// byteKernelRounds is nibbleKernelRounds for byte lanes.
+func byteKernelRounds(b []byte, roundBytes int, out []RoundFold) {
+	foldRounds(b, roundBytes, out, byteFold)
+}

@@ -2,6 +2,7 @@ package bitutil
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -174,6 +175,59 @@ func MaxZerosNibble(xs []uint64) (uint16, int) {
 //desclint:hotpath
 func MaxZerosNibbleBytes(b []byte) (uint16, int) {
 	return nibbleKernelBytes(b)
+}
+
+// RoundFold is one DESC round's lane fold: its largest lane value and
+// how many of its lanes are zero.
+type RoundFold struct {
+	Peak, Zeros uint32
+}
+
+// MaxZerosNibbleRounds is MaxZerosNibbleBytes over a run of equal
+// rounds: it folds the len(out) consecutive rounds of roundBytes bytes
+// each at the start of b into out, in order, in one kernel call. Bytes
+// of b after the last round are not read. roundBytes must be a positive
+// multiple of 8, and b must hold len(out) rounds.
+//
+//desclint:hotpath
+func MaxZerosNibbleRounds(b []byte, roundBytes int, out []RoundFold) {
+	if !holdsRounds(len(b), roundBytes, len(out)) {
+		panic(errRounds)
+	}
+	nibbleKernelRounds(b, roundBytes, out)
+}
+
+// MaxZerosByteRounds is MaxZerosNibbleRounds for byte lanes.
+//
+//desclint:hotpath
+func MaxZerosByteRounds(b []byte, roundBytes int, out []RoundFold) {
+	if !holdsRounds(len(b), roundBytes, len(out)) {
+		panic(errRounds)
+	}
+	byteKernelRounds(b, roundBytes, out)
+}
+
+// holdsRounds reports whether n bytes hold rounds rounds of roundBytes,
+// a positive multiple of 8: the kernels read the rounds unchecked. It
+// multiplies rather than divides, and the entries panic with a constant,
+// so that they inline.
+func holdsRounds(n, roundBytes, rounds int) bool {
+	hi, lo := bits.Mul64(uint64(rounds), uint64(roundBytes))
+	return (uint64(roundBytes)&7|hi) == 0 && roundBytes > 0 && lo <= uint64(n)
+}
+
+// errRounds is the panic of a rounds entry whose rounds b does not hold.
+var errRounds = errors.New("bitutil: rounds of a length that is not a positive multiple of 8, or past the end of b")
+
+// foldRounds runs foldBytes with fold over each of the len(out) rounds
+// of roundBytes bytes at the start of b: the portable form of the rounds
+// entries.
+func foldRounds(b []byte, roundBytes int, out []RoundFold, fold func([]uint64) (uint16, int)) {
+	for i := range out {
+		m, z := foldBytes(b[:roundBytes], fold)
+		out[i] = RoundFold{uint32(m), uint32(z)}
+		b = b[roundBytes:]
+	}
 }
 
 // foldBytes runs fold, nibbleFold or byteFold, over the little-endian

@@ -120,27 +120,35 @@ func scalarLaneZeros(xs []uint64, k int) int {
 // laneFold is one lane width's DESC round fold: the largest k-bit lane
 // of a round's words and, from the same pass, how many lanes are zero
 // (the SSE2 kernel on amd64), and the portable SWAR fold, its oracle;
-// each over words and over the bytes of little-endian words.
+// each over words, over the bytes of little-endian words and over a run
+// of equal rounds of such bytes.
 type laneFold struct {
-	k             int
-	maxZeros      func([]uint64) (uint16, int)
-	portable      func([]uint64) (uint16, int)
-	maxZerosBytes func([]byte) (uint16, int)
-	portableBytes func([]byte) (uint16, int)
+	k              int
+	maxZeros       func([]uint64) (uint16, int)
+	portable       func([]uint64) (uint16, int)
+	maxZerosBytes  func([]byte) (uint16, int)
+	portableBytes  func([]byte) (uint16, int)
+	maxZerosRounds func([]byte, int, []RoundFold)
+	portableRounds func([]byte, int, []RoundFold)
 }
 
 var (
 	nibbleLanes = laneFold{4, MaxZerosNibble, nibbleFold, MaxZerosNibbleBytes,
-		func(b []byte) (uint16, int) { return foldBytes(b, nibbleFold) }}
+		func(b []byte) (uint16, int) { return foldBytes(b, nibbleFold) },
+		MaxZerosNibbleRounds,
+		func(b []byte, n int, out []RoundFold) { foldRounds(b, n, out, nibbleFold) }}
 	byteLanes = laneFold{8, MaxZerosByte, byteFold, MaxZerosByteBytes,
-		func(b []byte) (uint16, int) { return foldBytes(b, byteFold) }}
+		func(b []byte) (uint16, int) { return foldBytes(b, byteFold) },
+		MaxZerosByteRounds,
+		func(b []byte, n int, out []RoundFold) { foldRounds(b, n, out, byteFold) }}
 )
 
 // check holds f's folds and its portable folds of xs to the scalar
 // maximum and zero count: over the words, and over their little-endian
 // bytes at every byte offset 0–7 from an 8-byte boundary, followed by a
 // word of all-ones bytes that a fold reading past its length would
-// count.
+// count; and as a run of equal rounds for every round length that
+// divides the words (checkRounds).
 func (f laneFold) check(t *testing.T, xs []uint64) {
 	t.Helper()
 	wantMax, wantZeros := scalarLaneMax(xs, f.k), scalarLaneZeros(xs, f.k)
@@ -170,6 +178,108 @@ func (f laneFold) check(t *testing.T, xs []uint64) {
 				t.Fatalf("k=%d %s max and zeros of the %d bytes at offset %d of words %#x = %d, %d, want %d, %d",
 					f.k, fold.name, len(b), off, xs, m, z, wantMax, wantZeros)
 			}
+		}
+	}
+	for n := 1; n <= len(xs); n++ {
+		if len(xs)%n == 0 {
+			f.checkRounds(t, xs, n)
+		}
+	}
+}
+
+// roundSentinel fills the RoundFold slots a rounds fold must not write.
+var roundSentinel = RoundFold{Peak: 0xDEAD, Zeros: 0xBEEF}
+
+// checkRounds holds f's rounds folds and its portable ones, over the
+// little-endian bytes of xs taken as len(xs)/n rounds of n words, to
+// the scalar maximum and zero count of every round, at every byte offset
+// 0–7 from an 8-byte boundary and followed by a word of all-ones bytes
+// that a fold reading past the last round would count. The slot after
+// the last round must keep its sentinel.
+func (f laneFold) checkRounds(t *testing.T, xs []uint64, n int) {
+	t.Helper()
+	rounds := len(xs) / n
+	buf := make([]byte, 8*len(xs)+16)
+	out := make([]RoundFold, rounds+1)
+	for off := 0; off < 8; off++ {
+		b := buf[off : off+8*len(xs)]
+		for i, x := range xs {
+			binary.LittleEndian.PutUint64(b[8*i:], x)
+		}
+		for i := range buf[off+len(b):] {
+			buf[off+len(b)+i] = 0xFF
+		}
+		for _, fold := range []struct {
+			name   string
+			rounds func([]byte, int, []RoundFold)
+		}{{"portable", f.portableRounds}, {"kernel", f.maxZerosRounds}} {
+			for i := range out {
+				out[i] = roundSentinel
+			}
+			fold.rounds(b, 8*n, out[:rounds])
+			for r := range rounds {
+				round := xs[r*n : (r+1)*n]
+				want := RoundFold{uint32(scalarLaneMax(round, f.k)), uint32(scalarLaneZeros(round, f.k))}
+				if out[r] != want {
+					t.Fatalf("k=%d %s round %d of %d rounds of %d words at offset %d: %+v, want %+v (words %#x)",
+						f.k, fold.name, r, rounds, n, off, out[r], want, xs)
+				}
+			}
+			if out[rounds] != roundSentinel {
+				t.Fatalf("k=%d %s of %d rounds of %d words wrote past its last slot: %+v",
+					f.k, fold.name, rounds, n, out[rounds])
+			}
+		}
+	}
+}
+
+// checkLaneRounds holds f's rounds folds to the scalar fold of every
+// round over round lengths of 1 to 24 words (8–192 bytes) and runs of 0
+// to 70 rounds, past the 64-round buffer core folds into, of bounded
+// words whose maxima and zero counts move between rounds, so a round
+// read at the wrong stride, a result in the wrong slot or a zero count
+// carried into the next round shows.
+func checkLaneRounds(t *testing.T, f laneFold) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(100 + f.k)))
+	for n := 1; n <= 24; n++ {
+		for _, rounds := range []int{0, 1, 2, 3, 7, 8, 9, 31, 63, 64, 65, 70} {
+			xs := boundedWords(rng, n*rounds, f.k)
+			if rounds > 1 {
+				xs[rng.Intn(len(xs))] = 0 // a zero word in some round
+			}
+			f.checkRounds(t, xs, n)
+		}
+	}
+}
+
+func TestMaxNibbleRoundsMatchScalar(t *testing.T) {
+	t.Parallel()
+	checkLaneRounds(t, nibbleLanes)
+}
+
+func TestMaxByteRoundsMatchScalar(t *testing.T) {
+	t.Parallel()
+	checkLaneRounds(t, byteLanes)
+}
+
+// TestMaxZerosRoundsPanics: a round length that is not a positive
+// multiple of 8, or more rounds than the bytes hold, panics instead of
+// reading past the slice.
+func TestMaxZerosRoundsPanics(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ bytes, roundBytes, rounds int }{
+		{64, 0, 1}, {64, -8, 1}, {64, 12, 1}, {64, 64, 2}, {63, 8, 8},
+	} {
+		for _, f := range []laneFold{nibbleLanes, byteLanes} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("k=%d: %d rounds of %d bytes in %d bytes did not panic", f.k, c.rounds, c.roundBytes, c.bytes)
+					}
+				}()
+				f.maxZerosRounds(make([]byte, c.bytes), c.roundBytes, make([]RoundFold, c.rounds))
+			}()
 		}
 	}
 }
@@ -318,7 +428,8 @@ func TestMaxByteMatchesScalar(t *testing.T) {
 // count on the words of arbitrary data, each word shifted right by a
 // per-word amount from shifts so that word maxima differ: all the words,
 // and every prefix of 0 to 24 words from each of the first four word
-// offsets, so rounds start at odd words too.
+// offsets, so rounds start at odd words too; and the rounds folds over
+// the longest run of whole rounds of every length of 1 to 24 words.
 func FuzzLaneMaxVsScalar(f *testing.F) {
 	peak := make([]byte, 64)
 	peak[5*8+3] = 0x70
@@ -340,6 +451,10 @@ func FuzzLaneMaxVsScalar(f *testing.F) {
 		}
 		nibbleLanes.check(t, xs)
 		byteLanes.check(t, xs)
+		for n := 1; n <= 24 && n <= len(xs); n++ {
+			nibbleLanes.checkRounds(t, xs[:len(xs)/n*n], n)
+			byteLanes.checkRounds(t, xs[:len(xs)/n*n], n)
+		}
 	})
 }
 
@@ -735,6 +850,28 @@ func laneRounds(k, n int) [64][]uint64 {
 		rounds[i] = boundedWords(rng, n, k)
 	}
 	return rounds
+}
+
+// BenchmarkMaxZerosNibbleRounds times the rounds fold over 64 rounds of
+// n words per call, the way core's SendBlocks calls it, and reports the
+// time per round (ns/round), comparable with BenchmarkMaxNibble's ns/op.
+func BenchmarkMaxZerosNibbleRounds(b *testing.B) {
+	for _, n := range laneRoundWords {
+		b.Run(fmt.Sprintf("words=%d", n), func(b *testing.B) {
+			var buf []byte
+			for _, r := range laneRounds(4, n) {
+				for _, x := range r {
+					buf = binary.LittleEndian.AppendUint64(buf, x)
+				}
+			}
+			var out [64]RoundFold
+			for i := 0; i < b.N; i++ {
+				MaxZerosNibbleRounds(buf, 8*n, out[:])
+			}
+			laneMaxSink = uint16(out[63].Peak)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/round")
+		})
+	}
 }
 
 // BenchmarkMaxNibble and BenchmarkMaxByte time a round's lane fold the
