@@ -103,6 +103,12 @@ type Codec struct {
 	// full and final are the word layouts of a whole round and of the
 	// block's final round, which may be partial.
 	full, final roundGeom
+	// wholeRounds is how many of an in-place block's rounds, from the
+	// first, have the full layout and a whole number of words, so they
+	// fold as a run of equal rounds into folds: every round when the
+	// final round has the full layout, else all but the final one.
+	wholeRounds int
+	folds       []bitutil.RoundFold
 	// words holds the current block's lane-packed chunks, round-major.
 	words []uint64
 	// pos holds a round's count positions for SkipLast and SkipAdaptive.
@@ -142,6 +148,13 @@ func NewCodec(blockBits, chunkBits, wires int, kind SkipKind) (*Codec, error) {
 	c.full = newRoundGeom(min(wires, ch.NumChunks()), lanes, c.laneBits)
 	c.final = newRoundGeom(ch.NumChunks()-(ch.Rounds()-1)*wires, lanes, c.laneBits)
 	c.words = make([]uint64, ch.Rounds()*c.wordRound)
+	if c.inPlace {
+		c.wholeRounds = ch.Rounds() - 1
+		if c.final == c.full && c.full.pad == 0 {
+			c.wholeRounds = ch.Rounds()
+		}
+		c.folds = make([]bitutil.RoundFold, foldBatch)
+	}
 	switch kind {
 	case SkipLast:
 		c.lastWords = make([]uint64, c.wordRound)
@@ -203,9 +216,14 @@ func (c *Codec) Send(block []byte) link.Cost {
 	return cost
 }
 
+// foldBatch is how many rounds one kernel call of sendRounds folds.
+const foldBatch = 64
+
 // SendBlocks implements link.BlockSender. The blocks of payload go
 // through the encoder Send uses, in order, but only the final block is
-// recorded for LastDecoded. The analytic codec is lossless, so the
+// recorded for LastDecoded. Where every round of a block is whole, the
+// blocks' rounds are one run of equal rounds in the payload, and unless
+// per asks for each block's cost they fold as such (sendRounds). The analytic codec is lossless, so the
 // receiver's view of the payload is the payload itself: decoded, when
 // non-nil, receives one copy of it.
 //
@@ -216,11 +234,15 @@ func (c *Codec) SendBlocks(payload []byte, per []link.Cost, decoded []byte) link
 		panic(fmt.Sprintf("core: SendBlocks of %d bytes on %d-byte blocks", len(payload), n))
 	}
 	var total link.Cost
-	for i, off := 0, 0; off < len(payload); i, off = i+1, off+n {
-		cost := c.sendBlock(payload[off : off+n])
-		total.Add(cost)
-		if per != nil {
-			per[i] = cost
+	if c.wholeRounds == c.chunker.Rounds() && per == nil {
+		total = c.sendRounds(payload, len(payload)/n*c.wholeRounds)
+	} else {
+		for i, off := 0, 0; off < len(payload); i, off = i+1, off+n {
+			cost := c.sendBlock(payload[off : off+n])
+			total.Add(cost)
+			if per != nil {
+				per[i] = cost
+			}
 		}
 	}
 	if len(payload) > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"desc/internal/link"
@@ -149,4 +150,61 @@ func FuzzSendBlocksVsSend(f *testing.F) {
 			t.Fatalf("%v %+v: Send after %d blocks costs %+v, after a Send loop %+v", kind, g, nb, cb, cl)
 		}
 	})
+}
+
+// TestSendBlocksWholeRoundRuns holds SendBlocks of desc-basic and
+// desc-zero, on geometries whose rounds fold as runs of equal rounds, to
+// a Send loop on a twin codec and to the scalar oracle, per block: one
+// to eight rounds per block and 8- to 64-byte rounds, over block counts
+// whose rounds end before, at and past a multiple of the 64-round fold
+// buffer, at byte offsets 0–7 with non-zero bytes after the payload. A
+// geometry whose final round has a layout of its own (48 wires) checks
+// Send's mix of a run and a lone final round.
+func TestSendBlocksWholeRoundRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, g := range []struct{ blockBits, chunkBits, wires int }{
+		{512, 4, 128}, {512, 8, 64}, {256, 4, 128}, {1024, 4, 128},
+		{512, 4, 32}, {512, 8, 16}, {512, 4, 16}, {512, 4, 48},
+	} {
+		for _, kind := range []SkipKind{SkipNone, SkipZero} {
+			for _, nb := range []int{0, 1, 2, 15, 16, 17, 63, 64, 65, 70} {
+				bb, off := g.blockBits/8, rng.Intn(8)
+				buf := bytes.Repeat([]byte{0xA5}, off+nb*bb+64)
+				payload := buf[off : off+nb*bb]
+				for i := range payload {
+					// Sparse bytes: rounds both with and without
+					// zero chunks, and peaks that differ.
+					payload[i] = byte(rng.Intn(256)) & byte(rng.Intn(256)) & byte(rng.Intn(256))
+				}
+				batch, err := NewCodec(g.blockBits, g.chunkBits, g.wires, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loop, _ := NewCodec(g.blockBits, g.chunkBits, g.wires, kind)
+				ref, _ := newReferenceCodec(g.blockBits, g.chunkBits, g.wires, kind)
+				per := make([]link.Cost, nb)
+				total := batch.SendBlocks(payload, per, nil)
+				var want link.Cost
+				for i := 0; i < nb; i++ {
+					block := append([]byte(nil), payload[i*bb:(i+1)*bb]...)
+					c, r := loop.Send(block), ref.Send(block)
+					if c != r {
+						t.Fatalf("%v %+v block %d: Send %+v, reference %+v", kind, g, i, c, r)
+					}
+					if per[i] != c {
+						t.Fatalf("%v %+v %d blocks, block %d: SendBlocks %+v, Send %+v", kind, g, nb, i, per[i], c)
+					}
+					want.Add(c)
+				}
+				if total != want {
+					t.Fatalf("%v %+v %d blocks: SendBlocks total %+v, Send loop %+v", kind, g, nb, total, want)
+				}
+				if nb > 0 {
+					if got := batch.SendBlocks(payload, nil, nil); got != want {
+						t.Fatalf("%v %+v %d blocks: SendBlocks without per %+v, want %+v", kind, g, nb, got, want)
+					}
+				}
+			}
+		}
+	}
 }

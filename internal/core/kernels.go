@@ -27,16 +27,21 @@ import (
 // match and keep it. Where chunks fill their lanes and rounds are whole
 // words, the round-major layout is the block itself, so the kinds
 // without history skip the packing and fold each round straight from
-// the block's bytes (sendInPlace). reference_test.go freezes the
+// the block's bytes (sendInPlace), a run of whole rounds per kernel call
+// (sendRounds). reference_test.go freezes the
 // original scalar encoder as an oracle so the kernel can never drift
 // from it unnoticed.
 
 // sendBlock encodes one block and returns its cost: the encoder Send
 // and SendBlocks share. The history-free kinds on raw layouts read their
-// rounds in place; every other codec packs the block into c.words first.
+// rounds in place, a block of whole rounds as one run of them; every
+// other codec packs the block into c.words first.
 //
 //desclint:hotpath runs once per block
 func (c *Codec) sendBlock(block []byte) link.Cost {
+	if c.wholeRounds == c.chunker.Rounds() {
+		return c.sendRounds(block, c.wholeRounds)
+	}
 	if c.inPlace {
 		return c.sendInPlace(block)
 	}
@@ -49,44 +54,73 @@ func (c *Codec) sendBlock(block []byte) link.Cost {
 }
 
 // sendInPlace encodes a block of a raw layout under SkipNone or SkipZero
-// with the lane folds reading each round from the block's own bytes: no
-// load and no copy, and the fold's wide loads never wait on the narrow
-// stores a load would have just made. A round spans its words' bytes
-// less the final word's padding lanes, which lie past the block's end,
-// so only the final round can end inside a word; that word is loaded
-// zero-padded, and the zero count takes its padding lanes off again.
+// whose final round has a layout of its own, with the lane folds reading
+// each round from the block's own bytes: no load and no copy, and the
+// fold's wide loads never wait on the narrow stores a load would have
+// just made. The whole rounds before the final one fold through
+// sendRounds. The final round spans its words' bytes less the final
+// word's padding lanes, which lie past the block's end, so it can end
+// inside a word; that word is loaded zero-padded, and the zero count
+// takes its padding lanes off again.
 //
 //desclint:hotpath runs once per block
 func (c *Codec) sendInPlace(block []byte) link.Cost {
-	var cost link.Cost
-	g := &c.full
-	for r, rounds := 0, c.chunker.Rounds(); r < rounds; r++ {
-		if r == rounds-1 {
-			g = &c.final
-		}
-		n := g.words*8 - g.pad*c.laneBits/8
-		// The folds are called directly: a wrapper choosing between
-		// them would not inline.
-		var peak uint16
-		var zeros int
-		if c.laneBits == 4 {
-			peak, zeros = bitutil.MaxZerosNibbleBytes(block[:n&^7])
-		} else {
-			peak, zeros = bitutil.MaxZerosByteBytes(block[:n&^7])
-		}
-		maxCount := int(peak)
-		if n&7 != 0 {
-			m, z := c.maxZeros(bitutil.LoadWords(c.words[:1], block[n&^7:n]))
-			maxCount, zeros = max(maxCount, m), zeros+z-g.pad
-		}
-		block = block[n:]
-		unskipped := g.chunks
-		if c.kind == SkipZero {
-			unskipped -= zeros
-		}
-		cost.Add(c.roundCost(maxCount, g.chunks, unskipped, c.kind == SkipZero))
+	whole := c.wholeRounds * c.full.words * 8
+	cost := c.sendRounds(block, c.wholeRounds)
+	g, rest := &c.final, block[whole:]
+	n := len(rest) &^ 7
+	// The folds are called directly: a wrapper choosing between them
+	// would not inline.
+	var peak uint16
+	var zeros int
+	if c.laneBits == 4 {
+		peak, zeros = bitutil.MaxZerosNibbleBytes(rest[:n])
+	} else {
+		peak, zeros = bitutil.MaxZerosByteBytes(rest[:n])
 	}
+	maxCount := int(peak)
+	if n < len(rest) {
+		m, z := c.maxZeros(bitutil.LoadWords(c.words[:1], rest[n:]))
+		maxCount, zeros = max(maxCount, m), zeros+z-g.pad
+	}
+	unskipped := g.chunks
+	if c.kind == SkipZero {
+		unskipped -= zeros
+	}
+	cost.Add(c.roundCost(maxCount, g.chunks, unskipped, c.kind == SkipZero))
 	return cost
+}
+
+// sendRounds encodes the first rounds rounds of b, whole rounds of the
+// full layout read in place, and returns their cost. The lane folds take
+// up to len(c.folds) rounds per kernel call, so a batch of blocks pays
+// one call per run of rounds rather than a call chain per block, and the
+// round geometry is read once.
+//
+//desclint:hotpath runs once per block or per batch of blocks
+func (c *Codec) sendRounds(b []byte, rounds int) link.Cost {
+	roundBytes, chunks, skipping := c.full.words*8, c.full.chunks, c.kind == SkipZero
+	var total link.Cost
+	for rounds > 0 {
+		folds := c.folds
+		if rounds < len(folds) {
+			folds = folds[:rounds]
+		}
+		if c.laneBits == 4 {
+			bitutil.MaxZerosNibbleRounds(b, roundBytes, folds)
+		} else {
+			bitutil.MaxZerosByteRounds(b, roundBytes, folds)
+		}
+		b, rounds = b[len(folds)*roundBytes:], rounds-len(folds)
+		for _, f := range folds {
+			unskipped := chunks
+			if skipping {
+				unskipped -= int(f.Zeros)
+			}
+			total.Add(c.roundCost(int(f.Peak), chunks, unskipped, skipping))
+		}
+	}
+	return total
 }
 
 // load packs block into c.words, one round per run of wordRound words.
