@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -340,6 +341,48 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestJSONDataLiteral: the data field decodes straight from its JSON
+// literal, and a literal with JSON escapes decodes as its unquoted
+// string does: the same costs and the same decoded payload. A data
+// field that is not a string is a 400 that names it, and null or an
+// empty string carry no blocks.
+func TestJSONDataLiteral(t *testing.T) {
+	s := New(Config{})
+	block := make([]byte, 2*testBlockBits/8)
+	for i := range block {
+		block[i] = byte(i * 37)
+	}
+	b64 := base64.StdEncoding.EncodeToString(block)
+	if !strings.Contains(b64, "/") {
+		t.Fatalf("test payload's base64 %q has no '/' to escape", b64)
+	}
+	plain := decodeResponse(t, do(t, s, http.MethodPost, "/v1/decode", "application/json",
+		[]byte(`{"scheme":"desc-zero","data":"`+b64+`"}`)))
+	escaped := strings.ReplaceAll(b64, "/", `\/`)
+	escaped = `\u00` + fmt.Sprintf("%02x", b64[0]) + escaped[1:]
+	got := decodeResponse(t, do(t, s, http.MethodPost, "/v1/decode", "application/json",
+		[]byte(`{"scheme":"desc-zero","data":"`+escaped+`"}`)))
+	if got.Total != plain.Total || got.Data != b64 || plain.Data != b64 {
+		t.Errorf("escaped data: total %+v and data %q, want %+v and %q", got.Total, got.Data, plain.Total, b64)
+	}
+	for _, c := range []struct{ body, want string }{
+		{`{"scheme":"desc-zero","data":42}`, "data is not a JSON string"},
+		{`{"scheme":"desc-zero","data":["` + b64 + `"]}`, "data is not a JSON string"},
+		{`{"scheme":"desc-zero","data":null}`, "carries no blocks"},
+		{`{"scheme":"desc-zero","data":""}`, "carries no blocks"},
+		{`{"scheme":"desc-zero","data":"\u0021` + b64[1:] + `"}`, "not valid base64"},
+	} {
+		rec := do(t, s, http.MethodPost, "/v1/encode", "application/json", []byte(c.body))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.body, rec.Code)
+			continue
+		}
+		if er := errorOf(t, rec); !strings.Contains(er.Error, c.want) {
+			t.Errorf("%s: error %q, want it to say %q", c.body, er.Error, c.want)
+		}
+	}
+}
+
 // TestBinaryPerBlockParam: binary mode reads per_block as strconv.ParseBool
 // does, and any other value is a 400 that names the parameter.
 func TestBinaryPerBlockParam(t *testing.T) {
@@ -639,7 +682,16 @@ func BenchmarkEncodeBlocks(b *testing.B) {
 // httptest.ResponseRecorder: the handler's whole path (routing, body
 // read, pooled codec, response) without a loopback connection, as a raw
 // octet-stream body (binary) and as the base64 JSON envelope (json).
-func BenchmarkHandleEncode(b *testing.B) {
+func BenchmarkHandleEncode(b *testing.B) { benchmarkHandle(b, "/v1/encode") }
+
+// BenchmarkHandleDecode is BenchmarkHandleEncode for POST /v1/decode,
+// whose response carries the receiver's view of the batch: the raw
+// blocks (binary) or their base64 (json).
+func BenchmarkHandleDecode(b *testing.B) { benchmarkHandle(b, "/v1/decode") }
+
+// benchmarkHandle times the serve-encode batch through path's handler
+// in both body modes.
+func benchmarkHandle(b *testing.B, path string) {
 	payload := serveEncodeBatch(b)
 	jsonBody, err := json.Marshal(map[string]any{
 		"scheme": "desc-zero",
@@ -652,8 +704,8 @@ func BenchmarkHandleEncode(b *testing.B) {
 		name, target, contentType string
 		body                      []byte
 	}{
-		{"binary", "/v1/encode?scheme=desc-zero", "application/octet-stream", payload},
-		{"json", "/v1/encode", "application/json", jsonBody},
+		{"binary", path + "?scheme=desc-zero", "application/octet-stream", payload},
+		{"json", path, "application/json", jsonBody},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			h := New(Config{}).Handler()
