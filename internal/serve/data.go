@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -54,6 +57,54 @@ type blockRequest struct {
 	PerBlock bool `json:"per_block"`
 }
 
+// jsonRequest is blockRequest as a JSON body decodes: its data field
+// shadows blockRequest's and keeps the raw JSON literal, so that the
+// payload's base64 decodes straight from the body (dataLiteral).
+type jsonRequest struct {
+	blockRequest
+	Data dataLiteral `json:"data"`
+}
+
+// dataLiteral is the JSON literal of a request's data field, quotes
+// included: a slice of the request body, which outlives it (readJSON).
+// A JSON null or an empty string leaves it empty, as they leave a
+// string.
+type dataLiteral []byte
+
+// UnmarshalJSON implements json.Unmarshaler: it keeps a string literal
+// without unquoting it and rejects any other value.
+func (d *dataLiteral) UnmarshalJSON(b []byte) error {
+	switch {
+	case string(b) == "null" || string(b) == `""`:
+		return nil
+	case b[0] != '"':
+		return errf(http.StatusBadRequest, "serve: data is not a JSON string")
+	}
+	*d = b
+	return nil
+}
+
+// decodeBase64 decodes the non-empty literal's base64 into the pooled
+// buffer *pool and returns the bytes. A literal without JSON escapes,
+// which is every literal a base64 encoder writes, decodes straight from
+// the body; one with escapes is unquoted first.
+func (d dataLiteral) decodeBase64(pool *[]byte) ([]byte, error) {
+	src := []byte(d[1 : len(d)-1])
+	if bytes.IndexByte(src, '\\') >= 0 {
+		var str string
+		if err := json.Unmarshal(d, &str); err != nil {
+			return nil, errf(http.StatusBadRequest, "serve: data: %v", err)
+		}
+		src = []byte(str)
+	}
+	dst := grow(pool, base64.StdEncoding.DecodedLen(len(src)))
+	n, err := base64.StdEncoding.Decode(dst, src)
+	if err != nil {
+		return nil, errf(http.StatusBadRequest, "serve: data is not valid base64: %v", err)
+	}
+	return dst[:n], nil
+}
+
 // blockCost is one transfer cost on the wire format.
 type blockCost struct {
 	Cycles       int64  `json:"cycles"`
@@ -100,12 +151,19 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) handleData(w http.ResponseWriter, r *http.Request, decode bool) error {
 	binary := isBinary(r)
 	var req blockRequest
+	var data dataLiteral
 	if binary {
 		if err := requestFromQuery(r, &req); err != nil {
 			return err
 		}
-	} else if err := decodeJSON(r, &req); err != nil {
-		return err
+	} else {
+		body := s.bodies.Get().(*[]byte)
+		defer s.bodies.Put(body)
+		var jr jsonRequest
+		if err := readJSON(r, body, &jr); err != nil {
+			return err
+		}
+		req, data = jr.blockRequest, jr.Data
 	}
 
 	spec, err := s.specFor(&req)
@@ -122,7 +180,7 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request, decode bool)
 	}
 	defer s.pools.put(spec, c)
 
-	payload, err := s.gatherPayload(r, &req, c, binary, blockBytes)
+	payload, err := s.gatherPayload(r, &req, data, c, binary, blockBytes)
 	if err != nil {
 		return err
 	}
@@ -315,7 +373,8 @@ func (s *Server) specFor(req *blockRequest) (link.Spec, error) {
 }
 
 // gatherPayload assembles the request's block stream into the pooled
-// raw buffer: the raw body in binary mode, decoded base64 otherwise.
+// raw buffer: the raw body in binary mode, decoded base64 otherwise,
+// from data, the JSON literal of the data field, or from req.Blocks.
 // The returned slice aliases c.raw and is a validated whole number of
 // blocks. Every path allocates at most MaxBodyBytes: the binary body is
 // reader-limited, base64 decodes smaller than its input, and the
@@ -323,24 +382,23 @@ func (s *Server) specFor(req *blockRequest) (link.Spec, error) {
 // buffer is sized (base64 always inflates, so a claim past the cap
 // could never have validated anyway — rejecting it early just skips the
 // multi-gigabyte make a hostile block_bits × block count would ask for).
-func (s *Server) gatherPayload(r *http.Request, req *blockRequest, c *pooled, binary bool, blockBytes int) ([]byte, error) {
+func (s *Server) gatherPayload(r *http.Request, req *blockRequest, data dataLiteral, c *pooled, binary bool, blockBytes int) ([]byte, error) {
 	var payload []byte
 	switch {
 	case binary:
 		var err error
-		payload, err = readBody(r, c)
+		payload, err = readBody(r, &c.raw)
 		if err != nil {
 			return nil, err
 		}
-	case req.Data != "" && len(req.Blocks) > 0:
+	case len(data) > 0 && len(req.Blocks) > 0:
 		return nil, errf(http.StatusBadRequest, "serve: request sets both data and blocks; use one")
-	case req.Data != "":
-		buf := grow(&c.raw, base64.StdEncoding.DecodedLen(len(req.Data)))
-		n, err := base64.StdEncoding.Decode(buf, []byte(req.Data))
+	case len(data) > 0:
+		var err error
+		payload, err = data.decodeBase64(&c.raw)
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "serve: data is not valid base64: %v", err)
+			return nil, err
 		}
-		payload = buf[:n]
 	case len(req.Blocks) > 0:
 		if need := int64(len(req.Blocks)) * int64(blockBytes); need > s.cfg.MaxBodyBytes {
 			return nil, errf(http.StatusRequestEntityTooLarge,
@@ -373,10 +431,10 @@ func (s *Server) gatherPayload(r *http.Request, req *blockRequest, c *pooled, bi
 }
 
 // readBody reads the whole (size-limited) request body into the pooled
-// raw buffer, growing it only when a larger request than any before
+// buffer *pool, growing it only when a larger request than any before
 // arrives.
-func readBody(r *http.Request, c *pooled) ([]byte, error) {
-	buf := c.raw[:0]
+func readBody(r *http.Request, pool *[]byte) ([]byte, error) {
+	buf := (*pool)[:0]
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -384,14 +442,39 @@ func readBody(r *http.Request, c *pooled) ([]byte, error) {
 		n, err := r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			c.raw = buf
+			*pool = buf
 			return buf, nil
 		}
 		if err != nil {
-			c.raw = buf
+			*pool = buf
 			return nil, err // MaxBytesError maps to 413 in statusOf
 		}
 	}
+}
+
+// readJSON reads a JSON data-plane body holding exactly one value into
+// the pooled buffer *pool and decodes it into dst, mapping the body
+// limit to 413 and a malformed body, including anything but white space
+// after the value, to 400. dst's dataLiteral slices *pool, so the
+// caller keeps the buffer until the payload is decoded.
+func readJSON(r *http.Request, pool *[]byte, dst *jsonRequest) error {
+	body, err := readBody(r, pool)
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		return errf(http.StatusRequestEntityTooLarge,
+			"serve: request body exceeds the %d-byte limit", mbe.Limit)
+	case err != nil:
+		return errf(http.StatusBadRequest, "serve: read request: %v", err)
+	}
+	if err := json.Unmarshal(body, dst); err != nil {
+		var ae *apiError
+		if errors.As(err, &ae) {
+			return err
+		}
+		return errf(http.StatusBadRequest, "serve: decode request: %v", err)
+	}
+	return nil
 }
 
 // schemeCounters are one scheme's live link counters on /metrics.
