@@ -87,12 +87,14 @@ type Runner struct {
 	calls map[runKey]*call
 
 	// planning makes this a planning Runner (see planOf and Run): RunOne
-	// returns backing's finished result for a key backing holds, and
-	// otherwise appends the request to plan and returns standIn. backing
-	// is nil when planning from nothing.
+	// appends every request to plan, returns backing's finished result
+	// for a key backing holds, and otherwise appends the request to
+	// lacked too and returns standIn. backing is nil when planning from
+	// nothing.
 	planning bool
 	backing  *Runner
 	plan     []Demand
+	lacked   []Demand
 }
 
 // runnerMetrics counts the run cache's behavior: how much work the
@@ -220,10 +222,12 @@ func (r *Runner) key(spec SystemSpec, bench string) runKey {
 func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Profile) (RunResult, error) {
 	key := r.key(spec, prof.Name)
 	if r.planning {
+		d := Demand{Spec: spec, Bench: prof.Name}
+		r.plan = append(r.plan, d)
 		if res, ok := r.backing.held(key); ok {
 			return res, nil
 		}
-		r.plan = append(r.plan, Demand{Spec: spec, Bench: prof.Name})
+		r.lacked = append(r.lacked, d)
 		res := standIn
 		res.Bench = prof.Name
 		return res, nil
@@ -259,25 +263,35 @@ func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Prof
 // Runner holds nothing. A held result counts one cache join, as RunOne
 // serving it would.
 func (r *Runner) held(key runKey) (RunResult, bool) {
-	if r == nil {
-		return RunResult{}, false
-	}
-	r.mu.Lock()
-	c, ok := r.calls[key]
-	r.mu.Unlock()
-	if !ok {
-		return RunResult{}, false
-	}
-	select {
-	case <-c.done:
-	default:
-		return RunResult{}, false
-	}
-	if c.err != nil { // failed after the lookup; publish has evicted it
+	c := r.finished(key)
+	if c == nil {
 		return RunResult{}, false
 	}
 	r.mx.cacheJoins.Inc()
 	return c.res, true
+}
+
+// finished returns r's call for key if it has finished without error,
+// without waiting, and nil otherwise or for a nil Runner.
+func (r *Runner) finished(key runKey) *call {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	c := r.calls[key]
+	r.mu.Unlock()
+	if c == nil {
+		return nil
+	}
+	select {
+	case <-c.done:
+	default:
+		return nil
+	}
+	if c.err != nil { // failed after the lookup; publish has evicted it
+		return nil
+	}
+	return c
 }
 
 // job is one run a Runner has claimed: its key, the key's digest when
@@ -406,6 +420,15 @@ func (g *runGroup) open(prof workload.Profile, seed int64) (*workload.Generator,
 // open, so at most jobs records are alive: each goes when its group's
 // last run drops it.
 func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
+	return r.execute(ctx, demands, nil)
+}
+
+// execute is Execute. A non-nil plan is the whole deduplicated plan of
+// an experiment of which demands are the runs r lacked (Run): the run
+// set is then plan's rather than the claimed runs', is not read, and is
+// written once every run of plan has finished, so that a fresh Runner
+// executing the plan reads it back.
+func (r *Runner) execute(ctx context.Context, demands, plan []Demand) error {
 	seen := make(map[runKey]bool, len(demands))
 	var jobs []job
 	for _, d := range demands {
@@ -453,12 +476,12 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 	hit := make([]bool, len(jobs))
 	// An unsharded plan of two or more runs is served whole from its run
 	// set when a valid one exists (DESIGN.md §16).
-	useSet := r.disk != nil && len(jobs) >= 2 && r.shardCount == 1
+	useSet := r.disk != nil && r.shardCount == 1 && len(jobs) > 0 && max(len(jobs), len(plan)) >= 2
 	if r.disk != nil {
 		for i := range jobs {
 			jobs[i].digest = jobs[i].key.digest()
 		}
-		if useSet && r.setGet(jobs) {
+		if useSet && plan == nil && r.setGet(jobs) {
 			return nil
 		}
 		for i := range jobs {
@@ -515,26 +538,59 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 			return j.c.err
 		}
 	}
-	if useSet {
+	switch {
+	case !useSet:
+	case plan == nil:
 		r.setPut(jobs)
+	default:
+		if set := r.planJobs(plan); set != nil {
+			r.setPut(set)
+		}
 	}
 	return nil
+}
+
+// planJobs returns the finished jobs of plan's distinct runs in plan
+// order, keyed and digested as Execute keys a fresh Runner's claims of
+// the same plan, or nil if a run has not finished or failed.
+func (r *Runner) planJobs(plan []Demand) []job {
+	seen := make(map[runKey]bool, len(plan))
+	var jobs []job
+	for _, d := range plan {
+		key := r.key(d.Spec, d.Bench)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		c := r.finished(key)
+		if c == nil {
+			return nil
+		}
+		jobs = append(jobs, job{key: key, digest: key.digest(), c: c})
+	}
+	return jobs
 }
 
 // Run renders one experiment. A simulating experiment first renders on
 // a planning view of r, which reads the runs r has finished; if that
 // render lacked none, its tables are the answer. Otherwise the runs it
 // lacked execute on the worker pool, and its Run phase renders tables
-// from the warmed cache.
+// from the warmed cache. With a disk cache, the run set written is the
+// whole plan's even when r held part of it, so a fresh Runner reads the
+// experiment back from one set.
 func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) {
 	if e.Demands == nil {
 		return e.Run(ctx, r)
 	}
 	view := &Runner{opt: r.opt, planning: true, backing: r}
-	if tables, err := e.Run(ctx, view); len(view.plan) == 0 {
+	if tables, err := e.Run(ctx, view); len(view.lacked) == 0 {
 		return tables, err
 	}
-	if err := r.Execute(ctx, distinct(view.plan)); err != nil {
+	lacked, plan := distinct(view.lacked), distinct(view.plan)
+	if len(lacked) == len(plan) {
+		plan = nil // the view lacked every run: the plan is the claim
+	}
+	if err := r.execute(ctx, lacked, plan); err != nil {
 		return nil, err
 	}
 	return e.Run(ctx, r)

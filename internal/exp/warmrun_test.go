@@ -224,6 +224,43 @@ func TestRunColdDiskRunnerReadsRunSet(t *testing.T) {
 	}
 }
 
+// TestRunPartlyWarmDiskRunnerWritesPlanSet: a disk-backed Runner that
+// already holds part of an experiment's plan executes only the rest,
+// but the run set it writes is the whole plan's, so a fresh Runner on
+// the same cache dir serves the experiment from that one set and
+// simulates nothing.
+func TestRunPartlyWarmDiskRunnerWritesPlanSet(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	e := mustExperiment(t, "fig14")
+	warm, _, _ := observedRunner(t, dir)
+	plan := e.Demands(warm.Options())
+	if len(plan) < 5 {
+		t.Fatalf("fig14 plans %d runs, want at least 5", len(plan))
+	}
+	if err := warm.Execute(ctx, plan[:3]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := render(ctx, warm, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, reg, obs := observedRunner(t, dir)
+	got, err := render(ctx, r, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("rerun on the cache dir rendered:\n%s\nwant\n%s", got, want)
+	}
+	if hits := reg.Counter("runcache/set_hits").Value(); hits != 1 {
+		t.Errorf("runcache/set_hits = %d, want 1", hits)
+	}
+	if n := obs.totalStarted(); n != 0 {
+		t.Errorf("rerun simulated %d runs, want 0", n)
+	}
+}
+
 // doneObserver closes all once left runs have finished.
 type doneObserver struct {
 	left atomic.Int64
