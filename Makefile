@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEncodeVsReference  -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lowweight
 	$(GO) test -fuzz=FuzzServeEncodeRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzServeDecodeRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzServeExperimentsRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzBankSchedVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/cachesim
 	$(GO) test -fuzz=FuzzSimulateSpec       -fuzztime=$(FUZZTIME) -run '^$$' ./internal/exp
 	$(GO) test -fuzz=FuzzDecodeResult       -fuzztime=$(FUZZTIME) -run '^$$' ./internal/exp
@@ -112,14 +113,16 @@ bench:
 ## (renders/op), simulator set-up, simulator
 ## throughput, two metered runs sharing a registry against two with none
 ## (SimulatorMetered), hierarchy per-access (ns/access), DESC lane-max fold
-## (MaxNibble/MaxByte at 2-, 4-, 8- and 16-word rounds), block generation
+## (MaxNibble/MaxByte at 2-, 4-, 8- and 16-word rounds, and the rounds
+## fold MaxZerosNibbleRounds in ns/round), block generation
 ## (GenBlock, FillBlockData hit/absent), stream access (StreamNext), the
 ## serve data plane without HTTP (EncodeBlocks, ns/block) and the encode
-## handler without a loopback connection (HandleEncode, binary and json)
+## and decode handlers without a loopback connection (HandleEncode,
+## HandleDecode, binary and json)
 ## benchmarks with allocation counts, written to bench-quick.txt (CI uploads it as an
 ## artifact so every PR carries a ns/op and allocs/op record)
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|RunnerRun|Setup|SimulatorThroughput|SimulatorMetered|HierarchyAccess|MaxNibble|MaxByte|GenBlock|FillBlockData|StreamNext|EncodeBlocks|HandleEncode' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil ./internal/workload ./internal/serve | tee bench-quick.txt
+	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute|RunnerRun|Setup|SimulatorThroughput|SimulatorMetered|HierarchyAccess|MaxNibble|MaxByte|MaxZerosNibbleRounds|GenBlock|FillBlockData|StreamNext|EncodeBlocks|HandleEncode|HandleDecode' -benchtime 100ms -benchmem . ./internal/cachesim ./internal/bitutil ./internal/workload ./internal/serve | tee bench-quick.txt
 
 ## bench-ab: isolated A/B of go test benchmarks: builds the test binary
 ## of BASE (a git revision, exported into the ignored .bench_build/) and

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -171,5 +172,98 @@ func checkDecodedField(t *testing.T, what, sent, decoded string) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s decoded to %x, request payload %x", what, got, want)
+	}
+}
+
+// FuzzServeExperimentsRequest throws arbitrary bodies at POST
+// /v1/experiments with the request's context already cancelled, so an
+// accepted request renders its plan but simulates nothing. The handler
+// never panics, a rejected body is a clean 4xx with the JSON error
+// envelope, and an accepted one is a 200 stream that opens with the
+// planned event and ends with the result or the cancellation's error
+// event. An accepted body must decode as one experimentRequest that
+// re-encodes canonically: its encoding decodes to the same request,
+// re-encodes to the same bytes and is accepted too.
+func FuzzServeExperimentsRequest(f *testing.F) {
+	f.Add([]byte(`{"id":"fig14","quick":true}`))
+	f.Add([]byte(`{"id":"tab01"}`))
+	f.Add([]byte(`{"id":"fig16","quick":true,"seed":-3,"instr":500}`))
+	f.Add([]byte(`{"id":"fig99"}`))
+	f.Add([]byte(`{"id":"fig14","quick":"yes"}`))
+	f.Add([]byte(`{"id":"fig14"} {}`))
+	f.Add([]byte(`{"ID":"tab01","Quick":true,"id":"tab02"}`))
+	f.Add([]byte(`{"id":`))
+	f.Add([]byte(``))
+
+	s := New(Config{MaxBodyBytes: 1 << 12})
+	h := s.Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	post := func(body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/experiments", bytes.NewReader(body)).WithContext(ctx)
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := post(body)
+		switch {
+		case rec.Code == http.StatusOK:
+			checkExperimentStream(t, rec.Body.Bytes())
+			var sent experimentRequest
+			if err := json.Unmarshal(body, &sent); err != nil {
+				t.Fatalf("accepted body does not decode as a request: %v; body: %q", err, body)
+			}
+			canon, err := json.Marshal(sent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again experimentRequest
+			if err := json.Unmarshal(canon, &again); err != nil || again != sent {
+				t.Fatalf("request %+v re-encodes as %s, which decodes to %+v (%v)", sent, canon, again, err)
+			}
+			if twice, _ := json.Marshal(again); !bytes.Equal(twice, canon) {
+				t.Fatalf("request re-encodes as %s, then as %s", canon, twice)
+			}
+			if code := post(canon).Code; code != http.StatusOK {
+				t.Fatalf("canonical form %s of an accepted body: status %d", canon, code)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			var er errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+				t.Fatalf("%d error is not the JSON envelope: %q", rec.Code, rec.Body.String())
+			}
+			if !strings.HasPrefix(er.Error, "serve: ") {
+				t.Fatalf("%d error %q lacks the serve: prefix", rec.Code, er.Error)
+			}
+		default:
+			t.Fatalf("status %d outside {200, 4xx}; body: %q", rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// checkExperimentStream fails unless stream is NDJSON events that open
+// with planned and end with exactly one terminal result or error event.
+func checkExperimentStream(t *testing.T, stream []byte) {
+	t.Helper()
+	lines := bytes.Split(bytes.TrimSuffix(stream, []byte("\n")), []byte("\n"))
+	events := make([]event, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal(line, &events[i]); err != nil {
+			t.Fatalf("stream line %d is not an event: %v; stream: %q", i, err, stream)
+		}
+	}
+	if events[0].Event != "planned" {
+		t.Fatalf("stream opens with %q, want planned; stream: %q", events[0].Event, stream)
+	}
+	for i, ev := range events[1:] {
+		terminal := ev.Event == "result" || ev.Event == "error"
+		if last := i == len(events)-2; terminal != last {
+			t.Fatalf("event %d %q: terminal %v at position last=%v; stream: %q", i+1, ev.Event, terminal, last, stream)
+		}
+	}
+	if len(events) < 2 {
+		t.Fatalf("stream has no terminal event: %q", stream)
 	}
 }
