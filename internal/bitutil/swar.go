@@ -2,7 +2,6 @@ package bitutil
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -192,7 +191,7 @@ type RoundFold struct {
 //desclint:hotpath
 func MaxZerosNibbleRounds(b []byte, roundBytes int, out []RoundFold) {
 	if !holdsRounds(len(b), roundBytes, len(out)) {
-		panic(errRounds)
+		panicRounds(len(b), roundBytes, len(out))
 	}
 	nibbleKernelRounds(b, roundBytes, out)
 }
@@ -202,22 +201,23 @@ func MaxZerosNibbleRounds(b []byte, roundBytes int, out []RoundFold) {
 //desclint:hotpath
 func MaxZerosByteRounds(b []byte, roundBytes int, out []RoundFold) {
 	if !holdsRounds(len(b), roundBytes, len(out)) {
-		panic(errRounds)
+		panicRounds(len(b), roundBytes, len(out))
 	}
 	byteKernelRounds(b, roundBytes, out)
 }
 
 // holdsRounds reports whether n bytes hold rounds rounds of roundBytes,
 // a positive multiple of 8: the kernels read the rounds unchecked. It
-// multiplies rather than divides, and the entries panic with a constant,
-// so that they inline.
+// multiplies rather than divides: a division costs as much as the fold
+// of a short round.
 func holdsRounds(n, roundBytes, rounds int) bool {
 	hi, lo := bits.Mul64(uint64(rounds), uint64(roundBytes))
 	return (uint64(roundBytes)&7|hi) == 0 && roundBytes > 0 && lo <= uint64(n)
 }
 
-// errRounds is the panic of a rounds entry whose rounds b does not hold.
-var errRounds = errors.New("bitutil: rounds of a length that is not a positive multiple of 8, or past the end of b")
+func panicRounds(n, roundBytes, rounds int) {
+	panic(fmt.Sprintf("bitutil: %d rounds of %d bytes in %d bytes", rounds, roundBytes, n))
+}
 
 // foldRounds runs foldBytes with fold over each of the len(out) rounds
 // of roundBytes bytes at the start of b: the portable form of the rounds

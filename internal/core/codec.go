@@ -105,8 +105,10 @@ type Codec struct {
 	full, final roundGeom
 	// wholeRounds is how many of an in-place block's rounds, from the
 	// first, have the full layout and a whole number of words, so they
-	// fold as a run of equal rounds into folds: every round when the
+	// fold as a run of equal rounds (sendRounds): every round when the
 	// final round has the full layout, else all but the final one.
+	// folds receives the results of one kernel call, foldBatch rounds
+	// at most; the codec owns it so that a Send zeroes no stack buffer.
 	wholeRounds int
 	folds       []bitutil.RoundFold
 	// words holds the current block's lane-packed chunks, round-major.
@@ -223,9 +225,9 @@ const foldBatch = 64
 // through the encoder Send uses, in order, but only the final block is
 // recorded for LastDecoded. Where every round of a block is whole, the
 // blocks' rounds are one run of equal rounds in the payload, and unless
-// per asks for each block's cost they fold as such (sendRounds). The analytic codec is lossless, so the
-// receiver's view of the payload is the payload itself: decoded, when
-// non-nil, receives one copy of it.
+// per asks for each block's cost they fold as such (sendRounds). The
+// analytic codec is lossless, so the receiver's view of the payload is
+// the payload itself: decoded, when non-nil, receives one copy of it.
 //
 //desclint:hotpath every served block crosses this path
 func (c *Codec) SendBlocks(payload []byte, per []link.Cost, decoded []byte) link.Cost {

@@ -87,14 +87,13 @@ type Runner struct {
 	calls map[runKey]*call
 
 	// planning makes this a planning Runner (see planOf and Run): RunOne
-	// appends every request to plan, returns backing's finished result
-	// for a key backing holds, and otherwise appends the request to
-	// lacked too and returns standIn. backing is nil when planning from
-	// nothing.
+	// returns backing's finished result for a key backing holds, counting
+	// it in served, and otherwise appends the request to plan and returns
+	// standIn. backing is nil when planning from nothing.
 	planning bool
 	backing  *Runner
 	plan     []Demand
-	lacked   []Demand
+	served   int
 }
 
 // runnerMetrics counts the run cache's behavior: how much work the
@@ -222,12 +221,11 @@ func (r *Runner) key(spec SystemSpec, bench string) runKey {
 func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Profile) (RunResult, error) {
 	key := r.key(spec, prof.Name)
 	if r.planning {
-		d := Demand{Spec: spec, Bench: prof.Name}
-		r.plan = append(r.plan, d)
 		if res, ok := r.backing.held(key); ok {
+			r.served++
 			return res, nil
 		}
-		r.lacked = append(r.lacked, d)
+		r.plan = append(r.plan, Demand{Spec: spec, Bench: prof.Name})
 		res := standIn
 		res.Bench = prof.Name
 		return res, nil
@@ -576,21 +574,22 @@ func (r *Runner) planJobs(plan []Demand) []job {
 // render lacked none, its tables are the answer. Otherwise the runs it
 // lacked execute on the worker pool, and its Run phase renders tables
 // from the warmed cache. With a disk cache, the run set written is the
-// whole plan's even when r held part of it, so a fresh Runner reads the
-// experiment back from one set.
+// whole plan's even when r held part of it (e.Demands, one more dry
+// render on that path only), so a fresh Runner reads the experiment back
+// from one set.
 func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) {
 	if e.Demands == nil {
 		return e.Run(ctx, r)
 	}
 	view := &Runner{opt: r.opt, planning: true, backing: r}
-	if tables, err := e.Run(ctx, view); len(view.lacked) == 0 {
+	if tables, err := e.Run(ctx, view); len(view.plan) == 0 {
 		return tables, err
 	}
-	lacked, plan := distinct(view.lacked), distinct(view.plan)
-	if len(lacked) == len(plan) {
-		plan = nil // the view lacked every run: the plan is the claim
+	var plan []Demand
+	if view.served > 0 && r.disk != nil {
+		plan = e.Demands(r.opt)
 	}
-	if err := r.execute(ctx, lacked, plan); err != nil {
+	if err := r.execute(ctx, distinct(view.plan), plan); err != nil {
 		return nil, err
 	}
 	return e.Run(ctx, r)
