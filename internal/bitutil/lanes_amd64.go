@@ -23,7 +23,8 @@ func nibbleKernelBytes(b []byte) (peak uint16, zeros int)
 func byteKernelBytes(b []byte) (peak uint16, zeros int)
 
 // nibbleKernelRounds folds len(out) rounds of roundBytes bytes each from
-// the start of b into out, in one frame.
+// the start of b into out, in one frame, after checking that b holds
+// them (holdsRounds).
 //
 //go:noescape
 func nibbleKernelRounds(b []byte, roundBytes int, out []RoundFold)

@@ -4,7 +4,10 @@
 // any length, as words or as the bytes of little-endian words, or a run
 // of equal rounds: an entry per form loads the base, the word count of
 // a round and, for a run, the round count and the output pointer, and
-// jumps to the shared body, which runs in the entry's frame. Whole
+// jumps to the shared body, which runs in the entry's frame. A run's
+// entry first checks that b holds its rounds (rounds × roundBytes, with
+// no carry, at most len(b)) and that roundBytes is a positive multiple
+// of 8, and jumps to panicRounds, in its frame, if not. Whole
 // 8-word (64-byte) groups, a 128-wire round of 4-bit
 // chunks, go through four 16-byte registers at a time, then a 4-, a 2-
 // and a 1-word piece of the words left over. A PMAXUB tree gives the
@@ -69,15 +72,27 @@ TEXT ·nibbleKernelBytes(SB), NOSPLIT, $0-40
 TEXT ·nibbleKernelRounds(SB), NOSPLIT, $0-56
 	MOVQ  b_base+0(FP), SI
 	MOVQ  roundBytes+24(FP), R10
-	SHRQ  $3, R10
 	MOVQ  out_base+32(FP), DI
 	MOVQ  out_len+40(FP), R9
+	TESTQ R10, R10
+	JLE   nibbleBadRounds
+	TESTQ $7, R10
+	JNZ   nibbleBadRounds
+	MOVQ  R9, AX
+	MULQ  R10
+	JC    nibbleBadRounds
+	CMPQ  AX, b_len+8(FP)
+	JA    nibbleBadRounds
+	SHRQ  $3, R10
 	TESTQ R9, R9
 	JZ    nibbleNoRounds
 	JMP   nibbleBody<>(SB)
 
 nibbleNoRounds:
 	RET
+
+nibbleBadRounds:
+	JMP ·panicRounds(SB)
 
 // nibbleBody folds rounds of R10 words from SI. The entries jump to it
 // with their frame in place, so a single round's results go into
@@ -202,15 +217,27 @@ TEXT ·byteKernelBytes(SB), NOSPLIT, $0-40
 TEXT ·byteKernelRounds(SB), NOSPLIT, $0-56
 	MOVQ  b_base+0(FP), SI
 	MOVQ  roundBytes+24(FP), R10
-	SHRQ  $3, R10
 	MOVQ  out_base+32(FP), DI
 	MOVQ  out_len+40(FP), R9
+	TESTQ R10, R10
+	JLE   byteBadRounds
+	TESTQ $7, R10
+	JNZ   byteBadRounds
+	MOVQ  R9, AX
+	MULQ  R10
+	JC    byteBadRounds
+	CMPQ  AX, b_len+8(FP)
+	JA    byteBadRounds
+	SHRQ  $3, R10
 	TESTQ R9, R9
 	JZ    byteNoRounds
 	JMP   byteBody<>(SB)
 
 byteNoRounds:
 	RET
+
+byteBadRounds:
+	JMP ·panicRounds(SB)
 
 // byteBody is nibbleBody for byte lanes.
 TEXT byteBody<>(SB), NOSPLIT, $0-40

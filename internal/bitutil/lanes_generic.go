@@ -15,12 +15,19 @@ func nibbleKernelBytes(b []byte) (peak uint16, zeros int) { return foldBytes(b, 
 func byteKernelBytes(b []byte) (peak uint16, zeros int) { return foldBytes(b, byteFold) }
 
 // nibbleKernelRounds folds len(out) rounds of roundBytes bytes each from
-// the start of b into out, one round at a time.
+// the start of b into out, one round at a time, after checking that b
+// holds them.
 func nibbleKernelRounds(b []byte, roundBytes int, out []RoundFold) {
+	if !holdsRounds(len(b), roundBytes, len(out)) {
+		panicRounds(b, roundBytes, out)
+	}
 	foldRounds(b, roundBytes, out, nibbleFold)
 }
 
 // byteKernelRounds is nibbleKernelRounds for byte lanes.
 func byteKernelRounds(b []byte, roundBytes int, out []RoundFold) {
+	if !holdsRounds(len(b), roundBytes, len(out)) {
+		panicRounds(b, roundBytes, out)
+	}
 	foldRounds(b, roundBytes, out, byteFold)
 }

@@ -186,13 +186,11 @@ type RoundFold struct {
 // rounds: it folds the len(out) consecutive rounds of roundBytes bytes
 // each at the start of b into out, in order, in one kernel call. Bytes
 // of b after the last round are not read. roundBytes must be a positive
-// multiple of 8, and b must hold len(out) rounds.
+// multiple of 8, and b must hold len(out) rounds: the kernel checks
+// both, so that this entry inlines, and panics if not.
 //
 //desclint:hotpath
 func MaxZerosNibbleRounds(b []byte, roundBytes int, out []RoundFold) {
-	if !holdsRounds(len(b), roundBytes, len(out)) {
-		panicRounds(len(b), roundBytes, len(out))
-	}
 	nibbleKernelRounds(b, roundBytes, out)
 }
 
@@ -200,23 +198,23 @@ func MaxZerosNibbleRounds(b []byte, roundBytes int, out []RoundFold) {
 //
 //desclint:hotpath
 func MaxZerosByteRounds(b []byte, roundBytes int, out []RoundFold) {
-	if !holdsRounds(len(b), roundBytes, len(out)) {
-		panicRounds(len(b), roundBytes, len(out))
-	}
 	byteKernelRounds(b, roundBytes, out)
 }
 
 // holdsRounds reports whether n bytes hold rounds rounds of roundBytes,
-// a positive multiple of 8: the kernels read the rounds unchecked. It
-// multiplies rather than divides: a division costs as much as the fold
-// of a short round.
+// a positive multiple of 8: the portable kernels' check, which the SSE2
+// ones make in assembly. It multiplies rather than divides: a division
+// costs as much as the fold of a short round.
 func holdsRounds(n, roundBytes, rounds int) bool {
 	hi, lo := bits.Mul64(uint64(rounds), uint64(roundBytes))
 	return (uint64(roundBytes)&7|hi) == 0 && roundBytes > 0 && lo <= uint64(n)
 }
 
-func panicRounds(n, roundBytes, rounds int) {
-	panic(fmt.Sprintf("bitutil: %d rounds of %d bytes in %d bytes", rounds, roundBytes, n))
+// panicRounds is the panic of a rounds kernel whose arguments fail
+// holdsRounds; the SSE2 kernels jump to it with their arguments in
+// place.
+func panicRounds(b []byte, roundBytes int, out []RoundFold) {
+	panic(fmt.Sprintf("bitutil: %d rounds of %d bytes in %d bytes", len(out), roundBytes, len(b)))
 }
 
 // foldRounds runs foldBytes with fold over each of the len(out) rounds

@@ -107,8 +107,9 @@ type Codec struct {
 	// first, have the full layout and a whole number of words, so they
 	// fold as a run of equal rounds (sendRounds): every round when the
 	// final round has the full layout, else all but the final one.
-	// folds receives the results of one kernel call, foldBatch rounds
-	// at most; the codec owns it so that a Send zeroes no stack buffer.
+	// folds receives the results of one kernel call: foldBatch rounds,
+	// or a block's whole rounds if more. The codec owns it so that a
+	// Send zeroes no stack buffer.
 	wholeRounds int
 	folds       []bitutil.RoundFold
 	// words holds the current block's lane-packed chunks, round-major.
@@ -155,7 +156,7 @@ func NewCodec(blockBits, chunkBits, wires int, kind SkipKind) (*Codec, error) {
 		if c.final == c.full && c.full.pad == 0 {
 			c.wholeRounds = ch.Rounds()
 		}
-		c.folds = make([]bitutil.RoundFold, foldBatch)
+		c.folds = make([]bitutil.RoundFold, max(foldBatch, c.wholeRounds))
 	}
 	switch kind {
 	case SkipLast:
@@ -218,7 +219,8 @@ func (c *Codec) Send(block []byte) link.Cost {
 	return cost
 }
 
-// foldBatch is how many rounds one kernel call of sendRounds folds.
+// foldBatch is how many rounds of a batch of blocks one kernel call
+// folds at most (sendRounds).
 const foldBatch = 64
 
 // SendBlocks implements link.BlockSender. The blocks of payload go
@@ -237,7 +239,12 @@ func (c *Codec) SendBlocks(payload []byte, per []link.Cost, decoded []byte) link
 	}
 	var total link.Cost
 	if c.wholeRounds == c.chunker.Rounds() && per == nil {
-		total = c.sendRounds(payload, len(payload)/n*c.wholeRounds)
+		roundBytes := c.full.words * 8
+		for rounds := len(payload) / n * c.wholeRounds; rounds > 0; {
+			k := min(rounds, len(c.folds))
+			total.Add(c.sendRounds(payload[len(payload)-rounds*roundBytes:], k))
+			rounds -= k
+		}
 	} else {
 		for i, off := 0, 0; off < len(payload); i, off = i+1, off+n {
 			cost := c.sendBlock(payload[off : off+n])

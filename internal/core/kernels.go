@@ -92,33 +92,27 @@ func (c *Codec) sendInPlace(block []byte) link.Cost {
 }
 
 // sendRounds encodes the first rounds rounds of b, whole rounds of the
-// full layout read in place, and returns their cost. The lane folds take
-// up to len(c.folds) rounds per kernel call, so a batch of blocks pays
-// one call per run of rounds rather than a call chain per block, and the
-// round geometry is read once.
+// full layout read in place, and returns their cost: one kernel call
+// folds them all into c.folds, which holds at least a block's whole
+// rounds, and the sum over the results reads the round geometry once.
+// Nothing but c and the results is live across the call.
 //
 //desclint:hotpath runs once per block or per batch of blocks
 func (c *Codec) sendRounds(b []byte, rounds int) link.Cost {
-	roundBytes, chunks, skipping := c.full.words*8, c.full.chunks, c.kind == SkipZero
+	folds := c.folds[:rounds]
+	if c.laneBits == 4 {
+		bitutil.MaxZerosNibbleRounds(b, c.full.words*8, folds)
+	} else {
+		bitutil.MaxZerosByteRounds(b, c.full.words*8, folds)
+	}
+	chunks, skipping := c.full.chunks, c.kind == SkipZero
 	var total link.Cost
-	for rounds > 0 {
-		folds := c.folds
-		if rounds < len(folds) {
-			folds = folds[:rounds]
+	for _, f := range folds {
+		unskipped := chunks
+		if skipping {
+			unskipped -= int(f.Zeros)
 		}
-		if c.laneBits == 4 {
-			bitutil.MaxZerosNibbleRounds(b, roundBytes, folds)
-		} else {
-			bitutil.MaxZerosByteRounds(b, roundBytes, folds)
-		}
-		b, rounds = b[len(folds)*roundBytes:], rounds-len(folds)
-		for _, f := range folds {
-			unskipped := chunks
-			if skipping {
-				unskipped -= int(f.Zeros)
-			}
-			total.Add(c.roundCost(int(f.Peak), chunks, unskipped, skipping))
-		}
+		total.Add(c.roundCost(int(f.Peak), chunks, unskipped, skipping))
 	}
 	return total
 }
