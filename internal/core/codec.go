@@ -240,10 +240,10 @@ func (c *Codec) SendBlocks(payload []byte, per []link.Cost, decoded []byte) link
 	var total link.Cost
 	if c.wholeRounds == c.chunker.Rounds() && per == nil {
 		roundBytes := c.full.words * 8
-		for rounds := len(payload) / n * c.wholeRounds; rounds > 0; {
-			k := min(rounds, len(c.folds))
-			total.Add(c.sendRounds(payload[len(payload)-rounds*roundBytes:], k))
-			rounds -= k
+		step := len(c.folds) * roundBytes
+		for off := 0; off < len(payload); off += step {
+			b := payload[off:min(off+step, len(payload))]
+			total.Add(c.sendRounds(b, len(b)/roundBytes))
 		}
 	} else {
 		for i, off := 0, 0; off < len(payload); i, off = i+1, off+n {
