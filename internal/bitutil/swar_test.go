@@ -266,11 +266,12 @@ func TestMaxByteRoundsMatchScalar(t *testing.T) {
 // TestMaxZerosRoundsPanics: a round length that is not a positive
 // multiple of 8, or more rounds than the bytes hold, also where rounds ×
 // round length overflows to a length the bytes hold, panics instead of
-// reading past the slice.
+// reading past the slice. The last case's product wraps to 0 on 32- and
+// 64-bit platforms alike.
 func TestMaxZerosRoundsPanics(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct{ bytes, roundBytes, rounds int }{
-		{64, 0, 1}, {64, -8, 1}, {64, 12, 1}, {64, 64, 2}, {63, 8, 8}, {64, 1 << 62, 4},
+		{64, 0, 1}, {64, -8, 1}, {64, 12, 1}, {64, 64, 2}, {63, 8, 8}, {64, 1 << (bits.UintSize - 2), 4},
 	} {
 		for _, f := range []laneFold{nibbleLanes, byteLanes} {
 			func() {
