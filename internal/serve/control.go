@@ -165,7 +165,7 @@ func (o *streamObserver) RunDone(d exp.Demand, err error) {
 // terminal error event (the status line is already on the wire).
 func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) error {
 	var req experimentRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		return err
 	}
 	e, ok := exp.ByID(req.ID)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -47,8 +46,9 @@ type blockRequest struct {
 	ChunkBits   int `json:"chunk_bits"`
 	SegmentBits int `json:"segment_bits"`
 	// Data is the batched payload: standard base64 of a byte stream
-	// whose length is a whole number of blocks.
-	Data string `json:"data"`
+	// whose length is a whole number of blocks, kept as its JSON literal
+	// so that the base64 decodes straight from the body.
+	Data dataLiteral `json:"data"`
 	// Blocks is the alternative per-block form: one base64 string per
 	// block, each exactly one block long. Exactly one of Data/Blocks
 	// must be set.
@@ -57,25 +57,20 @@ type blockRequest struct {
 	PerBlock bool `json:"per_block"`
 }
 
-// jsonRequest is blockRequest as a JSON body decodes: its data field
-// shadows blockRequest's and keeps the raw JSON literal, so that the
-// payload's base64 decodes straight from the body (dataLiteral).
-type jsonRequest struct {
-	blockRequest
-	Data dataLiteral `json:"data"`
-}
-
 // dataLiteral is the JSON literal of a request's data field, quotes
-// included: a slice of the request body, which outlives it (readJSON).
-// A JSON null or an empty string leaves it empty, as they leave a
-// string.
+// included: a slice of the request body (readJSON). It decodes as a
+// string field would: an empty string empties it, also after an earlier
+// data key, and a JSON null leaves it as it was.
 type dataLiteral []byte
 
 // UnmarshalJSON implements json.Unmarshaler: it keeps a string literal
 // without unquoting it and rejects any other value.
 func (d *dataLiteral) UnmarshalJSON(b []byte) error {
 	switch {
-	case string(b) == "null" || string(b) == `""`:
+	case string(b) == "null":
+		return nil
+	case string(b) == `""`:
+		*d = nil
 		return nil
 	case b[0] != '"':
 		return errf(http.StatusBadRequest, "serve: data is not a JSON string")
@@ -151,19 +146,12 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) handleData(w http.ResponseWriter, r *http.Request, decode bool) error {
 	binary := isBinary(r)
 	var req blockRequest
-	var data dataLiteral
 	if binary {
 		if err := requestFromQuery(r, &req); err != nil {
 			return err
 		}
-	} else {
-		body := s.bodies.Get().(*[]byte)
-		defer s.bodies.Put(body)
-		var jr jsonRequest
-		if err := readJSON(r, body, &jr); err != nil {
-			return err
-		}
-		req, data = jr.blockRequest, jr.Data
+	} else if err := readJSON(r, &req); err != nil {
+		return err
 	}
 
 	spec, err := s.specFor(&req)
@@ -180,7 +168,7 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request, decode bool)
 	}
 	defer s.pools.put(spec, c)
 
-	payload, err := s.gatherPayload(r, &req, data, c, binary, blockBytes)
+	payload, err := s.gatherPayload(r, &req, c, binary, blockBytes)
 	if err != nil {
 		return err
 	}
@@ -374,7 +362,7 @@ func (s *Server) specFor(req *blockRequest) (link.Spec, error) {
 
 // gatherPayload assembles the request's block stream into the pooled
 // raw buffer: the raw body in binary mode, decoded base64 otherwise,
-// from data, the JSON literal of the data field, or from req.Blocks.
+// from req.Data or req.Blocks.
 // The returned slice aliases c.raw and is a validated whole number of
 // blocks. Every path allocates at most MaxBodyBytes: the binary body is
 // reader-limited, base64 decodes smaller than its input, and the
@@ -382,7 +370,7 @@ func (s *Server) specFor(req *blockRequest) (link.Spec, error) {
 // buffer is sized (base64 always inflates, so a claim past the cap
 // could never have validated anyway — rejecting it early just skips the
 // multi-gigabyte make a hostile block_bits × block count would ask for).
-func (s *Server) gatherPayload(r *http.Request, req *blockRequest, data dataLiteral, c *pooled, binary bool, blockBytes int) ([]byte, error) {
+func (s *Server) gatherPayload(r *http.Request, req *blockRequest, c *pooled, binary bool, blockBytes int) ([]byte, error) {
 	var payload []byte
 	switch {
 	case binary:
@@ -391,11 +379,11 @@ func (s *Server) gatherPayload(r *http.Request, req *blockRequest, data dataLite
 		if err != nil {
 			return nil, err
 		}
-	case len(data) > 0 && len(req.Blocks) > 0:
+	case len(req.Data) > 0 && len(req.Blocks) > 0:
 		return nil, errf(http.StatusBadRequest, "serve: request sets both data and blocks; use one")
-	case len(data) > 0:
+	case len(req.Data) > 0:
 		var err error
-		payload, err = data.decodeBase64(&c.raw)
+		payload, err = req.Data.decodeBase64(&c.raw)
 		if err != nil {
 			return nil, err
 		}
@@ -450,31 +438,6 @@ func readBody(r *http.Request, pool *[]byte) ([]byte, error) {
 			return nil, err // MaxBytesError maps to 413 in statusOf
 		}
 	}
-}
-
-// readJSON reads a JSON data-plane body holding exactly one value into
-// the pooled buffer *pool and decodes it into dst, mapping the body
-// limit to 413 and a malformed body, including anything but white space
-// after the value, to 400. dst's dataLiteral slices *pool, so the
-// caller keeps the buffer until the payload is decoded.
-func readJSON(r *http.Request, pool *[]byte, dst *jsonRequest) error {
-	body, err := readBody(r, pool)
-	var mbe *http.MaxBytesError
-	switch {
-	case errors.As(err, &mbe):
-		return errf(http.StatusRequestEntityTooLarge,
-			"serve: request body exceeds the %d-byte limit", mbe.Limit)
-	case err != nil:
-		return errf(http.StatusBadRequest, "serve: read request: %v", err)
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return err
-		}
-		return errf(http.StatusBadRequest, "serve: decode request: %v", err)
-	}
-	return nil
 }
 
 // schemeCounters are one scheme's live link counters on /metrics.

@@ -90,6 +90,9 @@ func FuzzServeDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"scheme":"desc-zero","blocks":["AA=="]}`), false, uint8(0), uint8(0))
 	f.Add([]byte(`{"scheme":"desc-zero","data":"!!!"}`), false, uint8(0), uint8(0))
 	f.Add([]byte(`{"scheme":`), false, uint8(0), uint8(0))
+	f.Add([]byte(`{"scheme":"desc-zero","block_bits":64,"data":"AAAAAAAAAAA=","data":""}`), false, uint8(0), uint8(0))
+	f.Add([]byte(`{"scheme":"desc-zero","block_bits":64,"data":"AAAAAAAAAAA=","data":null}`), false, uint8(0), uint8(0))
+	f.Add([]byte(`{"scheme":"desc-zero","block_bits":16,"data":"AQI=","blocks":["/wA="],"data":""}`), false, uint8(0), uint8(0))
 	f.Add(bytes.Repeat([]byte{0xA7}, 64), true, uint8(0), uint8(0))
 	f.Add(bytes.Repeat([]byte{0x10, 0x00, 0xF3}, 64), true, uint8(2), uint8(8))
 	f.Add(bytes.Repeat([]byte{0x5A}, 128), true, uint8(4), uint8(0))
@@ -127,7 +130,13 @@ func FuzzServeDecodeRequest(f *testing.F) {
 			if resp.Blocks <= 0 {
 				t.Fatalf("200 response reports %d blocks", resp.Blocks)
 			}
-			var sent blockRequest
+			// The request's fields as encoding/json decodes strings, so
+			// that the server's data literal is held to string semantics.
+			var sent struct {
+				Scheme string   `json:"scheme"`
+				Data   string   `json:"data"`
+				Blocks []string `json:"blocks"`
+			}
 			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&sent); err != nil {
 				t.Fatalf("accepted body does not decode as a request: %v", err)
 			}

@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -114,27 +114,29 @@ func (s *Server) route(name string, deadline time.Duration, h func(http.Response
 	}
 }
 
-// decodeJSON parses a JSON request body holding exactly one value,
-// mapping body-limit violations to 413 and malformed payloads, including
-// anything but white space after the value, to 400.
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	err := dec.Decode(dst)
-	trailing := err == nil
-	if trailing {
-		if _, err = dec.Token(); err == io.EOF {
-			return nil
-		}
-	}
+// readJSON reads a JSON request body holding exactly one value and
+// decodes it into dst, mapping the body limit to 413 and a malformed
+// body, including anything but white space after the value, to 400. A
+// dataLiteral in dst slices the body read here.
+func readJSON(r *http.Request, dst any) error {
+	var body bytes.Buffer
+	_, err := body.ReadFrom(r.Body)
 	var mbe *http.MaxBytesError
 	switch {
 	case errors.As(err, &mbe):
 		return errf(http.StatusRequestEntityTooLarge,
 			"serve: request body exceeds the %d-byte limit", mbe.Limit)
-	case trailing:
-		return errf(http.StatusBadRequest, "serve: decode request: data after the JSON value")
+	case err != nil:
+		return errf(http.StatusBadRequest, "serve: read request: %v", err)
 	}
-	return errf(http.StatusBadRequest, "serve: decode request: %v", err)
+	if err := json.Unmarshal(body.Bytes(), dst); err != nil {
+		var ae *apiError
+		if errors.As(err, &ae) {
+			return err
+		}
+		return errf(http.StatusBadRequest, "serve: decode request: %v", err)
+	}
+	return nil
 }
 
 // writeJSON emits v as the response body.

@@ -102,9 +102,6 @@ type Server struct {
 	reg   *metrics.Registry
 	pools codecPools
 	mux   *http.ServeMux
-	// bodies pools the buffers JSON data-plane bodies are read into
-	// (*[]byte), which the request's data literal slices.
-	bodies sync.Pool
 
 	// counters holds each scheme's /metrics link counters, resolved
 	// once so a data-plane request takes no registry lock.
@@ -138,7 +135,6 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		runners:  map[exp.Options]*runnerEntry{},
 	}
-	s.bodies.New = func() any { return new([]byte) }
 	s.mux.HandleFunc("POST /v1/encode",
 		s.route("encode", cfg.RequestDeadline, s.handleEncode))
 	s.mux.HandleFunc("POST /v1/decode",

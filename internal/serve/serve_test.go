@@ -344,8 +344,9 @@ func TestBadRequests(t *testing.T) {
 // TestJSONDataLiteral: the data field decodes straight from its JSON
 // literal, and a literal with JSON escapes decodes as its unquoted
 // string does: the same costs and the same decoded payload. A data
-// field that is not a string is a 400 that names it, and null or an
-// empty string carry no blocks.
+// field that is not a string is a 400 that names it, null or an empty
+// string carry no blocks, and a repeated data key decodes as it would
+// into a string field.
 func TestJSONDataLiteral(t *testing.T) {
 	s := New(Config{})
 	block := make([]byte, 2*testBlockBits/8)
@@ -365,7 +366,20 @@ func TestJSONDataLiteral(t *testing.T) {
 	if got.Total != plain.Total || got.Data != b64 || plain.Data != b64 {
 		t.Errorf("escaped data: total %+v and data %q, want %+v and %q", got.Total, got.Data, plain.Total, b64)
 	}
+	// A repeated data key decodes as a string field's would: "" empties
+	// what an earlier key set, and null leaves it.
+	blk := base64.StdEncoding.EncodeToString(block[:testBlockBits/8])
+	for _, c := range []struct{ body, data, blocks string }{
+		{`{"scheme":"desc-zero","data":"` + b64 + `","data":null}`, b64, ""},
+		{`{"scheme":"desc-zero","data":"` + b64 + `","blocks":["` + blk + `"],"data":""}`, "", blk},
+	} {
+		got := decodeResponse(t, do(t, s, http.MethodPost, "/v1/decode", "application/json", []byte(c.body)))
+		if got.Data != c.data || c.blocks != "" && (len(got.DecodedBlocks) != 1 || got.DecodedBlocks[0] != c.blocks) {
+			t.Errorf("%s: data %q and blocks %q, want %q and [%q]", c.body, got.Data, got.DecodedBlocks, c.data, c.blocks)
+		}
+	}
 	for _, c := range []struct{ body, want string }{
+		{`{"scheme":"desc-zero","data":"` + b64 + `","data":""}`, "carries no blocks"},
 		{`{"scheme":"desc-zero","data":42}`, "data is not a JSON string"},
 		{`{"scheme":"desc-zero","data":["` + b64 + `"]}`, "data is not a JSON string"},
 		{`{"scheme":"desc-zero","data":null}`, "carries no blocks"},
